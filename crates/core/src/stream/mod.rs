@@ -239,6 +239,10 @@ struct LogSource<T> {
     /// and the lenient budget is evaluated at every dry point (each is
     /// the file's EOF as currently visible) instead of once.
     tail: bool,
+    /// Tail mode only: the reader came up dry during the current drain,
+    /// so `refill` leaves it alone until [`EventStream::next_event`]
+    /// returns `None` and clears the flag.
+    dry: bool,
     /// Bytes consumed by retired readers.
     bytes_done: usize,
 }
@@ -300,6 +304,7 @@ impl<T: Send> LogSource<T> {
             quarantine: Quarantine::default(),
             ingest,
             tail,
+            dry: false,
             bytes_done: 0,
         })
     }
@@ -314,12 +319,19 @@ impl<T: Send> LogSource<T> {
         }
     }
 
-    /// Ensure the buffer is non-empty or the file is exhausted.
+    /// Ensure the buffer is non-empty or the file is exhausted — in tail
+    /// mode, or dry for now. A tail-mode reader that comes up dry is
+    /// marked `dry` and not read again until the stream has drained to
+    /// `None`: one probe per dry log per drain, however many records the
+    /// other logs still hold.
     fn refill(&mut self) -> Result<(), LoadError> {
         while self.buf.is_empty() {
             let Some(reader) = self.reader.as_mut() else {
                 return Ok(());
             };
+            if self.dry {
+                return Ok(());
+            }
             match reader.next_chunk() {
                 Ok(Some(mut chunk)) => {
                     self.parsed += chunk.records.len() as u64;
@@ -348,6 +360,7 @@ impl<T: Send> LogSource<T> {
                         return Err(self.corrupt());
                     }
                     if self.tail {
+                        self.dry = true;
                         return Ok(());
                     }
                     self.bytes_done += reader.bytes_consumed();
@@ -429,6 +442,13 @@ impl EventStream {
     /// cross-source interleaving is best-effort; every analyzer folds
     /// per-source state, so analysis results are unaffected (within one
     /// source, file order is always preserved).
+    ///
+    /// Probe rule: a log that comes up dry stays dry until `next_event`
+    /// returns `None`, and the call after `None` re-probes every log. A
+    /// drain to `None` therefore costs one probe (one `read` returning 0)
+    /// per dry log, not one per record popped from the logs that still
+    /// hold data; data appended to a dry log mid-drain is picked up by
+    /// the next drain.
     pub fn open_tailing(
         dir: &Path,
         consumed: [u64; 4],
@@ -487,7 +507,9 @@ impl EventStream {
         })
     }
 
-    /// Pop the next event in merge order, or `None` at end of all logs.
+    /// Pop the next event in merge order, or `None` at end of all logs
+    /// (in tail mode: once every log is dry; see
+    /// [`EventStream::open_tailing`] for when dry logs are re-probed).
     pub fn next_event(&mut self) -> Result<Option<MemEvent>, LoadError> {
         self.ce.refill()?;
         self.het.refill()?;
@@ -514,6 +536,11 @@ impl EventStream {
             min = best(min, (r.time, 3));
         }
         let Some((_, src)) = min else {
+            // Drained: the next call probes every dry log again.
+            self.ce.dry = false;
+            self.het.dry = false;
+            self.inventory.dry = false;
+            self.sensors.dry = false;
             return Ok(None);
         };
         Ok(Some(match src {
@@ -811,7 +838,7 @@ mod tests {
     use crate::coalesce::coalesce;
     use crate::pipeline::Dataset;
 
-    struct TempDirGuard(PathBuf);
+    pub(super) struct TempDirGuard(pub(super) PathBuf);
 
     impl TempDirGuard {
         fn new(tag: &str) -> TempDirGuard {
@@ -832,7 +859,7 @@ mod tests {
         }
     }
 
-    fn written_dataset(tag: &str) -> (Dataset, TempDirGuard) {
+    pub(super) fn written_dataset(tag: &str) -> (Dataset, TempDirGuard) {
         let ds = Dataset::generate(1, 42);
         let guard = TempDirGuard::new(tag);
         ds.write_logs(&guard.0).unwrap();
@@ -845,6 +872,97 @@ mod tests {
             events.push(ev);
         }
         events
+    }
+
+    pub(super) fn append(path: &Path, bytes: &[u8]) {
+        use std::io::Write as _;
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .write_all(bytes)
+            .unwrap();
+    }
+
+    /// Write `ds` into `dir` in `format` with `ce.log` cut after its
+    /// first `cut` records; returns the bytes that complete it. Binary
+    /// appends are whole blocks — `write_records` output minus its
+    /// header, since the prefix's header already declares every record.
+    fn write_with_ce_prefix(
+        ds: &Dataset,
+        dir: &Path,
+        format: binfmt::LogFormat,
+        cut: usize,
+    ) -> Vec<u8> {
+        ds.write_logs_as(dir, format).unwrap();
+        let encode = |recs: &[CeRecord]| {
+            let mut out = Vec::new();
+            match format {
+                binfmt::LogFormat::Text => {
+                    astra_logs::io::write_lines_with(&mut out, recs, |r, buf| r.to_line_into(buf))
+                        .unwrap();
+                }
+                binfmt::LogFormat::Binary => {
+                    binfmt::write_records(&mut out, binfmt::CE, recs).unwrap();
+                    out.drain(..binfmt::HEADER_LEN);
+                }
+            }
+            out
+        };
+        let ces = &ds.sim.ce_log;
+        let mut prefix = Vec::new();
+        if format == binfmt::LogFormat::Binary {
+            prefix.extend(binfmt::header_bytes(binfmt::KIND_CE, ces.len() as u64));
+        }
+        prefix.extend(encode(&ces[..cut]));
+        std::fs::write(dir.join("ce.log"), prefix).unwrap();
+        encode(&ces[cut..])
+    }
+
+    #[test]
+    fn tailing_stream_reprobes_dry_logs_after_draining() {
+        let ds = Dataset::generate(1, 42);
+        let cut = ds.sim.ce_log.len() / 2;
+        for format in [binfmt::LogFormat::Text, binfmt::LogFormat::Binary] {
+            let guard = TempDirGuard::new("stream-tail-reprobe");
+            let rest = write_with_ce_prefix(&ds, &guard.0, format, cut);
+            let mut stream =
+                EventStream::open_tailing(&guard.0, [0; 4], IngestOptions::default()).unwrap();
+            let mut events = drain(&mut stream);
+            assert_eq!(stream.consumed()[0], cut as u64, "{format:?}: the prefix");
+            // Nothing appended: the re-probe finds every log still dry.
+            assert!(stream.next_event().unwrap().is_none(), "{format:?}");
+
+            append(&guard.0.join("ce.log"), &rest);
+            events.extend(drain(&mut stream));
+
+            let ce_seqs = events
+                .iter()
+                .filter(|ev| ev.source() == EventSource::Ce)
+                .map(MemEvent::seq);
+            assert!(
+                ce_seqs.eq(0..ds.sim.ce_log.len() as u64),
+                "{format:?}: CE seqs must continue in file order, no gap or repeat"
+            );
+            let mut complete = EventStream::open(&guard.0).unwrap();
+            let expected = drain(&mut complete);
+            for src in EventSource::ALL {
+                let of = |evs: &[MemEvent]| -> Vec<MemEvent> {
+                    evs.iter()
+                        .filter(|ev| ev.source() == src)
+                        .copied()
+                        .collect()
+                };
+                assert_eq!(
+                    of(&events),
+                    of(&expected),
+                    "{format:?}: {} events differ from a one-shot read",
+                    src.name()
+                );
+            }
+            assert_eq!(stream.consumed(), complete.consumed(), "{format:?}");
+            assert_eq!(stream.bytes_read(), complete.bytes_read(), "{format:?}");
+        }
     }
 
     #[test]

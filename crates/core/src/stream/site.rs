@@ -23,6 +23,19 @@
 //! coalesce/spatial/predict, HET into its own table, and so on) with
 //! FIFO order preserved within each source, so the converged report is
 //! identical to a batch run regardless of when data arrived.
+//!
+//! Probe rule: within one poll, a log that comes up dry is not read again
+//! until the poll ends (the stream returns `None`); the next poll probes
+//! every log afresh. A poll therefore costs one probe — one `read`
+//! returning 0 — per dry log, however many records the other logs hold,
+//! and a record appended to a dry log mid-poll is folded by the next.
+//!
+//! Newline rule: a text line is ingested once its `\n` lands, in this
+//! engine's life or, after a checkpoint and restart, the next one. There
+//! is no flush at shutdown, so a log whose last line never gets its
+//! newline stays one record short of the one-shot engine (which parses
+//! that line as-is at EOF): byte-identity with `analyze` holds for
+//! newline-terminated logs.
 
 use std::path::{Path, PathBuf};
 
@@ -80,10 +93,11 @@ impl SiteEngine {
     }
 
     /// Consume every event currently available in the logs; returns how
-    /// many were folded in. `Ok(0)` means the logs are dry for now — the
-    /// next poll re-probes them. A strict-mode quarantine (or a blown
-    /// lenient budget) aborts with the same errors `stream_analyze`
-    /// raises.
+    /// many were folded in. Each log is read until it comes up dry once,
+    /// so a record appended to a log after that waits for the next poll.
+    /// `Ok(0)` means the logs are dry for now — the next poll re-probes
+    /// them. A strict-mode quarantine (or a blown lenient budget) aborts
+    /// with the same errors `stream_analyze` raises.
     pub fn poll(&mut self) -> Result<u64, StreamError> {
         let mut n = 0u64;
         while let Some(ev) = self.source.next_event()? {
@@ -153,5 +167,57 @@ impl SiteEngine {
     /// The checkpoint path in effect, if any.
     pub fn checkpoint_path(&self) -> Option<&PathBuf> {
         self.opts.checkpoint_path.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::report_analysis_body;
+    use crate::stream::stream_analyze;
+    use crate::stream::tests::{append, written_dataset};
+
+    #[test]
+    fn newline_less_last_line_is_ingested_once_its_newline_lands() {
+        let (ds, guard) = written_dataset("site-newline");
+        let ce = guard.0.join("ce.log");
+        let mut bytes = std::fs::read(&ce).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        std::fs::write(&ce, &bytes).unwrap();
+        let n = ds.sim.ce_log.len() as u64;
+        let opts = StreamOptions {
+            checkpoint_path: Some(guard.0.join("site.ckpt")),
+            ..StreamOptions::default()
+        };
+
+        // The last line may be an append in progress: held back, in
+        // this life and after a checkpoint and restart alike.
+        let mut engine = SiteEngine::open(&guard.0, ds.system, &opts).unwrap();
+        engine.poll().unwrap();
+        assert_eq!(engine.consumed()[0], n - 1);
+        assert!(engine.checkpoint().unwrap());
+        drop(engine);
+        let mut engine = SiteEngine::open(&guard.0, ds.system, &opts).unwrap();
+        assert!(engine.resumed());
+        assert_eq!(engine.poll().unwrap(), 0);
+        assert_eq!(engine.consumed()[0], n - 1);
+        // A one-shot read takes EOF as final and parses the line as-is.
+        let oneshot = stream_analyze(&guard.0, ds.system, &StreamOptions::default())
+            .unwrap()
+            .expect("no stop requested");
+        assert_eq!(oneshot.ces, n);
+
+        // Its newline lands: the record is in, and the report converges
+        // on the one-shot engine's.
+        append(&ce, b"\n");
+        assert_eq!(engine.poll().unwrap(), 1);
+        assert_eq!(engine.consumed()[0], n);
+        let oneshot = stream_analyze(&guard.0, ds.system, &StreamOptions::default())
+            .unwrap()
+            .expect("no stop requested");
+        assert_eq!(
+            report_analysis_body(&engine.report()),
+            report_analysis_body(&oneshot)
+        );
     }
 }

@@ -443,9 +443,12 @@ where
         self
     }
 
-    /// Switch tail mode at runtime. A daemon tails with `true` and flips
-    /// to `false` at shutdown so one final [`ChunkReader::next_chunk`]
-    /// flushes a legitimately newline-less last line.
+    /// Switch tail mode at runtime. Switching it off makes the next EOF
+    /// final, so a held-back newline-less last line is then parsed as-is.
+    /// The serve daemon never does this, not even at shutdown: a writer
+    /// caught mid-line would have its torn line parsed. A tailed line is
+    /// ingested once its `\n` lands, in this process or, after a
+    /// checkpoint and restart, the next.
     pub fn set_tail(&mut self, tail: bool) {
         self.tail = tail;
         if tail {
@@ -889,8 +892,8 @@ mod tests {
         assert!(chunk.quarantine.is_empty());
         assert!(r.next_chunk().unwrap().is_none(), "dry again");
 
-        // Shutdown flush: once tailing ends, a legitimately newline-less
-        // final line is parsed as-is.
+        // A newline-less final line stays held back for as long as the
+        // reader tails.
         let mut w = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
@@ -920,7 +923,10 @@ mod tests {
         assert_eq!(chunk.records, vec![ce(0)]);
         assert!(r.next_chunk().unwrap().is_none(), "final line held back");
         r.set_tail(false);
-        let chunk = r.next_chunk().unwrap().expect("flush at shutdown");
+        let chunk = r
+            .next_chunk()
+            .unwrap()
+            .expect("EOF is final once tailing is off");
         assert_eq!(chunk.records, vec![ce(1)]);
         assert!(r.next_chunk().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();

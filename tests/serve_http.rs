@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use astra_core::stream::StreamOptions;
+use astra_logs::{binfmt, CeRecord, IngestOptions};
 use astra_serve::{http, ServeOptions};
 use astra_topology::SystemConfig;
 
@@ -65,12 +66,18 @@ fn stdout_of(args: &[&str]) -> Vec<u8> {
 }
 
 fn generate(dir: &Path) {
+    generate_as(dir, "text");
+}
+
+fn generate_as(dir: &Path, format: &str) {
     stdout_of(&[
         "generate",
         "--racks",
         "1",
         "--seed",
         "42",
+        "--format",
+        format,
         "--out",
         dir.to_str().unwrap(),
     ]);
@@ -155,22 +162,54 @@ fn analysis_endpoint_is_byte_identical_to_analyze() {
     server.join();
 }
 
-/// Split `ce.log` at a line boundary roughly in half; returns the tail
-/// half that the writer thread will drip back in.
+/// Split `ce.log` roughly in half; returns the tail half that the
+/// writer thread will drip back in. A text log is cut at a line
+/// boundary. A binary log keeps its header, which declares every record,
+/// and its tail is re-encoded as 20 runs of blocks, each `write_records`
+/// output minus its header, the way a tailed writer appends.
 fn split_ce_log(dir: &Path) -> Vec<u8> {
     let path = dir.join("ce.log");
-    let all = std::fs::read(&path).unwrap();
-    let mid = all.len() / 2;
-    let cut = mid + all[mid..].iter().position(|&b| b == b'\n').unwrap() + 1;
-    std::fs::write(&path, &all[..cut]).unwrap();
-    all[cut..].to_vec()
+    if !binfmt::file_is_binlog(&path).unwrap() {
+        let all = std::fs::read(&path).unwrap();
+        let mid = all.len() / 2;
+        let cut = mid + all[mid..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(&path, &all[..cut]).unwrap();
+        return all[cut..].to_vec();
+    }
+    let file = std::fs::File::open(&path).unwrap();
+    let (parsed, ..) =
+        binfmt::parse_binary_stream(file, binfmt::CE, &IngestOptions::default()).unwrap();
+    let ces = parsed.records;
+    let blocks = |recs: &[CeRecord]| {
+        let mut out = Vec::new();
+        binfmt::write_records(&mut out, binfmt::CE, recs).unwrap();
+        out.drain(..binfmt::HEADER_LEN);
+        out
+    };
+    let cut = ces.len() / 2;
+    let mut prefix = binfmt::header_bytes(binfmt::KIND_CE, ces.len() as u64).to_vec();
+    prefix.extend(blocks(&ces[..cut]));
+    std::fs::write(&path, prefix).unwrap();
+    let rest = &ces[cut..];
+    rest.chunks(rest.len() / 20 + 1).flat_map(blocks).collect()
 }
 
 #[test]
 fn concurrent_readers_see_single_untorn_snapshots_while_ingest_advances() {
+    hammer_while_appending("text");
+}
+
+/// The same hammer over binary logs: appends land mid-frame, so the
+/// tail reader holds torn blocks back while readers query.
+#[test]
+fn concurrent_readers_see_single_untorn_snapshots_while_binary_ingest_advances() {
+    hammer_while_appending("binary");
+}
+
+fn hammer_while_appending(format: &str) {
     let tmp = TempDir::new("hammer");
     let logs = tmp.join("live");
-    generate(&logs);
+    generate_as(&logs, format);
     let tail = split_ce_log(&logs);
 
     let server = astra_core::serve::start_sites(
@@ -264,7 +303,7 @@ fn concurrent_readers_see_single_untorn_snapshots_while_ingest_advances() {
         }
         assert!(
             Instant::now() < deadline,
-            "daemon never converged on the appended log:\n--- expected ---\n{}\n--- live ---\n{}",
+            "daemon never converged on the appended {format} log:\n--- expected ---\n{}\n--- live ---\n{}",
             String::from_utf8_lossy(&expected),
             live.body
         );

@@ -1262,6 +1262,18 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         );
     }
 
+    // Only `report` joins CEs to telemetry (Fig 9), so these counters come
+    // from a metrics.jsonl that a report run exported.
+    let summed = snap.counter("telemetry.window_readings_summed");
+    if summed > 0 {
+        let drawn = snap.counter("telemetry.window_readings");
+        println!("\ntelemetry joins (from metrics.jsonl):");
+        println!(
+            "  window samples summed {summed} | drawn {drawn} ({:.1}% of summed)",
+            percent(drawn, summed),
+        );
+    }
+
     let records_in = snap.counter("coalesce.records_in");
     println!("\ncoalesce:");
     println!(

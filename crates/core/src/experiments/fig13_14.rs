@@ -17,7 +17,9 @@ use astra_topology::{DimmGroup, SensorId, SocketId};
 use astra_util::time::TimeSpan;
 
 use crate::pipeline::Analysis;
-use crate::tempcorr::{power_hot_cold, temperature_deciles, DecileSeries, TempCorrConfig};
+use crate::tempcorr::{
+    monthly_samples, power_hot_cold, temperature_deciles, DecileSeries, TempCorrConfig,
+};
 
 /// The data behind Fig 13.
 #[derive(Debug, Clone)]
@@ -57,30 +59,31 @@ pub fn compute_fig14(
     config: &TempCorrConfig,
 ) -> Fig14 {
     let _span = super::figure_span("fig14");
+    let power_samples = monthly_samples(
+        &analysis.records,
+        telemetry,
+        &analysis.system,
+        span,
+        SensorId::dc_power(),
+        config,
+    );
+    let panel = |sensor| {
+        power_hot_cold(
+            &analysis.records,
+            telemetry,
+            &analysis.system,
+            span,
+            sensor,
+            &power_samples,
+            config,
+        )
+    };
     let mut panels = Vec::new();
     for socket in SocketId::ALL {
-        let sensor = SensorId::cpu(socket);
-        let series = power_hot_cold(
-            &analysis.records,
-            telemetry,
-            &analysis.system,
-            span,
-            sensor,
-            config,
-        );
-        panels.push((socket.cpu_label().to_string(), series));
+        panels.push((socket.cpu_label().to_string(), panel(SensorId::cpu(socket))));
     }
     for group in DimmGroup::ALL {
-        let sensor = SensorId::dimm_group(group);
-        let series = power_hot_cold(
-            &analysis.records,
-            telemetry,
-            &analysis.system,
-            span,
-            sensor,
-            config,
-        );
-        panels.push((group.panel_label(), series));
+        panels.push((group.panel_label(), panel(SensorId::dimm_group(group))));
     }
     Fig14 { panels }
 }

@@ -11,7 +11,7 @@ use astra_telemetry::TelemetryModel;
 use astra_util::time::{TimeSpan, MINUTES_PER_DAY};
 
 use crate::pipeline::Analysis;
-use crate::tempcorr::{window_correlation, TempCorrConfig, WindowCorrelation};
+use crate::tempcorr::{window_correlations, TempCorrConfig, WindowCorrelation};
 
 /// The four standard windows of Fig 9.
 pub const WINDOWS: [(&str, u64); 4] = [
@@ -36,14 +36,12 @@ pub fn compute(
     config: &TempCorrConfig,
 ) -> Fig9 {
     let _span = super::figure_span("fig9");
+    let minutes: Vec<u64> = WINDOWS.iter().map(|&(_, minutes)| minutes).collect();
+    let correlations = window_correlations(&analysis.records, telemetry, span, &minutes, config);
     let windows = WINDOWS
         .iter()
-        .map(|(label, minutes)| {
-            (
-                label.to_string(),
-                window_correlation(&analysis.records, telemetry, span, *minutes, config),
-            )
-        })
+        .zip(correlations)
+        .map(|(&(label, _), wc)| (label.to_string(), wc))
         .collect();
     Fig9 { windows }
 }

@@ -2,10 +2,10 @@
 //!
 //! Three analyses, mirroring the paper's methodology exactly:
 //!
-//! * [`window_correlation`] (Fig 9) — for each CE, the mean temperature of
-//!   the errored DIMM's sensor over the interval immediately preceding the
-//!   error (one hour to one month), binned by temperature, with an OLS fit
-//!   whose slope sign is the verdict;
+//! * [`window_correlations`] (Fig 9) — for each CE, the mean temperature
+//!   of the errored DIMM's sensor over the interval immediately preceding
+//!   the error (one hour to one month), binned by temperature, with an OLS
+//!   fit whose slope sign is the verdict;
 //! * [`temperature_deciles`] (Fig 13, after Schroeder et al.) — monthly
 //!   average sensor temperature per (node, month) sample, cut into
 //!   deciles, vs the average monthly CE count within each decile;
@@ -24,12 +24,13 @@ use astra_stats::{deciles, linear_fit, median, LinearFit};
 use astra_telemetry::TelemetryModel;
 use astra_topology::{DimmGroup, NodeId, SensorId, SystemConfig};
 use astra_util::time::TimeSpan;
+use astra_util::Minute;
 
 /// Sampling knobs — the full dataset is large, so the analyses subsample
 /// deterministically (every k-th CE / configurable telemetry strides).
 #[derive(Debug, Clone, Copy)]
 pub struct TempCorrConfig {
-    /// Maximum CEs to evaluate in [`window_correlation`].
+    /// Maximum CEs to evaluate per window in [`window_correlations`].
     pub max_ce_samples: usize,
     /// Telemetry sampling stride (minutes) inside a pre-error window.
     pub window_stride: u64,
@@ -78,45 +79,92 @@ impl WindowCorrelation {
     }
 }
 
-/// Fig 9: CE count vs mean errored-DIMM temperature over the preceding
-/// window.
-pub fn window_correlation(
+/// Fig 9: CE count vs mean errored-DIMM temperature over the window
+/// before each sampled CE, one [`WindowCorrelation`] per entry of
+/// `windows` (minutes).
+///
+/// Each window samples its CEs on its own, but the telemetry join is
+/// shared: the queries of every window are grouped by (node, DIMM sensor)
+/// and each group goes to [`TelemetryModel::window_means`] once, so a
+/// sample that several windows cover is drawn once. Every mean is the
+/// same as a lone [`TelemetryModel::window_mean`] gives, bit for bit.
+pub fn window_correlations(
     records: &[CeRecord],
     telemetry: &TelemetryModel,
     span: TimeSpan,
-    window_minutes: u64,
+    windows: &[u64],
     config: &TempCorrConfig,
-) -> WindowCorrelation {
+) -> Vec<WindowCorrelation> {
     // Only errors inside the sensor-data interval can be attributed.
-    let eligible: Vec<&CeRecord> = records
+    let picked: Vec<(Vec<&CeRecord>, usize)> = windows
         .iter()
-        .filter(|r| span.contains(r.time) && r.time.value() - (window_minutes as i64) >= 0)
+        .map(|&window_minutes| {
+            let eligible = || {
+                records.iter().filter(move |r| {
+                    span.contains(r.time) && r.time.value() - (window_minutes as i64) >= 0
+                })
+            };
+            let eligible_count = eligible().count();
+            let step = (eligible_count / config.max_ce_samples).max(1);
+            (eligible().step_by(step).collect(), eligible_count)
+        })
         .collect();
-    let step = (eligible.len() / config.max_ce_samples).max(1);
-    let sampled: Vec<&CeRecord> = eligible.iter().step_by(step).copied().collect();
 
-    let mut temps: Vec<f64> = Vec::with_capacity(sampled.len());
-    for rec in &sampled {
-        let sensor = SensorId::for_slot(rec.slot);
-        if let Some(mean) = telemetry.window_mean(
-            rec.node,
-            sensor,
-            rec.time,
-            window_minutes,
-            config.window_stride.min(window_minutes.max(1)),
-        ) {
-            temps.push(mean);
+    // One query per (window, sampled CE), grouped by the errored DIMM's
+    // sensor.
+    let mut queries: Vec<(NodeId, SensorId, usize, usize)> = Vec::new();
+    for (w, (sampled, _)) in picked.iter().enumerate() {
+        for (i, rec) in sampled.iter().enumerate() {
+            queries.push((rec.node, SensorId::for_slot(rec.slot), w, i));
+        }
+    }
+    queries.sort_unstable();
+    let mut means: Vec<Vec<Option<f64>>> = picked
+        .iter()
+        .map(|(sampled, _)| vec![None; sampled.len()])
+        .collect();
+    for group in queries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (node, sensor, ..) = group[0];
+        let windowed: Vec<(Minute, u64, u64)> = group
+            .iter()
+            .map(|&(_, _, w, i)| {
+                let window_minutes = windows[w];
+                let stride = config.window_stride.min(window_minutes.max(1));
+                (picked[w].0[i].time, window_minutes, stride)
+            })
+            .collect();
+        let group_means = telemetry.window_means(node, sensor, &windowed);
+        for (&(_, _, w, i), mean) in group.iter().zip(group_means) {
+            means[w][i] = mean;
         }
     }
 
-    // Bin by temperature.
+    windows
+        .iter()
+        .zip(picked)
+        .zip(means)
+        .map(|((&window_minutes, (sampled, eligible)), means)| {
+            let temps: Vec<f64> = means.into_iter().flatten().collect();
+            bin_by_temperature(window_minutes, &temps, sampled.len(), eligible, config)
+        })
+        .collect()
+}
+
+/// Bin one window's mean temperatures and fit CE count against them.
+fn bin_by_temperature(
+    window_minutes: u64,
+    temps: &[f64],
+    sampled: usize,
+    eligible: usize,
+    config: &TempCorrConfig,
+) -> WindowCorrelation {
     let mut points: Vec<(f64, f64)> = Vec::new();
     if !temps.is_empty() {
         let lo = temps.iter().cloned().fold(f64::MAX, f64::min);
         let hi = temps.iter().cloned().fold(f64::MIN, f64::max) + 1e-9;
         let bins = (((hi - lo) / config.bin_width).ceil() as usize).max(1);
         let mut counts = vec![0u64; bins];
-        for &t in &temps {
+        for &t in temps {
             let idx = (((t - lo) / config.bin_width) as usize).min(bins - 1);
             counts[idx] += 1;
         }
@@ -129,16 +177,16 @@ pub fn window_correlation(
     let xs: Vec<f64> = points.iter().map(|(x, _)| *x).collect();
     let ys: Vec<f64> = points.iter().map(|(_, y)| *y).collect();
     let fit = linear_fit(&xs, &ys);
-    let sample_scale = if sampled.is_empty() {
+    let sample_scale = if sampled == 0 {
         1.0
     } else {
-        eligible.len() as f64 / sampled.len() as f64
+        eligible as f64 / sampled as f64
     };
     WindowCorrelation {
         window_minutes,
         points,
         fit,
-        sampled: sampled.len(),
+        sampled,
         sample_scale,
     }
 }
@@ -293,27 +341,21 @@ pub fn temperature_deciles(
 
 /// Fig 14: for one temperature sensor, split `(node, month)` samples into
 /// hot/cold halves by the sensor's median monthly temperature, then decile
-/// each half by monthly mean node power.
+/// each half by monthly mean node power. `power_samples` are the DC-power
+/// [`monthly_samples`] over the same span, which every panel shares.
 pub fn power_hot_cold(
     records: &[CeRecord],
     telemetry: &TelemetryModel,
     system: &SystemConfig,
     span: TimeSpan,
     temp_sensor: SensorId,
+    power_samples: &[MonthlySample],
     config: &TempCorrConfig,
 ) -> Vec<DecileSeries> {
     let temp_samples = monthly_samples(records, telemetry, system, span, temp_sensor, config);
-    let power_samples = monthly_samples(
-        records,
-        telemetry,
-        system,
-        span,
-        SensorId::dc_power(),
-        config,
-    );
     // Index power means by (node, month).
     let mut power: std::collections::HashMap<(u32, i64), f64> = std::collections::HashMap::new();
-    for s in &power_samples {
+    for s in power_samples {
         power.insert((s.node.0, s.month), s.mean_value);
     }
 
@@ -423,7 +465,7 @@ mod tests {
                 )
             })
             .collect();
-        let wc = window_correlation(&records, &telemetry(), span(), 60, &quick_config());
+        let wc = &window_correlations(&records, &telemetry(), span(), &[60], &quick_config())[0];
         assert!(wc.sampled > 0);
         assert!(!wc.points.is_empty());
         if let Some(rel) = wc.relative_slope_per_degree() {
@@ -433,10 +475,102 @@ mod tests {
 
     #[test]
     fn window_correlation_empty_records() {
-        let wc = window_correlation(&[], &telemetry(), span(), 60, &quick_config());
+        let wc = &window_correlations(&[], &telemetry(), span(), &[60], &quick_config())[0];
         assert_eq!(wc.sampled, 0);
         assert!(wc.points.is_empty());
         assert!(wc.fit.is_none());
+    }
+
+    /// Fig 9 the way it was computed before the join was shared: every
+    /// sampled CE draws its own window through `window_mean`.
+    fn window_correlation_reference(
+        records: &[CeRecord],
+        telemetry: &TelemetryModel,
+        span: TimeSpan,
+        window_minutes: u64,
+        config: &TempCorrConfig,
+    ) -> WindowCorrelation {
+        let eligible: Vec<&CeRecord> = records
+            .iter()
+            .filter(|r| span.contains(r.time) && r.time.value() - (window_minutes as i64) >= 0)
+            .collect();
+        let step = (eligible.len() / config.max_ce_samples).max(1);
+        let sampled: Vec<&CeRecord> = eligible.iter().step_by(step).copied().collect();
+        let temps: Vec<f64> = sampled
+            .iter()
+            .filter_map(|rec| {
+                telemetry.window_mean(
+                    rec.node,
+                    SensorId::for_slot(rec.slot),
+                    rec.time,
+                    window_minutes,
+                    config.window_stride.min(window_minutes.max(1)),
+                )
+            })
+            .collect();
+        bin_by_temperature(
+            window_minutes,
+            &temps,
+            sampled.len(),
+            eligible.len(),
+            config,
+        )
+    }
+
+    #[test]
+    fn window_correlations_equal_the_per_ce_reference() {
+        let ds = crate::pipeline::Dataset::generate(1, 42);
+        let span = astra_util::time::sensor_span();
+        let windows: Vec<u64> = crate::experiments::fig9::WINDOWS
+            .iter()
+            .map(|&(_, minutes)| minutes)
+            .collect();
+        let bits = |wc: &WindowCorrelation| {
+            let points: Vec<(u64, u64)> = wc
+                .points
+                .iter()
+                .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                .collect();
+            let fit = wc.fit.map(|f| {
+                (
+                    f.slope.to_bits(),
+                    f.intercept.to_bits(),
+                    f.r_squared.to_bits(),
+                    f.n,
+                )
+            });
+            (
+                wc.window_minutes,
+                points,
+                fit,
+                wc.sampled,
+                wc.sample_scale.to_bits(),
+            )
+        };
+        // The default stride puts every window on one grid; a 45-minute
+        // stride puts the hour window (stride 45) on its own.
+        for config in [
+            TempCorrConfig::default(),
+            TempCorrConfig {
+                window_stride: 45,
+                ..TempCorrConfig::default()
+            },
+        ] {
+            let records = &ds.sim.ce_log;
+            let shared = window_correlations(records, &ds.telemetry, span, &windows, &config);
+            assert_eq!(shared.len(), windows.len());
+            for (wc, &window_minutes) in shared.iter().zip(&windows) {
+                let want = window_correlation_reference(
+                    records,
+                    &ds.telemetry,
+                    span,
+                    window_minutes,
+                    &config,
+                );
+                assert!(want.sampled > 0);
+                assert_eq!(bits(wc), bits(&want), "window {window_minutes}");
+            }
+        }
     }
 
     #[test]
@@ -508,12 +642,21 @@ mod tests {
     #[test]
     fn power_hot_cold_splits_in_two() {
         let records = vec![ce(1, 'A', 5, 6)];
+        let power = monthly_samples(
+            &records,
+            &telemetry(),
+            &system(),
+            span(),
+            SensorId::dc_power(),
+            &quick_config(),
+        );
         let series = power_hot_cold(
             &records,
             &telemetry(),
             &system(),
             span(),
             SensorId::cpu(astra_topology::SocketId(0)),
+            &power,
             &quick_config(),
         );
         assert_eq!(series.len(), 2);

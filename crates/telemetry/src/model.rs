@@ -195,6 +195,8 @@ impl TelemetryModel {
     /// sampling every `stride_minutes`. Returns `None` when no valid
     /// sample falls in the window. This is the §3.3 primitive: "the mean
     /// temperature over the time interval immediately before the error".
+    /// Analyses call [`Self::window_means`]; this one-window form is the
+    /// reference it is tested against.
     pub fn window_mean(
         &self,
         node: NodeId,
@@ -216,6 +218,79 @@ impl TelemetryModel {
         }
         (n > 0).then(|| sum / n as f64)
     }
+
+    /// [`Self::window_mean`] of many windows of one sensor, one
+    /// `(end, window_minutes, stride_minutes)` per query: entry `i` equals
+    /// `window_mean` of `queries[i]` bit for bit, but a sample that several
+    /// windows cover is drawn once.
+    ///
+    /// Two windows share samples only on the same stride grid (same stride
+    /// and `(end - window) mod stride`), so the queries are visited by grid,
+    /// then by start. Windows on one grid that overlap or abut form a run,
+    /// whose samples are drawn once into a buffer (NaN for an invalid
+    /// reading); each window then sums its slice of the buffer front to
+    /// back, the order `window_mean` adds them in. When no two windows
+    /// overlap, every sample is drawn exactly as often as by `window_mean`.
+    ///
+    /// Each call adds the samples it drew to `telemetry.window_readings`
+    /// and the samples its windows summed to
+    /// `telemetry.window_readings_summed`.
+    pub fn window_means(
+        &self,
+        node: NodeId,
+        sensor: SensorId,
+        queries: &[(Minute, u64, u64)],
+    ) -> Vec<Option<f64>> {
+        // (stride, start mod stride, start, query index), visited in order.
+        let mut order: Vec<(u64, i64, i64, usize)> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, &(end, window, stride))| {
+                assert!(stride > 0, "stride must be positive");
+                let start = end.value() - window as i64;
+                (stride, start.rem_euclid(stride as i64), start, i)
+            })
+            .collect();
+        order.sort_unstable();
+
+        let mut means = vec![None; queries.len()];
+        let mut run: Vec<f64> = Vec::new();
+        let mut run_grid = None;
+        let mut run_start = 0i64;
+        let mut summed = 0u64;
+        let mut drawn = 0u64;
+        for (stride, offset, start, i) in order {
+            let step = stride as i64;
+            let grid = Some((stride, offset));
+            if run_grid != grid || start > run_start + run.len() as i64 * step {
+                run.clear();
+                run_grid = grid;
+                run_start = start;
+            }
+            let first = ((start - run_start) / step) as usize;
+            let last = first + queries[i].1.div_ceil(stride) as usize;
+            while run.len() < last {
+                let t = Minute::from_i64(run_start + run.len() as i64 * step);
+                let value = self.reading(node, sensor, t).valid_value();
+                run.push(value.unwrap_or(f64::NAN));
+                drawn += 1;
+            }
+            let mut sum = 0.0;
+            let mut n = 0u64;
+            for &v in &run[first..last] {
+                if !v.is_nan() {
+                    sum += v;
+                    n += 1;
+                }
+            }
+            summed += (last - first) as u64;
+            means[i] = (n > 0).then(|| sum / n as f64);
+        }
+        let obs = astra_obs::global();
+        obs.counter("telemetry.window_readings").add(drawn);
+        obs.counter("telemetry.window_readings_summed").add(summed);
+        means
+    }
 }
 
 #[cfg(test)]
@@ -223,7 +298,7 @@ mod tests {
     use super::*;
     use astra_topology::SocketId;
     use astra_util::time::sensor_span;
-    use astra_util::CalDate;
+    use astra_util::{CalDate, DetRng};
 
     fn model() -> TelemetryModel {
         TelemetryModel::new(SystemConfig::scaled(4), ThermalProfile::astra(), 42)
@@ -388,6 +463,85 @@ mod tests {
             .window_mean(NodeId(5), SensorId::from_index(2).unwrap(), end, 60, 5)
             .unwrap();
         assert!((30.0..=60.0).contains(&mean), "window mean {mean}");
+    }
+
+    /// `window_means` must equal `window_mean` query by query, to the bit.
+    fn assert_means_match(m: &TelemetryModel, sensor: SensorId, queries: &[(Minute, u64, u64)]) {
+        let means = m.window_means(NodeId(5), sensor, queries);
+        assert_eq!(means.len(), queries.len());
+        for (&(end, window, stride), mean) in queries.iter().zip(means) {
+            let want = m.window_mean(NodeId(5), sensor, end, window, stride);
+            assert_eq!(
+                mean.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "window ({}, {window}, {stride})",
+                end.value()
+            );
+        }
+    }
+
+    /// A random query set: ends over two weeks (so on different grids,
+    /// with gaps between the windows), half of them on the half-hour; half
+    /// the windows an hour or a day, the rest rarely a multiple of the
+    /// stride; the strides drawn from `strides`; and a few duplicated
+    /// queries, all in random order.
+    fn random_queries(rng: &mut DetRng, strides: &[u64]) -> Vec<(Minute, u64, u64)> {
+        let count = 1 + rng.below(60) as usize;
+        let mut queries: Vec<(Minute, u64, u64)> = (0..count)
+            .map(|_| {
+                let minute = if rng.chance(0.5) {
+                    rng.below(14 * 1440)
+                } else {
+                    30 * rng.below(14 * 48)
+                };
+                let window = if rng.chance(0.5) {
+                    1 + rng.below(3 * 1440)
+                } else {
+                    *rng.pick(&[60, 1440])
+                };
+                (at(1, minute as i64), window, *rng.pick(strides))
+            })
+            .collect();
+        for _ in 0..rng.below(5) {
+            let dup = *rng.pick(&queries);
+            queries.push(dup);
+        }
+        for i in (1..queries.len()).rev() {
+            queries.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        queries
+    }
+
+    #[test]
+    fn window_means_equal_window_mean_bit_for_bit() {
+        let mut rng = DetRng::new(17);
+        let m = model();
+        let sensor = SensorId::from_index(3).unwrap();
+        assert!(m.window_means(NodeId(5), sensor, &[]).is_empty());
+        for strides in [&[30][..], &[30, 45], &[1, 7, 60]] {
+            for _ in 0..20 {
+                assert_means_match(&m, sensor, &random_queries(&mut rng, strides));
+            }
+        }
+
+        // Mostly unreadable sensors: short windows are often all invalid,
+        // and with every reading unreadable every window is.
+        for unreadable_prob in [0.8, 1.0] {
+            let profile = ThermalProfile {
+                unreadable_prob,
+                ..ThermalProfile::astra()
+            };
+            let m = TelemetryModel::new(SystemConfig::scaled(4), profile, 42);
+            let queries: Vec<(Minute, u64, u64)> = (0..200)
+                .map(|_| (at(2, rng.below(1440) as i64), 1 + rng.below(90), 30))
+                .collect();
+            assert_means_match(&m, sensor, &queries);
+            let none = m.window_means(NodeId(5), sensor, &queries);
+            assert!(none.iter().any(Option::is_none));
+            if unreadable_prob == 1.0 {
+                assert!(none.iter().all(Option::is_none));
+            }
+        }
     }
 
     #[test]

@@ -203,6 +203,74 @@ fn report_metrics_span_all_stages_and_are_deterministic() {
 }
 
 #[test]
+fn report_counts_telemetry_samples_drawn_and_summed() {
+    let dir = TempDir::new("joins");
+    let data = dir.path().to_str().unwrap();
+    run(&["generate", "--racks", "1", "--seed", "42", "--out", data]);
+    let metrics = dir.join("report.jsonl");
+    let out = Command::new(bin())
+        .args(["report", data, "--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+
+    // Fig 9 samples its CEs per window; every sampled CE sums one sample
+    // per 30 minutes (the default stride) of its window.
+    let fig9: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("Fig 9"))
+        .skip(1)
+        .take(4)
+        .collect();
+    let mut want_summed = 0;
+    for (line, (label, minutes)) in fig9.iter().zip([
+        ("one hour", 60u64),
+        ("one day", 1440),
+        ("one week", 7 * 1440),
+        ("one month", 30 * 1440),
+    ]) {
+        assert!(line.trim_start().starts_with(label), "{line}");
+        let sampled: u64 = line
+            .split("sampled")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no sampled count in {line:?}"));
+        assert!(sampled > 0, "{line}");
+        want_summed += sampled * minutes.div_ceil(30);
+    }
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    let summed = metric_value(&jsonl, "telemetry.window_readings_summed").expect("summed");
+    let drawn = metric_value(&jsonl, "telemetry.window_readings").expect("drawn");
+    assert_eq!(summed as u64, want_summed);
+    assert!(drawn > 0.0 && drawn < summed, "drawn {drawn} of {summed}");
+
+    // `stats` shows them once they are in the directory's metrics.jsonl.
+    let joins: String = jsonl
+        .lines()
+        .filter(|l| l.contains("\"name\":\"telemetry.window_readings"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let mut dataset_metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
+    dataset_metrics.push_str(&joins);
+    std::fs::write(dir.join("metrics.jsonl"), dataset_metrics).unwrap();
+    let out = Command::new(bin())
+        .args(["stats", data])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains(&format!(
+            "window samples summed {} | drawn {}",
+            summed as u64, drawn as u64
+        )),
+        "{text}"
+    );
+}
+
+#[test]
 fn stats_prints_throughput_and_rates() {
     let dir = TempDir::new("stats");
     generate(dir.path());

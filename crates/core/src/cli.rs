@@ -53,7 +53,6 @@ USAGE:
     astra-mem analyze        DIR [--racks N]
     astra-mem stream-analyze DIR [--racks N] [--checkpoint-every N --checkpoint FILE]
                                  [--resume FILE] [--stop-after N --checkpoint FILE]
-                                 [--checkpoint-format F]
     astra-mem shard-analyze  DIR [--shards N] [--timeout SECS] [--retries N]
                                  [--degraded] [--racks N]
     astra-mem serve          DIR [DIR ...] [--racks N] [--listen ADDR]
@@ -169,8 +168,6 @@ OPTIONS:
                           records (default 200)
     --resume FILE         (stream-analyze) resume from a checkpoint
     --stop-after N        (stream-analyze) checkpoint and stop after N events
-    --checkpoint-format F (stream-analyze) checkpoint encoding: text
-                          (default) or binary; resume auto-detects either
 ";
 
 #[derive(Debug)]
@@ -196,7 +193,6 @@ struct Args {
     out: Option<PathBuf>,
     format: LogFormat,
     to: Option<LogFormat>,
-    checkpoint_format: LogFormat,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     check: Option<PathBuf>,
@@ -284,7 +280,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         out: None,
         format: LogFormat::Text,
         to: None,
-        checkpoint_format: LogFormat::Text,
         metrics_out: None,
         trace_out: None,
         check: None,
@@ -325,9 +320,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => parsed.out = Some(flag_value(&mut args, "--out")?),
             "--format" => parsed.format = format_value(&mut args, "--format")?,
             "--to" => parsed.to = Some(format_value(&mut args, "--to")?),
-            "--checkpoint-format" => {
-                parsed.checkpoint_format = format_value(&mut args, "--checkpoint-format")?
-            }
             "--metrics-out" => parsed.metrics_out = Some(flag_value(&mut args, "--metrics-out")?),
             "--trace-out" => parsed.trace_out = Some(flag_value(&mut args, "--trace-out")?),
             "--check" => parsed.check = Some(flag_value(&mut args, "--check")?),
@@ -799,16 +791,14 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let (resolved, input) = load(args)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
-    println!(
-        "{} errors -> {} faults on {} nodes",
+    let body = crate::serve::analysis_body(
         analysis.total_errors(),
         analysis.total_faults(),
-        system.node_count()
+        system.node_count(),
+        &exp::fig4::compute(&analysis, study_span()),
+        &exp::fig5::compute(&analysis),
     );
-    let fig4 = exp::fig4::compute(&analysis, study_span());
-    print!("{}", fig4.render());
-    let fig5 = exp::fig5::compute(&analysis);
-    print!("{}", fig5.render());
+    print!("{body}");
     Ok(())
 }
 
@@ -821,7 +811,6 @@ fn cmd_stream_analyze(args: &Args) -> Result<(), String> {
         checkpoint_path: args.checkpoint.clone(),
         resume_from: args.resume.clone(),
         stop_after: args.stop_after,
-        checkpoint_format: args.checkpoint_format,
         ..StreamOptions::default()
     };
     let report = stream::stream_analyze(&dir, system, &opts).map_err(|e| match &e {
@@ -842,15 +831,7 @@ fn cmd_stream_analyze(args: &Args) -> Result<(), String> {
         eprintln!("note: quarantined {} lines", report.skipped);
     }
     import_dir_metrics(&dir);
-    // Byte-identical to `analyze`: same three prints, same renderers.
-    println!(
-        "{} errors -> {} faults on {} nodes",
-        report.total_errors(),
-        report.total_faults(),
-        system.node_count()
-    );
-    print!("{}", report.fig4.render());
-    print!("{}", report.fig5.render());
+    print!("{}", crate::serve::report_analysis_body(&report));
     Ok(())
 }
 
@@ -893,7 +874,6 @@ fn cmd_shard_analyze(args: &Args) -> Result<bool, String> {
         worker_flags,
         stream: StreamOptions {
             ingest: args.ingest(),
-            checkpoint_format: args.checkpoint_format,
             ..StreamOptions::default()
         },
     };
@@ -908,14 +888,7 @@ fn cmd_shard_analyze(args: &Args) -> Result<bool, String> {
     for (lo, hi) in &supervised.missing {
         println!("DEGRADED: missing racks {lo}..{hi}");
     }
-    println!(
-        "{} errors -> {} faults on {} nodes",
-        report.total_errors(),
-        report.total_faults(),
-        system.node_count()
-    );
-    print!("{}", report.fig4.render());
-    print!("{}", report.fig5.render());
+    print!("{}", crate::serve::report_analysis_body(&report));
     Ok(!supervised.missing.is_empty())
 }
 
@@ -941,7 +914,6 @@ fn cmd_shard_worker(args: &Args) -> Result<(), String> {
         snapshot_out,
         stream: StreamOptions {
             ingest: args.ingest(),
-            checkpoint_format: args.checkpoint_format,
             ..StreamOptions::default()
         },
     })
@@ -968,7 +940,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ingest: args.ingest(),
         checkpoint_path: args.checkpoint.clone(),
         resume_from: args.resume.clone(),
-        checkpoint_format: args.checkpoint_format,
         ..StreamOptions::default()
     };
     let serve_opts = astra_serve::ServeOptions {
@@ -992,7 +963,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     );
     // Stdin watcher: consume until EOF, then ask the server to wind
     // down. Lives here rather than in astra-serve so in-process servers
-    // (bench, tests) never touch the process's stdin.
+    // (tests) never touch the process's stdin.
     let trigger = server.shutdown_trigger();
     std::thread::spawn(move || {
         let mut sink = [0u8; 4096];
@@ -1891,14 +1862,6 @@ mod tests {
         assert_eq!(a.format, LogFormat::Binary);
         let a = parse_args(argv(&["convert", "/tmp/logs", "--to", "text"])).unwrap();
         assert_eq!(a.to, Some(LogFormat::Text));
-        let a = parse_args(argv(&[
-            "stream-analyze",
-            "/tmp/logs",
-            "--checkpoint-format",
-            "binary",
-        ]))
-        .unwrap();
-        assert_eq!(a.checkpoint_format, LogFormat::Binary);
         assert!(parse_args(argv(&["generate", "--format", "csv"])).is_err());
         assert!(parse_args(argv(&["convert", "d", "--to"])).is_err());
     }

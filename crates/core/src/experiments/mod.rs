@@ -1,9 +1,10 @@
 //! One driver per paper table/figure.
 //!
 //! Each submodule computes the data behind one exhibit of the paper's
-//! evaluation and renders it as the rows/series the paper reports. The
-//! `astra-bench` figure binaries are thin wrappers over these drivers;
-//! `EXPERIMENTS.md` records paper-vs-measured values for every one.
+//! evaluation and renders it as the rows/series the paper reports.
+//! `astra-mem report` prints every one, each block headed `Table 1:` or
+//! `Fig N:`; `EXPERIMENTS.md` records paper-vs-measured values for every
+//! one.
 //!
 //! | Module       | Paper exhibit                                             |
 //! |--------------|-----------------------------------------------------------|

@@ -32,7 +32,7 @@
 //! * [`pipeline`] — end-to-end drivers: simulate → serialize to text logs
 //!   → parse → analyze, the way a site would run the tools.
 //! * [`experiments`] — one driver per paper table/figure, each returning a
-//!   printable data structure (the `astra-bench` binaries call these).
+//!   printable data structure (`astra-mem report` prints them all).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,8 +9,8 @@
 //!
 //! The analyzer can also be fed records directly
 //! ([`AnalysisInput::from_dataset_direct`]) to skip serialization when
-//! benchmarking the analysis itself; the `parse_overhead` bench measures
-//! exactly what that shortcut saves.
+//! benchmarking the analysis itself; DESIGN.md §4 (ablation 2) records
+//! what that shortcut saves.
 
 use std::io;
 use std::path::{Path, PathBuf};

@@ -24,6 +24,7 @@ use astra_logs::QuarantineReason;
 use astra_serve::{ServeOptions, Server, SiteSnapshot, SiteSource, View};
 use astra_topology::SystemConfig;
 
+use crate::experiments::{fig4::Fig4, fig5::Fig5};
 use crate::spatial::SpatialCounts;
 use crate::stream::{site::SiteEngine, StreamError, StreamOptions, StreamReport};
 
@@ -82,7 +83,7 @@ impl SiteSource for EngineSource {
                 View {
                     name: "analysis",
                     content_type: "text/plain; charset=utf-8",
-                    body: analysis_body(&report),
+                    body: report_analysis_body(&report),
                 },
                 View {
                     name: "spatial",
@@ -104,18 +105,20 @@ impl SiteSource for EngineSource {
     }
 }
 
-/// Exactly what `astra-mem analyze` prints for the same records — the
-/// summary line plus the Fig 4 and Fig 5 renders, same renderers, same
-/// order. The integration tests diff this against the binary's stdout.
-fn analysis_body(report: &StreamReport) -> String {
-    let mut out = format!(
-        "{} errors -> {} faults on {} nodes\n",
-        report.total_errors(),
-        report.total_faults(),
-        report.system.node_count()
-    );
-    out.push_str(&report.fig4.render());
-    out.push_str(&report.fig5.render());
+/// The analysis text: the summary line, then the Fig 4 and Fig 5
+/// renders. `analyze`, `stream-analyze` and `shard-analyze` print it and
+/// the `analysis` view serves it, so their byte-identity holds by
+/// construction; the integration tests diff each against `analyze`.
+pub(crate) fn analysis_body(
+    errors: u64,
+    faults: u64,
+    nodes: u32,
+    fig4: &Fig4,
+    fig5: &Fig5,
+) -> String {
+    let mut out = format!("{errors} errors -> {faults} faults on {nodes} nodes\n");
+    out.push_str(&fig4.render());
+    out.push_str(&fig5.render());
     out
 }
 
@@ -289,5 +292,11 @@ pub fn start_sites(
 /// The analysis body for an arbitrary [`StreamReport`] — the oracle the
 /// byte-identity tests compare live responses against.
 pub fn report_analysis_body(report: &StreamReport) -> String {
-    analysis_body(report)
+    analysis_body(
+        report.total_errors(),
+        report.total_faults(),
+        report.system.node_count(),
+        &report.fig4,
+        &report.fig5,
+    )
 }

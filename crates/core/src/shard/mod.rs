@@ -40,17 +40,16 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use astra_logs::binfmt::LogFormat;
 use astra_logs::chaos::{self, ShardChaos, ShardFaultMode};
 use astra_topology::{NodeId, SystemConfig};
 use astra_util::{DetRng, StreamKey};
 
 use crate::stream::{checkpoint, Analyzer, EventStream, MemEvent, StreamAnalyzer, StreamOptions};
 
-/// Hidden subcommand name the supervisor re-invokes the binary with.
-/// Any front end embedding [`crate::cli::main`] (the `astra-mem` shim,
-/// the bench driver) must route an argv starting with this token back
-/// into `cli::main` for `shard-analyze` to work from that binary.
+/// Hidden subcommand name the supervisor re-invokes its own executable
+/// with. The `astra-mem` shim forwards every argv to
+/// [`crate::cli::main`], which routes this token to the worker; any
+/// other binary that runs [`supervise`] must do the same.
 pub const WORKER_COMMAND: &str = "shard-worker";
 
 /// Split `racks` racks into at most `shards` contiguous half-open
@@ -95,9 +94,8 @@ pub struct WorkerConfig {
     /// Where the serialized analyzer snapshot goes (written atomically
     /// via the checkpoint-v2 `.tmp` + rename).
     pub snapshot_out: PathBuf,
-    /// Stream knobs shared with the supervisor: ingest policy,
-    /// coalesce/predict configs, and the snapshot container encoding
-    /// (`checkpoint_format`).
+    /// Stream knobs shared with the supervisor: ingest policy and
+    /// coalesce/predict configs.
     pub stream: StreamOptions,
 }
 
@@ -126,13 +124,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
             }
         }
     }
-    checkpoint::write(
-        &cfg.snapshot_out,
-        &analyzer,
-        &analyzer.counts,
-        cfg.stream.checkpoint_format,
-    )
-    .map_err(|e| e.to_string())
+    checkpoint::write(&cfg.snapshot_out, &analyzer, &analyzer.counts).map_err(|e| e.to_string())
 }
 
 /// Act out an armed shard fault at the trip point.
@@ -147,13 +139,8 @@ fn trip(mode: ShardFaultMode, analyzer: &StreamAnalyzer, cfg: &WorkerConfig) -> 
         // Exit 0 with a half-written snapshot: the success path the
         // supervisor must *not* trust without validating the CRCs.
         ShardFaultMode::TornSnapshot => {
-            checkpoint::write(
-                &cfg.snapshot_out,
-                analyzer,
-                &analyzer.counts,
-                cfg.stream.checkpoint_format,
-            )
-            .map_err(|e| e.to_string())?;
+            checkpoint::write(&cfg.snapshot_out, analyzer, &analyzer.counts)
+                .map_err(|e| e.to_string())?;
             let len = std::fs::metadata(&cfg.snapshot_out)
                 .map(|m| m.len())
                 .map_err(|e| e.to_string())?;
@@ -469,11 +456,6 @@ fn spawn_worker(
         .arg(index.to_string())
         .arg("--snapshot-out")
         .arg(&slot.snapshot)
-        .arg("--checkpoint-format")
-        .arg(match cfg.stream.checkpoint_format {
-            LogFormat::Text => "text",
-            LogFormat::Binary => "binary",
-        })
         .args(&cfg.worker_flags)
         .stdin(Stdio::null())
         .stdout(Stdio::null())

@@ -469,8 +469,8 @@ impl StreamAnalyzer {
     /// The coalesce footprints dominate (one 32-byte footprint per CE);
     /// the batch path's equivalent gauge (`pipeline.workingset_bytes`)
     /// accounts 48 bytes per CE for the record vector plus the fault
-    /// list, which is the comparison the `bench pipeline` stream stage
-    /// reports. Predict state is estimated flat per rank (its sets are
+    /// list. The benchmark's `stream.workingset_mib` layer reports this
+    /// figure. Predict state is estimated flat per rank (its sets are
     /// private to `astra-predict`).
     pub fn accounted_bytes(&self) -> usize {
         use std::mem::size_of;

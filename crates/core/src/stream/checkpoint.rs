@@ -28,20 +28,12 @@
 //!   considers both the configured file and a leftover `.tmp` sibling
 //!   and salvages the freshest fully-intact snapshot of the two;
 //! * the predict `fired` flags serialize as a bitmask indexed by the
-//!   default predictor bank's order;
-//! * with `--checkpoint-format binary` the rendered snapshot is wrapped
-//!   in the `astra-binlog` container (kind 5): the same text, chunked
-//!   into CRC-framed blocks, so a torn or bit-flipped checkpoint is
-//!   rejected by a CRC sweep before any line parsing. Readers sniff the
-//!   magic bytes per candidate file, so the two formats interoperate —
-//!   a binary `.tmp` can be salvaged next to a text primary and vice
-//!   versa.
+//!   default predictor bank's order.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use astra_logs::binfmt::{self, LogFormat};
 use astra_logs::HetKind;
 use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
@@ -78,41 +70,17 @@ fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
     }
 }
 
-/// Bytes of rendered checkpoint text per binary container block.
-const BINARY_CHUNK_BYTES: usize = 1 << 20;
-
-/// Wrap rendered checkpoint text in the `astra-binlog` container: a
-/// kind-5 header declaring the block count, then the text in CRC-framed
-/// chunks of at most [`BINARY_CHUNK_BYTES`].
-fn encode_binary(text: &str) -> Vec<u8> {
-    let chunks: Vec<&[u8]> = text.as_bytes().chunks(BINARY_CHUNK_BYTES).collect();
-    let mut out = Vec::from(binfmt::header_bytes(
-        binfmt::KIND_CHECKPOINT,
-        chunks.len() as u64,
-    ));
-    for chunk in chunks {
-        binfmt::append_block(&mut out, chunk);
-    }
-    out
-}
-
-/// Serialize the analyzer state and resume point to `path`, atomically,
-/// in the requested on-disk format. A failed write (or rename) removes
-/// its `.tmp` sibling so a transient error never leaves an orphaned
-/// partial file for a later resume to trip over.
+/// Serialize the analyzer state and resume point to `path`, atomically.
+/// A failed write (or rename) removes its `.tmp` sibling so a transient
+/// error never leaves an orphaned partial file for a later resume to
+/// trip over.
 pub(crate) fn write(
     path: &Path,
     analyzer: &StreamAnalyzer,
     consumed: &[u64; 4],
-    format: LogFormat,
 ) -> Result<(), StreamError> {
-    let text = render(analyzer, consumed);
-    let bytes = match format {
-        LogFormat::Text => text.into_bytes(),
-        LogFormat::Binary => encode_binary(&text),
-    };
     let tmp = tmp_sibling(path);
-    if let Err(e) = std::fs::write(&tmp, bytes) {
+    if let Err(e) = std::fs::write(&tmp, render(analyzer, consumed)) {
         std::fs::remove_file(&tmp).ok();
         return Err(cerr(path, format!("write failed: {e}")));
     }
@@ -355,36 +323,14 @@ pub(crate) fn read(
     }
 }
 
-/// Read and fully validate a single checkpoint file, sniffing the format
-/// by magic bytes: a binary candidate must pass the container CRC sweep
-/// before its reassembled text is parsed, so a torn or flipped binary
-/// checkpoint is rejected exactly like a torn text one.
+/// Read and fully validate a single checkpoint file.
 fn read_one(
     path: &Path,
     system: &SystemConfig,
     opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
     let data = std::fs::read(path).map_err(|e| cerr(path, format!("unreadable: {e}")))?;
-    let text = if binfmt::sniff_is_binlog(&data) {
-        let (declared, payloads) = binfmt::read_blocks(&data, binfmt::KIND_CHECKPOINT)
-            .map_err(|detail| cerr(path, detail))?;
-        if payloads.len() as u64 != declared {
-            return Err(cerr(
-                path,
-                format!(
-                    "truncated-block: {} of {declared} declared blocks present",
-                    payloads.len()
-                ),
-            ));
-        }
-        let mut bytes = Vec::with_capacity(payloads.iter().map(|p| p.len()).sum());
-        for payload in payloads {
-            bytes.extend_from_slice(payload);
-        }
-        String::from_utf8(bytes).map_err(|e| cerr(path, format!("not UTF-8: {e}")))?
-    } else {
-        String::from_utf8(data).map_err(|e| cerr(path, format!("not UTF-8: {e}")))?
-    };
+    let text = String::from_utf8(data).map_err(|e| cerr(path, format!("not UTF-8: {e}")))?;
     parse(path, &text, system, opts)
 }
 
@@ -823,6 +769,7 @@ mod tests {
     use super::*;
     use crate::pipeline::Dataset;
     use crate::stream::{Analyzer, MemEvent};
+    use astra_logs::binfmt;
 
     fn analyzer_with_state() -> (StreamAnalyzer, SystemConfig) {
         let ds = Dataset::generate(1, 42);
@@ -954,7 +901,7 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-torn");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &analyzer.counts, LogFormat::Text).unwrap();
+        write(&path, &analyzer, &analyzer.counts).unwrap();
         // A crash mid-write leaves a truncated next snapshot in `.tmp`.
         let next = render(&analyzer, &[analyzer.counts[0] + 500, 0, 0, 0]);
         std::fs::write(path.with_extension("txt.tmp"), &next[..next.len() / 2]).unwrap();
@@ -967,7 +914,7 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-fresh");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &analyzer.counts, LogFormat::Text).unwrap();
+        write(&path, &analyzer, &analyzer.counts).unwrap();
         // The rename never happened, but the `.tmp` snapshot is complete
         // and strictly further along: it is the one to resume.
         let mut newer = analyzer.counts;
@@ -993,55 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_checkpoint_roundtrips_and_rejects_damage() {
-        let (analyzer, system) = analyzer_with_state();
-        let guard = TempDirGuard::new("ckpt-bin");
-        let path = guard.0.join("ck.bin");
-        write(&path, &analyzer, &analyzer.counts, LogFormat::Binary).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        assert!(binfmt::sniff_is_binlog(&data));
-        let (restored, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
-        assert_eq!(consumed, analyzer.counts);
-        // Same state as the text encoding would restore, byte for byte.
-        assert_eq!(
-            render(&restored, &consumed),
-            render(&analyzer, &analyzer.counts)
-        );
-        // One flipped payload bit: the CRC sweep rejects the candidate.
-        let mut torn = data.clone();
-        let mid = torn.len() / 2;
-        torn[mid] ^= 0x08;
-        std::fs::write(&path, &torn).unwrap();
-        let err = match read(&path, &system, &StreamOptions::default()) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("flipped binary checkpoint accepted"),
-        };
-        assert!(err.contains("block-crc"), "unexpected error: {err}");
-        // A truncated tail is rejected the same way.
-        std::fs::write(&path, &data[..data.len() - 5]).unwrap();
-        assert!(read(&path, &system, &StreamOptions::default()).is_err());
-    }
-
-    #[test]
-    fn salvage_works_across_formats() {
-        // A fresher intact *binary* `.tmp` next to a text primary: the
-        // per-candidate magic sniff lets salvage pick it.
-        let (analyzer, system) = analyzer_with_state();
-        let guard = TempDirGuard::new("ckpt-mixed");
-        let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &analyzer.counts, LogFormat::Text).unwrap();
-        let mut newer = analyzer.counts;
-        newer[0] += 500;
-        std::fs::write(
-            path.with_extension("txt.tmp"),
-            encode_binary(&render(&analyzer, &newer)),
-        )
-        .unwrap();
-        let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
-        assert_eq!(consumed, newer, "must salvage the fresher binary snapshot");
-    }
-
-    #[test]
     fn truncated_and_foreign_files_are_rejected() {
         let system = SystemConfig::scaled(1);
         let opts = StreamOptions::default();
@@ -1050,5 +948,17 @@ mod tests {
         let text = render(&analyzer, &analyzer.counts);
         let cut = &text[..text.len() - 10];
         assert!(parse(Path::new("t"), cut, &system, &opts).is_err());
+        // A file in the binlog container, even one wrapping intact
+        // checkpoint text, is a typed checkpoint error, not a panic.
+        let guard = TempDirGuard::new("ckpt-binlog");
+        let path = guard.0.join("ck.txt");
+        let mut binlog = Vec::from(binfmt::header_bytes(binfmt::KIND_CE, 1));
+        binfmt::append_block(&mut binlog, text.as_bytes());
+        std::fs::write(&path, binlog).unwrap();
+        match read(&path, &system, &opts) {
+            Err(StreamError::Checkpoint { .. }) => {}
+            Err(e) => panic!("binlog rejected with an untyped error: {e}"),
+            Ok(_) => panic!("binlog accepted as a checkpoint"),
+        }
     }
 }

@@ -610,11 +610,6 @@ pub struct StreamOptions {
     pub checkpoint_path: Option<PathBuf>,
     /// Resume from a checkpoint file instead of starting fresh.
     pub resume_from: Option<PathBuf>,
-    /// On-disk checkpoint encoding (text by default; binary wraps the
-    /// same snapshot in the CRC-framed `astra-binlog` container). Reads
-    /// auto-detect the format per file, so resuming works across runs
-    /// that used different encodings.
-    pub checkpoint_format: binfmt::LogFormat,
     /// Stop after the stream position reaches N events: write a final
     /// checkpoint and return `Ok(None)` instead of a report. Test/ops
     /// hook for exercising mid-stream restarts.
@@ -699,7 +694,7 @@ pub fn stream_analyze(
                     detail: "a checkpoint cadence or stop was requested without --checkpoint FILE"
                         .into(),
                 })?;
-            checkpoint::write(path, analyzer, &source.consumed(), opts.checkpoint_format)
+            checkpoint::write(path, analyzer, &source.consumed())
         };
 
     loop {

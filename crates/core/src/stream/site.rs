@@ -114,12 +114,7 @@ impl SiteEngine {
         let Some(path) = self.opts.checkpoint_path.as_deref() else {
             return Ok(false);
         };
-        checkpoint::write(
-            path,
-            &self.analyzer,
-            &self.source.consumed(),
-            self.opts.checkpoint_format,
-        )?;
+        checkpoint::write(path, &self.analyzer, &self.source.consumed())?;
         self.checkpoints_written += 1;
         Ok(true)
     }

@@ -3,8 +3,8 @@
 //! At the 36-rack scale the text formats are the pipeline wall clock —
 //! serialize + parse + fsck of ~1 GB of syslog-shaped text dwarfs the
 //! actual analysis. This module adds a compact binary peer for each of
-//! the four log formats, sharing the varint/zigzag/delta codecs in
-//! [`astra_util::codec`] with the binary checkpoint encoding.
+//! the four log formats, built on the varint/zigzag/delta codecs in
+//! [`astra_util::codec`].
 //!
 //! ## Container layout
 //!
@@ -14,7 +14,7 @@
 //! ```text
 //! header:  magic[8] = "ASTRBLG\0"
 //!          version  u16 LE (currently 1)
-//!          kind     u8     (1=ce 2=het 3=inventory 4=sensor 5=checkpoint)
+//!          kind     u8     (1=ce 2=het 3=inventory 4=sensor)
 //!          flags    u8     (0)
 //!          count    u64 LE (total records; exact pre-sizing on read)
 //!          crc      u32 LE (crc32 of the 20 bytes above)
@@ -23,7 +23,7 @@
 //!          crc      u32 LE (crc32 of payload)
 //! ```
 //!
-//! Log-kind payloads (kinds 1–4) start with a varint record count, so
+//! Every block payload starts with a varint record count, so
 //! `fsck` can verify a file with a CRC sweep plus a one-varint peek per
 //! block — no column decode, no text reparse. Blocks hold at most
 //! [`BLOCK_RECORDS`] records; a flipped bit damages (and quarantines)
@@ -84,8 +84,6 @@ pub const KIND_HET: u8 = 2;
 pub const KIND_INVENTORY: u8 = 3;
 /// Record-kind byte for `sensors.log`.
 pub const KIND_SENSOR: u8 = 4;
-/// Record-kind byte for binary stream checkpoints.
-pub const KIND_CHECKPOINT: u8 = 5;
 
 /// Maximum records per column block. Keeps per-block state small and
 /// bounds the blast radius of a damaged block.
@@ -1201,11 +1199,10 @@ fn read_fill_plain<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize>
     Ok(filled)
 }
 
-/// Slice-based block walk for small files held in memory (the binary
-/// checkpoint reader): validates the header against `expected_kind` and
-/// every block CRC, returning the declared record count and the block
-/// payload slices. Any damage comes back as a one-line description —
-/// checkpoint salvage treats a damaged candidate as absent.
+/// Slice-based block walk for small files held in memory: validates the
+/// header against `expected_kind` and every block CRC, returning the
+/// declared record count and the block payload slices. Any damage comes
+/// back as a one-line description.
 pub fn read_blocks(data: &[u8], expected_kind: u8) -> Result<(u64, Vec<&[u8]>), String> {
     let count = validate_header(data.get(..HEADER_LEN).unwrap_or(data), expected_kind)
         .map_err(|(reason, msg)| format!("{reason}: {msg}"))?;
@@ -1577,22 +1574,22 @@ mod tests {
 
     #[test]
     fn read_blocks_slice_walk() {
-        let mut data = Vec::from(header_bytes(KIND_CHECKPOINT, 2));
+        let mut data = Vec::from(header_bytes(KIND_HET, 2));
         append_block(&mut data, b"section one");
         append_block(&mut data, b"section two");
-        let (count, payloads) = read_blocks(&data, KIND_CHECKPOINT).unwrap();
+        let (count, payloads) = read_blocks(&data, KIND_HET).unwrap();
         assert_eq!(count, 2);
         assert_eq!(payloads, vec![&b"section one"[..], &b"section two"[..]]);
 
         // Tamper with a payload byte.
         let idx = HEADER_LEN + 4 + 2;
         data[idx] ^= 0xFF;
-        assert!(read_blocks(&data, KIND_CHECKPOINT)
+        assert!(read_blocks(&data, KIND_HET)
             .unwrap_err()
             .contains("block-crc"));
         data[idx] ^= 0xFF;
         // Truncate mid-block.
-        assert!(read_blocks(&data[..data.len() - 2], KIND_CHECKPOINT)
+        assert!(read_blocks(&data[..data.len() - 2], KIND_HET)
             .unwrap_err()
             .contains("truncated-block"));
         // Wrong kind.

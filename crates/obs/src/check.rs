@@ -1,6 +1,6 @@
-//! The regression gate behind `stats --check` and `bench pipeline`:
-//! compare a live metric snapshot against a checked-in threshold file
-//! and produce a typed pass/fail report.
+//! The regression gate behind `stats --check`: compare a live metric
+//! snapshot against a checked-in threshold file and produce a typed
+//! pass/fail report.
 //!
 //! The threshold file is JSON-lines, one rule per line; `#` comments
 //! and blank lines are skipped:

@@ -4,7 +4,7 @@
 //!
 //! Tracing is off by default and the off path is one relaxed atomic
 //! load per span drop — cheap enough to leave the instrumentation in
-//! every build (the bench driver pins this below 2 % of pipeline time).
+//! every build (the benchmark's traced run fails above 2 % of its time).
 //! When [`enable`]d, each completed span appends one event to a
 //! thread-local buffer; the global sink mutex is only taken when a
 //! buffer fills ([`THREAD_BUF_EVENTS`]) or its thread exits, so workers

@@ -1,10 +1,10 @@
 //! Varint / zigzag / delta column codecs.
 //!
-//! Shared by the binary log format (`astra-logs::binfmt`) and the binary
-//! stream-checkpoint encoding: LEB128-style unsigned varints, zigzag
-//! mapping for signed values, and delta encoding for sorted-ish integer
-//! columns (timestamps, day indices) where consecutive differences are
-//! small and compress to one or two bytes each.
+//! The column codecs of the binary log format (`astra-logs::binfmt`):
+//! LEB128-style unsigned varints, zigzag mapping for signed values, and
+//! delta encoding for sorted-ish integer columns (timestamps, day
+//! indices) where consecutive differences are small and compress to one
+//! or two bytes each.
 //!
 //! All readers take `(&[u8], &mut usize)` cursors and return `Option` —
 //! `None` means the buffer ended mid-value or a varint overran 64 bits.

@@ -18,8 +18,8 @@
 //!   pool dependency.
 //! * [`crc`] — CRC-32 checksums guarding checkpoint sections against torn
 //!   writes.
-//! * [`codec`] — varint/zigzag/delta column codecs shared by the binary
-//!   log format and the binary checkpoint encoding.
+//! * [`codec`] — varint/zigzag/delta column codecs of the binary log
+//!   format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

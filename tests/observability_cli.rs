@@ -215,6 +215,20 @@ fn report_counts_telemetry_samples_drawn_and_summed() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
 
+    // `report` is the one path to the paper's exhibits: each heads
+    // exactly one block of its stdout.
+    let mut headers = vec!["Table 1:".to_string()];
+    headers.extend(["Fig 2:", "Fig 3:", "Fig 4a:", "Fig 4b:"].map(String::from));
+    headers.extend((5..=14).map(|n| format!("Fig {n}:")));
+    headers.extend(["Fig 15a:", "Fig 15b:"].map(String::from));
+    for header in &headers {
+        let n = text
+            .lines()
+            .filter(|l| l.starts_with(header.as_str()))
+            .count();
+        assert_eq!(n, 1, "{n} lines start with {header:?}");
+    }
+
     // Fig 9 samples its CEs per window; every sampled CE sums one sample
     // per 30 minutes (the default stride) of its window.
     let fig9: Vec<&str> = text

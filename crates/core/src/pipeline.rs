@@ -7,10 +7,9 @@
 //! [`AnalysisInput`] plays the role of the extraction step (it *parses*
 //! text); [`Analysis`] is the processing step (coalescing + aggregation).
 //!
-//! The analyzer can also be fed records directly
-//! ([`AnalysisInput::from_dataset_direct`]) to skip serialization when
-//! benchmarking the analysis itself; DESIGN.md §4 (ablation 2) records
-//! what that shortcut saves.
+//! Tests that study the analysis alone hand it the simulator's records
+//! (`Analysis::run(system, dataset.sim.ce_log)`); the text round trip
+//! they skip is lossless, which `text_roundtrip_is_lossless` checks.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -487,26 +486,6 @@ impl AnalysisInput {
             quarantine,
         })
     }
-
-    /// Take records directly from a dataset, skipping serialization.
-    /// Semantically identical to a text roundtrip (the roundtrip is
-    /// lossless — the integration tests verify it); used where the
-    /// serialization cost is not the subject.
-    ///
-    /// Consumes the dataset: the CE/HET/replacement vectors move into the
-    /// input rather than being deep-cloned (4.4 M records at full scale).
-    /// Callers that still need the dataset clone it explicitly — the cost
-    /// is then visible at the call site.
-    pub fn from_dataset_direct(dataset: Dataset) -> Self {
-        AnalysisInput {
-            records: dataset.sim.ce_log,
-            hets: dataset.sim.het_log,
-            replacements: dataset.replacements,
-            sensors: Vec::new(),
-            skipped: 0,
-            quarantine: Quarantine::default(),
-        }
-    }
 }
 
 /// The processed analysis state shared by the experiment drivers.
@@ -605,16 +584,6 @@ mod tests {
         assert_eq!(input.hets, ds.sim.het_log);
         assert_eq!(input.replacements, ds.replacements);
         assert_eq!(input.skipped, 0);
-    }
-
-    #[test]
-    fn direct_input_matches_text_input() {
-        let ds = dataset();
-        let (ce, het, inv) = ds.to_text();
-        let via_text = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
-        let direct = AnalysisInput::from_dataset_direct(ds);
-        assert_eq!(via_text.records, direct.records);
-        assert_eq!(via_text.hets, direct.hets);
     }
 
     #[test]

@@ -29,15 +29,27 @@
 //!   and salvages the freshest fully-intact snapshot of the two;
 //! * the predict `fired` flags serialize as a bitmask indexed by the
 //!   default predictor bank's order.
+//!
+//! Codec notes: a checkpoint holds every CE footprint (about 38 bytes
+//! per CE), so the codec never holds a whole file. [`write`] renders
+//! straight into one [`BUF_BYTES`] buffer with its own decimal and hex
+//! appenders, and folds each filled buffer into the open section's CRC
+//! ([`astra_util::crc32_update`]) before writing it out. [`read`] takes
+//! lines from a buffered reader of the same size, parses them as bytes,
+//! and folds each into its section's CRC as it goes. The bytes are the
+//! ones `format!` would print; the tests keep that renderer as the
+//! oracle. Counts read from the file never size an allocation before
+//! their section's CRC is checked beyond [`MAX_PREALLOC_FOOTPRINTS`], so
+//! a damaged count is a typed error, not an abort.
 
-use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
 use astra_logs::HetKind;
 use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
-use astra_util::Minute;
+use astra_util::{crc32_update, Minute};
 
 use super::analyzers::{RankTrack, StreamAnalyzer};
 use super::{StreamError, StreamOptions};
@@ -46,27 +58,18 @@ use crate::spatial::SpatialCounts;
 /// First line of every checkpoint. v2 added the per-section CRC lines.
 const HEADER: &str = "astra-stream-checkpoint v2";
 
+/// Size of the one buffer a checkpoint passes through, each way.
+const BUF_BYTES: usize = 64 * 1024;
+
+/// Most footprints a `group` line may reserve room for up front. Its
+/// count is read before the section's CRC can vouch for it, so a larger
+/// group grows as its lines actually arrive.
+const MAX_PREALLOC_FOOTPRINTS: usize = 1 << 16;
+
 fn cerr(path: &Path, detail: impl Into<String>) -> StreamError {
     StreamError::Checkpoint {
         path: path.to_path_buf(),
         detail: detail.into(),
-    }
-}
-
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
-    let joined = items
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    if joined.is_empty() {
-        "-".into()
-    } else {
-        joined
     }
 }
 
@@ -79,15 +82,23 @@ pub(crate) fn write(
     analyzer: &StreamAnalyzer,
     consumed: &[u64; 4],
 ) -> Result<(), StreamError> {
+    let _span = astra_obs::span("checkpoint.write");
     let tmp = tmp_sibling(path);
-    if let Err(e) = std::fs::write(&tmp, render(analyzer, consumed)) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(cerr(path, format!("write failed: {e}")));
-    }
+    let bytes = match File::create(&tmp).and_then(|mut f| render(&mut f, analyzer, consumed)) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            std::fs::remove_file(&tmp).ok();
+            return Err(cerr(path, format!("write failed: {e}")));
+        }
+    };
     std::fs::rename(&tmp, path).map_err(|e| {
         std::fs::remove_file(&tmp).ok();
         cerr(path, format!("rename failed: {e}"))
-    })
+    })?;
+    astra_obs::global()
+        .counter("checkpoint.bytes_written")
+        .add(bytes);
+    Ok(())
 }
 
 /// Whether `path` could resume anything: the checkpoint itself or a
@@ -103,69 +114,254 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Close out one checksummed section: append its lines to `out` followed
-/// by the `crc NAME HEX` trailer covering exactly those lines.
-fn seal_section(out: &mut String, name: &str, body: String) {
-    out.push_str(&body);
-    let _ = writeln!(out, "crc {name} {:08x}", astra_util::crc32(body.as_bytes()));
+/// Append `v` in decimal. The digits go out as one fixed 20-byte copy
+/// that is then cut to length, which is cheaper than a copy of variable
+/// length; `out` must have room for 20 more bytes.
+fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+    let n = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut digits = [0u8; 20];
+    for slot in digits[..n].iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    let len = out.len();
+    out.extend_from_slice(&digits);
+    out.truncate(len + n);
 }
 
-fn render(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+/// Append the low `width` nibbles of `v` in zero-padded lower-case hex.
+fn put_hex(out: &mut Vec<u8>, v: u64, width: usize) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..width).rev() {
+        out.push(NIBBLES[(v >> (4 * shift)) as usize & 0xf]);
+    }
+}
 
-    let mut body = String::new();
-    let w = &mut body;
-    let _ = writeln!(w, "racks {}", analyzer.system.racks);
-    let _ = writeln!(
-        w,
-        "consumed {} {} {} {}",
-        consumed[0], consumed[1], consumed[2], consumed[3]
-    );
-    seal_section(&mut out, "meta", std::mem::take(&mut body));
+/// The write side of the codec: bytes collect in one fixed buffer, which
+/// is folded into the open section's CRC and written out each time it
+/// fills. The first I/O error is kept and reported by [`Sink::finish`],
+/// so rendering code can chain appends without checking each one.
+struct Sink<W: Write> {
+    out: W,
+    buf: Vec<u8>,
+    /// CRC-32 of the open section's bytes up to `buf[..folded]`.
+    crc: u32,
+    /// `buf[..folded]` is in `crc` already, or belongs to no section.
+    folded: usize,
+    /// Whether appended bytes belong to the open section (false while
+    /// writing a line no section covers).
+    covering: bool,
+    written: u64,
+    err: Option<io::Error>,
+}
+
+impl<W: Write> Sink<W> {
+    fn new(out: W) -> Self {
+        Sink {
+            out,
+            buf: Vec::with_capacity(BUF_BYTES),
+            crc: 0,
+            folded: 0,
+            covering: true,
+            written: 0,
+            err: None,
+        }
+    }
+
+    /// The buffer, flushed first unless `n` more bytes fit.
+    fn room(&mut self, n: usize) -> &mut Vec<u8> {
+        if self.buf.len() + n > BUF_BYTES {
+            self.flush();
+        }
+        &mut self.buf
+    }
+
+    fn fold(&mut self) {
+        if self.covering {
+            self.crc = crc32_update(self.crc, &self.buf[self.folded..]);
+        }
+        self.folded = self.buf.len();
+    }
+
+    fn flush(&mut self) {
+        self.fold();
+        if self.err.is_none() {
+            match self.out.write_all(&self.buf) {
+                Ok(()) => self.written += self.buf.len() as u64,
+                Err(e) => self.err = Some(e),
+            }
+        }
+        self.buf.clear();
+        self.folded = 0;
+    }
+
+    fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.room(b.len()).extend_from_slice(b);
+        self
+    }
+
+    fn sp(&mut self) -> &mut Self {
+        self.bytes(b" ")
+    }
+
+    fn nl(&mut self) -> &mut Self {
+        self.bytes(b"\n")
+    }
+
+    fn u64(&mut self, v: u64) -> &mut Self {
+        put_u64(self.room(20), v);
+        self
+    }
+
+    fn i64(&mut self, v: i64) -> &mut Self {
+        if v < 0 {
+            self.bytes(b"-");
+        }
+        self.u64(v.unsigned_abs())
+    }
+
+    fn hex(&mut self, v: u64, width: usize) -> &mut Self {
+        put_hex(self.room(width), v, width);
+        self
+    }
+
+    /// An `f64` as the hex of its bit pattern (`{:016x}` of `to_bits`).
+    fn f64(&mut self, v: f64) -> &mut Self {
+        self.hex(v.to_bits(), 16)
+    }
+
+    /// `values` separated by spaces.
+    fn words(&mut self, values: &[u64]) -> &mut Self {
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.sp();
+            }
+            self.u64(v);
+        }
+        self
+    }
+
+    /// `items` separated by commas, or `-` when there are none.
+    fn list<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Self, T) -> &mut Self,
+    ) -> &mut Self {
+        let mut empty = true;
+        for v in items {
+            if !empty {
+                self.bytes(b",");
+            }
+            item(self, v);
+            empty = false;
+        }
+        if empty {
+            self.bytes(b"-");
+        }
+        self
+    }
+
+    /// Append what `line` writes outside every section: the header, a
+    /// CRC trailer, the end marker.
+    fn uncovered(&mut self, line: impl FnOnce(&mut Self)) {
+        self.fold();
+        self.covering = false;
+        line(self);
+        self.fold();
+        self.covering = true;
+    }
+
+    /// Close the open section with its `crc NAME HEX` trailer.
+    fn seal(&mut self, name: &str) {
+        self.fold();
+        let crc = std::mem::take(&mut self.crc);
+        self.uncovered(|s| {
+            s.bytes(b"crc ")
+                .bytes(name.as_bytes())
+                .sp()
+                .hex(crc.into(), 8)
+                .nl();
+        });
+    }
+
+    /// Write out what is buffered; the byte count, or the first error.
+    fn finish(mut self) -> io::Result<u64> {
+        self.flush();
+        match self.err {
+            Some(e) => Err(e),
+            None => Ok(self.written),
+        }
+    }
+}
+
+/// Stream the checkpoint of `analyzer` at `consumed` into `out`; returns
+/// the number of bytes written.
+fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> io::Result<u64> {
+    let mut s = Sink::new(out);
+    s.uncovered(|s| {
+        s.bytes(HEADER.as_bytes()).nl();
+    });
+
+    s.bytes(b"racks ").u64(analyzer.system.racks.into()).nl();
+    s.bytes(b"consumed ").words(consumed).nl();
+    s.seal("meta");
 
     // Coalesce: every footprint, grouped, groups in key order.
-    let w = &mut body;
-    let _ = writeln!(w, "coalesce.ces {}", analyzer.coalesce.ces);
+    s.bytes(b"coalesce.ces ").u64(analyzer.coalesce.ces).nl();
     let mut keys: Vec<_> = analyzer.coalesce.groups.keys().copied().collect();
     keys.sort_unstable();
     for key in keys {
         let feet = &analyzer.coalesce.groups[&key];
-        let _ = writeln!(w, "group {} {} {} {}", key.0, key.1, key.2, feet.len());
+        let (node, slot, rank) = key;
+        s.bytes(b"group ")
+            .words(&[node.into(), slot.into(), rank.into(), feet.len() as u64])
+            .nl();
         for f in feet {
-            let _ = writeln!(
-                w,
-                "f {} {} {} {} {} {}",
-                f.idx, f.time.0, f.bank, f.col, f.bit_pos, f.addr
-            );
+            s.bytes(b"f ")
+                .u64(f.idx.into())
+                .sp()
+                .i64(f.time.0)
+                .sp()
+                .words(&[f.bank.into(), f.col.into(), f.bit_pos.into(), f.addr])
+                .nl();
         }
     }
-    seal_section(&mut out, "coalesce", std::mem::take(&mut body));
+    s.seal("coalesce");
 
-    render_spatial(&mut body, &analyzer.spatial.counts);
-    seal_section(&mut out, "spatial", std::mem::take(&mut body));
+    render_spatial(&mut s, &analyzer.spatial.counts);
+    s.seal("spatial");
 
-    let w = &mut body;
-    let _ = writeln!(
-        w,
-        "het.totals {} {}",
-        analyzer.het.total, analyzer.het.memory_dues
-    );
-    for (&(kind, day), &n) in &analyzer.het.daily {
-        let _ = writeln!(w, "het {kind} {day} {n}");
+    let het = &analyzer.het;
+    s.bytes(b"het.totals ")
+        .words(&[het.total, het.memory_dues])
+        .nl();
+    for (&(kind, day), &n) in &het.daily {
+        s.bytes(b"het ")
+            .u64(kind.into())
+            .sp()
+            .i64(day)
+            .sp()
+            .u64(n)
+            .nl();
     }
-    seal_section(&mut out, "het", std::mem::take(&mut body));
+    s.seal("het");
 
-    let w = &mut body;
     for (&(sensor, month), &(sum, n)) in &analyzer.tempcorr.sensor_months {
-        let _ = writeln!(w, "temp.sensor {sensor} {month} {} {n}", hex(sum));
+        s.bytes(b"temp.sensor ")
+            .u64(sensor.into())
+            .sp()
+            .i64(month)
+            .sp()
+            .f64(sum)
+            .sp()
+            .u64(n)
+            .nl();
     }
     for (&month, &n) in &analyzer.tempcorr.monthly_ces {
-        let _ = writeln!(w, "temp.ce {month} {n}");
+        s.bytes(b"temp.ce ").i64(month).sp().u64(n).nl();
     }
-    seal_section(&mut out, "temp", std::mem::take(&mut body));
+    s.seal("temp");
 
-    let w = &mut body;
     for (&(node, slot, rank), track) in &analyzer.predict.ranks {
         let mut mask = 0u64;
         for (i, &f) in track.fired.iter().enumerate() {
@@ -174,96 +370,114 @@ fn render(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> String {
             }
         }
         let d = track.state.dump();
-        let _ = writeln!(
-            w,
-            "predict.rank {node} {slot} {rank} {mask} {} {} {} {} {} {} {} {} {} {}",
-            d.first_ce.0,
-            d.last_ce.0,
-            d.total_ces,
-            hex(d.leaky),
-            u8::from(d.addrs_saturated),
-            d.escalation_rung,
-            list(&d.banks),
-            list(&d.cols),
-            list(&d.addrs),
-            list(
-                d.lanes
-                    .iter()
-                    .map(|&(lane, n, m)| format!("{lane}:{n}:{m}"))
-            ),
-        );
+        s.bytes(b"predict.rank ")
+            .words(&[node.into(), slot.into(), rank.into(), mask])
+            .sp()
+            .i64(d.first_ce.0)
+            .sp()
+            .i64(d.last_ce.0)
+            .sp()
+            .u64(d.total_ces)
+            .sp()
+            .f64(d.leaky)
+            .sp()
+            .words(&[d.addrs_saturated.into(), d.escalation_rung.into()])
+            .sp()
+            .list(&d.banks, |s, &v| s.u64(v.into()))
+            .sp()
+            .list(&d.cols, |s, &v| s.u64(v.into()))
+            .sp()
+            .list(&d.addrs, |s, &v| s.u64(v))
+            .sp()
+            .list(&d.lanes, |s, &(lane, n, m)| {
+                s.u64(lane.into())
+                    .bytes(b":")
+                    .u64(n)
+                    .bytes(b":")
+                    .u64(m.into())
+            })
+            .nl();
     }
     for a in &analyzer.predict.alerts {
         let fv = &a.features;
-        let _ = writeln!(
-            w,
-            "predict.alert {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            a.time.0,
-            a.key.node.0,
-            a.key.slot.index(),
-            a.key.rank.0,
-            a.predictor,
-            hex(a.score),
-            hex(fv.window_ces),
-            fv.total_ces,
-            fv.distinct_banks,
-            fv.distinct_cols,
-            fv.distinct_addrs,
-            fv.distinct_lanes,
-            hex(fv.dominant_lane_share),
-            fv.minutes_since_first,
-            fv.escalation.rung(),
-        );
+        s.bytes(b"predict.alert ")
+            .i64(a.time.0)
+            .sp()
+            .words(&[
+                a.key.node.0.into(),
+                a.key.slot.index() as u64,
+                a.key.rank.0.into(),
+            ])
+            .sp()
+            .bytes(a.predictor.as_bytes())
+            .sp()
+            .f64(a.score)
+            .sp()
+            .f64(fv.window_ces)
+            .sp()
+            .words(&[
+                fv.total_ces,
+                fv.distinct_banks.into(),
+                fv.distinct_cols.into(),
+                fv.distinct_addrs.into(),
+                fv.distinct_lanes.into(),
+            ])
+            .sp()
+            .f64(fv.dominant_lane_share)
+            .sp()
+            .i64(fv.minutes_since_first)
+            .sp()
+            .u64(fv.escalation.rung().into())
+            .nl();
     }
-    seal_section(&mut out, "predict", body);
+    s.seal("predict");
 
-    let _ = writeln!(out, "end");
-    out
+    s.uncovered(|s| {
+        s.bytes(b"end").nl();
+    });
+    s.finish()
 }
 
-fn render_spatial(w: &mut String, c: &SpatialCounts) {
-    fn line(w: &mut String, name: &str, values: &[u64]) {
-        let _ = writeln!(
-            w,
-            "spatial.{name} {}",
-            values
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
-    line(w, "errors_by_socket", &c.errors_by_socket);
-    line(w, "faults_by_socket", &c.faults_by_socket);
-    line(w, "errors_by_bank", &c.errors_by_bank);
-    line(w, "faults_by_bank", &c.faults_by_bank);
-    line(w, "errors_by_col", &c.errors_by_col);
-    line(w, "faults_by_col", &c.faults_by_col);
-    line(w, "errors_by_rank", &c.errors_by_rank);
-    line(w, "faults_by_rank", &c.faults_by_rank);
-    line(w, "errors_by_slot", &c.errors_by_slot);
-    line(w, "faults_by_slot", &c.faults_by_slot);
-    line(w, "errors_by_rack", &c.errors_by_rack);
-    line(w, "faults_by_rack", &c.faults_by_rack);
-    line(w, "errors_by_region", &c.errors_by_region);
-    line(w, "faults_by_region", &c.faults_by_region);
+fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
     let flat: Vec<u64> = c
         .faults_by_rack_region
         .iter()
         .flat_map(|row| row.iter().copied())
         .collect();
-    line(w, "faults_by_rack_region", &flat);
+    for (name, values) in [
+        ("errors_by_socket", &c.errors_by_socket[..]),
+        ("faults_by_socket", &c.faults_by_socket[..]),
+        ("errors_by_bank", &c.errors_by_bank[..]),
+        ("faults_by_bank", &c.faults_by_bank[..]),
+        ("errors_by_col", &c.errors_by_col[..]),
+        ("faults_by_col", &c.faults_by_col[..]),
+        ("errors_by_rank", &c.errors_by_rank[..]),
+        ("faults_by_rank", &c.faults_by_rank[..]),
+        ("errors_by_slot", &c.errors_by_slot[..]),
+        ("faults_by_slot", &c.faults_by_slot[..]),
+        ("errors_by_rack", &c.errors_by_rack[..]),
+        ("faults_by_rack", &c.faults_by_rack[..]),
+        ("errors_by_region", &c.errors_by_region[..]),
+        ("faults_by_region", &c.faults_by_region[..]),
+        ("faults_by_rack_region", &flat[..]),
+    ] {
+        s.bytes(b"spatial.")
+            .bytes(name.as_bytes())
+            .sp()
+            .words(values)
+            .nl();
+    }
     for (name, table) in [
         ("errors_by_node", &c.errors_by_node),
         ("faults_by_node", &c.faults_by_node),
         ("faults_by_bit", &c.faults_by_bit),
         ("faults_by_addr", &c.faults_by_addr),
     ] {
-        let _ = writeln!(
-            w,
-            "spatial.{name} {}",
-            list(table.iter().map(|(k, v)| format!("{k}:{v}")))
-        );
+        s.bytes(b"spatial.")
+            .bytes(name.as_bytes())
+            .sp()
+            .list(table.iter(), |s, (k, v)| s.u64(k).bytes(b":").u64(v))
+            .nl();
     }
 }
 
@@ -287,6 +501,7 @@ pub(crate) fn read(
     system: &SystemConfig,
     opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+    let _span = astra_obs::span("checkpoint.read");
     let primary = read_one(path, system, opts);
     let tmp = tmp_sibling(path);
     if !tmp.exists() {
@@ -329,14 +544,155 @@ fn read_one(
     system: &SystemConfig,
     opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
-    let data = std::fs::read(path).map_err(|e| cerr(path, format!("unreadable: {e}")))?;
-    let text = String::from_utf8(data).map_err(|e| cerr(path, format!("not UTF-8: {e}")))?;
-    parse(path, &text, system, opts)
+    let file = File::open(path).map_err(|e| cerr(path, format!("unreadable: {e}")))?;
+    let mut lines = Lines::new(BufReader::with_capacity(BUF_BYTES, file));
+    let parsed = parse_lines(path, &mut lines, system, opts);
+    astra_obs::global()
+        .counter("checkpoint.bytes_read")
+        .add(lines.bytes);
+    parsed
 }
 
-fn parse(
+/// The read side of the codec: one line at a time from a buffered
+/// reader, without its line ending, numbered from 1.
+struct Lines<R> {
+    src: R,
+    line: Vec<u8>,
+    no: usize,
+    /// Bytes taken from `src` so far.
+    bytes: u64,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(src: R) -> Self {
+        Lines {
+            src,
+            line: Vec::new(),
+            no: 0,
+            bytes: 0,
+        }
+    }
+
+    /// The next line and its number, `None` at end of input. Like
+    /// `str::lines`, a `\r\n` ending is stripped whole and the last line
+    /// needs no ending.
+    fn next(&mut self) -> io::Result<Option<(usize, &[u8])>> {
+        self.line.clear();
+        let n = self.src.read_until(b'\n', &mut self.line)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        self.bytes += n as u64;
+        self.no += 1;
+        let mut line = &self.line[..];
+        if let Some(body) = line.strip_suffix(b"\n") {
+            line = body.strip_suffix(b"\r").unwrap_or(body);
+        }
+        Ok(Some((self.no, line)))
+    }
+}
+
+/// Fold one section line, with the `\n` the writer ended it with, into
+/// the section's running CRC.
+fn fold_line(crc: u32, line: &[u8]) -> u32 {
+    crc32_update(crc32_update(crc, line), b"\n")
+}
+
+/// Whitespace-separated tokens of one line, with the field parsers the
+/// format needs.
+struct Toks<'a>(&'a [u8]);
+
+impl<'a> Iterator for Toks<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.0.iter().position(|b| !b.is_ascii_whitespace())?;
+        let rest = &self.0[start..];
+        let end = rest
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .unwrap_or(rest.len());
+        self.0 = &rest[end..];
+        Some(&rest[..end])
+    }
+}
+
+impl Toks<'_> {
+    fn u64(&mut self) -> Option<u64> {
+        dec_u64(self.next()?)
+    }
+
+    /// An unsigned field of a narrower type; out of range is `None`.
+    fn uint<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.u64()?).ok()
+    }
+
+    fn i64(&mut self) -> Option<i64> {
+        dec_i64(self.next()?)
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        hex_f64(self.next()?)
+    }
+}
+
+/// Decimal digits, with the optional leading `+` that `u64::from_str`
+/// takes too; overflow is `None`.
+fn dec_u64(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+fn dec_i64(tok: &[u8]) -> Option<i64> {
+    match tok.strip_prefix(b"-") {
+        Some(digits) if !digits.starts_with(b"+") => 0i64.checked_sub_unsigned(dec_u64(digits)?),
+        Some(_) => None,
+        None => i64::try_from(dec_u64(tok)?).ok(),
+    }
+}
+
+fn hex_f64(tok: &[u8]) -> Option<f64> {
+    let bits = u64::from_str_radix(std::str::from_utf8(tok).ok()?, 16).ok()?;
+    Some(f64::from_bits(bits))
+}
+
+/// A comma-separated list, `-` for none.
+fn dec_list<T: TryFrom<u64>>(tok: &[u8]) -> Option<Vec<T>> {
+    if tok == b"-" {
+        return Some(Vec::new());
+    }
+    tok.split(|&b| b == b',')
+        .map(|item| T::try_from(dec_u64(item)?).ok())
+        .collect()
+}
+
+fn dec_lanes(tok: &[u8]) -> Option<Vec<(u16, u64, u16)>> {
+    if tok == b"-" {
+        return Some(Vec::new());
+    }
+    tok.split(|&b| b == b',')
+        .map(|item| {
+            let mut parts = item.split(|&b| b == b':');
+            let lane = u16::try_from(dec_u64(parts.next()?)?).ok()?;
+            let count = dec_u64(parts.next()?)?;
+            let mask = u16::try_from(dec_u64(parts.next()?)?).ok()?;
+            parts.next().is_none().then_some((lane, count, mask))
+        })
+        .collect()
+}
+
+fn parse_lines<R: BufRead>(
     path: &Path,
-    text: &str,
+    lines: &mut Lines<R>,
     system: &SystemConfig,
     opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
@@ -344,15 +700,16 @@ fn parse(
     let mut consumed: Option<[u64; 4]> = None;
     let mut saw_racks = false;
     let mut saw_end = false;
-    // Lines of the current section, accumulated verbatim until its
-    // `crc NAME HEX` trailer verifies them.
-    let mut section = String::new();
+    // CRC-32 of the current section's lines so far, and whether it has
+    // any: its `crc NAME HEX` trailer must match.
+    let mut crc = 0u32;
+    let mut open = false;
 
-    let mut lines = text.lines().enumerate();
-    let bad = |no: usize, detail: String| cerr(path, format!("line {}: {detail}", no + 1));
+    let bad = |no: usize, detail: String| cerr(path, format!("line {no}: {detail}"));
+    let io_err = |e: io::Error| cerr(path, format!("unreadable: {e}"));
 
-    match lines.next() {
-        Some((_, line)) if line == HEADER => {}
+    match lines.next().map_err(io_err)? {
+        Some((_, line)) if line == HEADER.as_bytes() => {}
         _ => {
             return Err(cerr(
                 path,
@@ -361,43 +718,45 @@ fn parse(
         }
     }
 
-    while let Some((no, line)) = lines.next() {
-        let mut toks = line.split_whitespace();
+    while let Some((no, line)) = lines.next().map_err(io_err)? {
+        let mut toks = Toks(line);
         let Some(tag) = toks.next() else { continue };
-        if tag == "crc" {
+        if tag == b"crc" {
             let name = toks
                 .next()
+                .map(String::from_utf8_lossy)
                 .ok_or_else(|| bad(no, "crc line missing section name".into()))?;
             let stored = toks
                 .next()
-                .and_then(|t| u32::from_str_radix(t, 16).ok())
+                .and_then(|t| u32::from_str_radix(std::str::from_utf8(t).ok()?, 16).ok())
                 .ok_or_else(|| bad(no, format!("bad crc value for section {name}")))?;
-            let computed = astra_util::crc32(section.as_bytes());
-            if computed != stored {
+            if crc != stored {
                 return Err(bad(
                     no,
                     format!(
-                        "section {name} CRC mismatch (stored {stored:08x}, computed {computed:08x})"
+                        "section {name} CRC mismatch (stored {stored:08x}, computed {crc:08x})"
                     ),
                 ));
             }
-            section.clear();
+            crc = 0;
+            open = false;
             continue;
         }
-        if tag == "end" {
-            if !section.is_empty() {
+        if tag == b"end" {
+            if open {
                 return Err(bad(
                     no,
                     "lines before end not covered by a section CRC".into(),
                 ));
             }
         } else {
-            section.push_str(line);
-            section.push('\n');
+            crc = fold_line(crc, line);
+            open = true;
         }
         match tag {
-            "racks" => {
-                let racks = parse_tok::<u64>(&mut toks)
+            b"racks" => {
+                let racks = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing racks".into()))?;
                 if racks != u64::from(system.racks) {
                     return Err(bad(
@@ -410,146 +769,170 @@ fn parse(
                 }
                 saw_racks = true;
             }
-            "consumed" => {
+            b"consumed" => {
                 consumed = Some([
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing ce".into()))?,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing het".into()))?,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing inventory".into()))?,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing sensors".into()))?,
                 ]);
             }
-            "coalesce.ces" => {
-                analyzer.coalesce.ces = parse_tok::<u64>(&mut toks)
+            b"coalesce.ces" => {
+                analyzer.coalesce.ces = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing ce count".into()))?
             }
-            "group" => {
+            b"group" => {
                 let key = (
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing node".into()))?
                         as u32,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing slot".into()))?
                         as u8,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing rank".into()))?
                         as u8,
                 );
-                let n = parse_tok::<u64>(&mut toks)
+                let n = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing footprint count".into()))?;
-                let mut feet = Vec::with_capacity(n as usize);
+                let reserve = usize::try_from(n)
+                    .map_or(MAX_PREALLOC_FOOTPRINTS, |n| n.min(MAX_PREALLOC_FOOTPRINTS));
+                let mut feet = Vec::with_capacity(reserve);
                 for _ in 0..n {
-                    let Some((fno, fline)) = lines.next() else {
-                        return Err(bad(no, "truncated group".into()));
+                    let Some((fno, fline)) = lines.next().map_err(io_err)? else {
+                        return Err(bad(no, format!("truncated group (claims {n} footprints)")));
                     };
-                    section.push_str(fline);
-                    section.push('\n');
-                    let mut ft = fline.split_whitespace();
-                    if ft.next() != Some("f") {
-                        return Err(bad(fno, "expected footprint line".into()));
+                    crc = fold_line(crc, fline);
+                    let mut ft = Toks(fline);
+                    if ft.next() != Some(b"f") {
+                        return Err(bad(
+                            fno,
+                            format!("expected footprint line (group at line {no} claims {n})"),
+                        ));
                     }
                     feet.push(crate::coalesce::CeFootprint {
-                        idx: parse_tok::<u32>(&mut ft)
+                        idx: ft
+                            .uint()
                             .ok_or_else(|| bad(fno, "bad footprint idx".into()))?,
                         time: Minute(
-                            parse_tok::<i64>(&mut ft)
+                            ft.i64()
                                 .ok_or_else(|| bad(fno, "bad footprint time".into()))?,
                         ),
-                        bank: parse_tok::<u16>(&mut ft)
+                        bank: ft
+                            .uint()
                             .ok_or_else(|| bad(fno, "bad footprint bank".into()))?,
-                        col: parse_tok::<u16>(&mut ft)
+                        col: ft
+                            .uint()
                             .ok_or_else(|| bad(fno, "bad footprint col".into()))?,
-                        bit_pos: parse_tok::<u16>(&mut ft)
+                        bit_pos: ft
+                            .uint()
                             .ok_or_else(|| bad(fno, "bad footprint bit_pos".into()))?,
-                        addr: parse_tok::<u64>(&mut ft)
+                        addr: ft
+                            .u64()
                             .ok_or_else(|| bad(fno, "bad footprint addr".into()))?,
                     });
                 }
                 analyzer.coalesce.groups.insert(key, feet);
             }
-            "het.totals" => {
-                analyzer.het.total = parse_tok::<u64>(&mut toks)
+            b"het.totals" => {
+                analyzer.het.total = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing total".into()))?;
-                analyzer.het.memory_dues = parse_tok::<u64>(&mut toks)
+                analyzer.het.memory_dues = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing memory dues".into()))?;
             }
-            "het" => {
-                let kind = parse_tok::<u64>(&mut toks)
+            b"het" => {
+                let kind = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing kind index".into()))?
                     as u8;
                 if usize::from(kind) >= HetKind::ALL.len() {
                     return Err(bad(no, format!("unknown HET kind index {kind}")));
                 }
-                let day = parse_tok::<i64>(&mut toks).ok_or_else(|| bad(no, "bad day".into()))?;
+                let day = toks.i64().ok_or_else(|| bad(no, "bad day".into()))?;
                 analyzer.het.daily.insert(
                     (kind, day),
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing count".into()))?,
                 );
             }
-            "temp.sensor" => {
-                let sensor = parse_tok::<u64>(&mut toks)
+            b"temp.sensor" => {
+                let sensor = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing sensor index".into()))?
                     as u8;
-                let month =
-                    parse_tok::<i64>(&mut toks).ok_or_else(|| bad(no, "bad month".into()))?;
-                let sum = parse_hex(&mut toks).ok_or_else(|| bad(no, "bad sum".into()))?;
+                let month = toks.i64().ok_or_else(|| bad(no, "bad month".into()))?;
+                let sum = toks.f64().ok_or_else(|| bad(no, "bad sum".into()))?;
                 analyzer.tempcorr.sensor_months.insert(
                     (sensor, month),
                     (
                         sum,
-                        parse_tok::<u64>(&mut toks)
+                        toks.u64()
                             .ok_or_else(|| bad(no, "bad or missing sample count".into()))?,
                     ),
                 );
             }
-            "temp.ce" => {
-                let month =
-                    parse_tok::<i64>(&mut toks).ok_or_else(|| bad(no, "bad month".into()))?;
+            b"temp.ce" => {
+                let month = toks.i64().ok_or_else(|| bad(no, "bad month".into()))?;
                 analyzer.tempcorr.monthly_ces.insert(
                     month,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing count".into()))?,
                 );
             }
-            "predict.rank" => {
+            b"predict.rank" => {
                 let key = (
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing node".into()))?
                         as u32,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing slot".into()))?
                         as u8,
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing rank".into()))?
                         as u8,
                 );
-                let mask = parse_tok::<u64>(&mut toks)
+                let mask = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing fired mask".into()))?;
                 let dump = FeatureStateDump {
-                    first_ce: Minute(
-                        parse_tok::<i64>(&mut toks)
-                            .ok_or_else(|| bad(no, "bad first_ce".into()))?,
-                    ),
-                    last_ce: Minute(
-                        parse_tok::<i64>(&mut toks).ok_or_else(|| bad(no, "bad last_ce".into()))?,
-                    ),
-                    total_ces: parse_tok::<u64>(&mut toks)
+                    first_ce: Minute(toks.i64().ok_or_else(|| bad(no, "bad first_ce".into()))?),
+                    last_ce: Minute(toks.i64().ok_or_else(|| bad(no, "bad last_ce".into()))?),
+                    total_ces: toks
+                        .u64()
                         .ok_or_else(|| bad(no, "bad or missing total_ces".into()))?,
-                    leaky: parse_hex(&mut toks).ok_or_else(|| bad(no, "bad leaky".into()))?,
-                    addrs_saturated: parse_tok::<u64>(&mut toks)
+                    leaky: toks.f64().ok_or_else(|| bad(no, "bad leaky".into()))?,
+                    addrs_saturated: toks
+                        .u64()
                         .ok_or_else(|| bad(no, "bad or missing addrs_saturated".into()))?
                         != 0,
-                    escalation_rung: parse_tok::<u64>(&mut toks)
+                    escalation_rung: toks
+                        .u64()
                         .ok_or_else(|| bad(no, "bad or missing escalation rung".into()))?
                         as u8,
-                    banks: parse_list(&mut toks).ok_or_else(|| bad(no, "bad banks".into()))?,
-                    cols: parse_list(&mut toks).ok_or_else(|| bad(no, "bad cols".into()))?,
-                    addrs: parse_list(&mut toks).ok_or_else(|| bad(no, "bad addrs".into()))?,
-                    lanes: parse_lanes(&mut toks).ok_or_else(|| bad(no, "bad lanes".into()))?,
+                    banks: toks
+                        .next()
+                        .and_then(dec_list)
+                        .ok_or_else(|| bad(no, "bad banks".into()))?,
+                    cols: toks
+                        .next()
+                        .and_then(dec_list)
+                        .ok_or_else(|| bad(no, "bad cols".into()))?,
+                    addrs: toks
+                        .next()
+                        .and_then(dec_list)
+                        .ok_or_else(|| bad(no, "bad addrs".into()))?,
+                    lanes: toks
+                        .next()
+                        .and_then(dec_lanes)
+                        .ok_or_else(|| bad(no, "bad lanes".into()))?,
                 };
                 let state = FeatureState::restore(
                     &dump,
@@ -566,22 +949,21 @@ fn parse(
                     .ranks
                     .insert(key, RankTrack { state, fired });
             }
-            "predict.alert" => {
-                let time =
-                    Minute(parse_tok::<i64>(&mut toks).ok_or_else(|| bad(no, "bad time".into()))?);
+            b"predict.alert" => {
+                let time = Minute(toks.i64().ok_or_else(|| bad(no, "bad time".into()))?);
                 let node = NodeId(
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing node".into()))?
                         as u32,
                 );
                 let slot = DimmSlot::from_index(
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing slot".into()))?
                         as u8,
                 )
                 .ok_or_else(|| bad(no, "bad slot".into()))?;
                 let rank = RankId(
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing rank".into()))?
                         as u8,
                 );
@@ -592,32 +974,42 @@ fn parse(
                     .predict
                     .predictors
                     .iter()
-                    .find(|p| p.name() == name)
+                    .find(|p| p.name().as_bytes() == name)
                     .map(|p| p.name())
-                    .ok_or_else(|| bad(no, format!("unknown predictor {name:?}")))?;
-                let score = parse_hex(&mut toks).ok_or_else(|| bad(no, "bad score".into()))?;
-                let window_ces =
-                    parse_hex(&mut toks).ok_or_else(|| bad(no, "bad window_ces".into()))?;
-                let total_ces = parse_tok::<u64>(&mut toks)
+                    .ok_or_else(|| {
+                        bad(
+                            no,
+                            format!("unknown predictor {:?}", String::from_utf8_lossy(name)),
+                        )
+                    })?;
+                let score = toks.f64().ok_or_else(|| bad(no, "bad score".into()))?;
+                let window_ces = toks.f64().ok_or_else(|| bad(no, "bad window_ces".into()))?;
+                let total_ces = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing total_ces".into()))?;
-                let distinct_banks = parse_tok::<u64>(&mut toks)
+                let distinct_banks = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing distinct_banks".into()))?
                     as u32;
-                let distinct_cols = parse_tok::<u64>(&mut toks)
+                let distinct_cols = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing distinct_cols".into()))?
                     as u32;
-                let distinct_addrs = parse_tok::<u64>(&mut toks)
+                let distinct_addrs = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing distinct_addrs".into()))?
                     as u32;
-                let distinct_lanes = parse_tok::<u64>(&mut toks)
+                let distinct_lanes = toks
+                    .u64()
                     .ok_or_else(|| bad(no, "bad or missing distinct_lanes".into()))?
                     as u32;
                 let dominant_lane_share =
-                    parse_hex(&mut toks).ok_or_else(|| bad(no, "bad lane share".into()))?;
-                let minutes_since_first = parse_tok::<i64>(&mut toks)
+                    toks.f64().ok_or_else(|| bad(no, "bad lane share".into()))?;
+                let minutes_since_first = toks
+                    .i64()
                     .ok_or_else(|| bad(no, "bad minutes_since_first".into()))?;
                 let escalation = astra_predict::EscalationLevel::from_rung(
-                    parse_tok::<u64>(&mut toks)
+                    toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing escalation rung".into()))?
                         as u8,
                 )
@@ -640,15 +1032,23 @@ fn parse(
                     },
                 });
             }
-            "end" => {
+            b"end" => {
                 saw_end = true;
                 break;
             }
-            _ if tag.starts_with("spatial.") => {
-                parse_spatial(&analyzer.system, &mut analyzer.spatial.counts, tag, toks)
-                    .map_err(|detail| bad(no, detail))?;
-            }
-            other => return Err(bad(no, format!("unknown section {other:?}"))),
+            other => match other.strip_prefix(b"spatial.") {
+                Some(field) => parse_spatial(
+                    &analyzer.system,
+                    &mut analyzer.spatial.counts,
+                    &String::from_utf8_lossy(field),
+                    toks,
+                )
+                .map_err(|detail| bad(no, detail))?,
+                None => {
+                    let other = String::from_utf8_lossy(other);
+                    return Err(bad(no, format!("unknown section {other:?}")));
+                }
+            },
         }
     }
 
@@ -663,57 +1063,27 @@ fn parse(
     Ok((analyzer, consumed))
 }
 
-fn parse_tok<T: FromStr>(toks: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
-    toks.next()?.parse().ok()
-}
-
-fn parse_hex(toks: &mut std::str::SplitWhitespace<'_>) -> Option<f64> {
-    let bits = u64::from_str_radix(toks.next()?, 16).ok()?;
-    Some(f64::from_bits(bits))
-}
-
-fn parse_list<T: FromStr>(toks: &mut std::str::SplitWhitespace<'_>) -> Option<Vec<T>> {
-    let tok = toks.next()?;
-    if tok == "-" {
-        return Some(Vec::new());
-    }
-    tok.split(',').map(|item| item.parse().ok()).collect()
-}
-
-fn parse_lanes(toks: &mut std::str::SplitWhitespace<'_>) -> Option<Vec<(u16, u64, u16)>> {
-    let tok = toks.next()?;
-    if tok == "-" {
-        return Some(Vec::new());
-    }
-    tok.split(',')
-        .map(|item| {
-            let mut parts = item.split(':');
-            let lane = parts.next()?.parse().ok()?;
-            let count = parts.next()?.parse().ok()?;
-            let mask = parts.next()?.parse().ok()?;
-            parts.next().is_none().then_some((lane, count, mask))
-        })
-        .collect()
-}
-
 fn parse_spatial(
     system: &SystemConfig,
     c: &mut SpatialCounts,
-    tag: &str,
-    toks: std::str::SplitWhitespace<'_>,
+    field: &str,
+    mut toks: Toks<'_>,
 ) -> Result<(), String> {
-    let field = tag.strip_prefix("spatial.").expect("caller matched prefix");
-    let fill = |dst: &mut [u64], toks: std::str::SplitWhitespace<'_>| -> Result<(), String> {
-        let values: Option<Vec<u64>> = toks.map(|t| t.parse().ok()).collect();
-        let values = values.ok_or_else(|| format!("bad {field} values"))?;
-        if values.len() != dst.len() {
+    let fill = |dst: &mut [u64], toks: Toks<'_>| -> Result<(), String> {
+        let mut n = 0;
+        for tok in toks {
+            let v = dec_u64(tok).ok_or_else(|| format!("bad {field} values"))?;
+            if let Some(slot) = dst.get_mut(n) {
+                *slot = v;
+            }
+            n += 1;
+        }
+        if n != dst.len() {
             return Err(format!(
-                "{field} has {} values, machine shape needs {}",
-                values.len(),
+                "{field} has {n} values, machine shape needs {}",
                 dst.len()
             ));
         }
-        dst.copy_from_slice(&values);
         Ok(())
     };
     match field {
@@ -746,15 +1116,16 @@ fn parse_spatial(
                 "faults_by_bit" => &mut c.faults_by_bit,
                 _ => &mut c.faults_by_addr,
             };
-            let mut toks = toks;
             let tok = toks.next().ok_or_else(|| format!("missing {field}"))?;
-            if tok != "-" {
-                for pair in tok.split(',') {
-                    let (k, v) = pair
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad {field} pair {pair:?}"))?;
-                    let k: u64 = k.parse().map_err(|_| format!("bad {field} key"))?;
-                    let v: u64 = v.parse().map_err(|_| format!("bad {field} count"))?;
+            if tok != b"-" {
+                for pair in tok.split(|&b| b == b',') {
+                    let mut kv = pair.splitn(2, |&b| b == b':');
+                    let (Some(k), Some(v)) = (kv.next(), kv.next()) else {
+                        let pair = String::from_utf8_lossy(pair);
+                        return Err(format!("bad {field} pair {pair:?}"));
+                    };
+                    let k = dec_u64(k).ok_or_else(|| format!("bad {field} key"))?;
+                    let v = dec_u64(v).ok_or_else(|| format!("bad {field} count"))?;
                     table.add(k, v);
                 }
             }
@@ -770,50 +1141,296 @@ mod tests {
     use crate::pipeline::Dataset;
     use crate::stream::{Analyzer, MemEvent};
     use astra_logs::binfmt;
+    use std::fmt::Write as _;
+    use std::sync::OnceLock;
 
-    fn analyzer_with_state() -> (StreamAnalyzer, SystemConfig) {
-        let ds = Dataset::generate(1, 42);
+    /// The `core::fmt` renderer the codec replaced, kept as the oracle
+    /// for the streamed bytes.
+    fn render_fmt(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> String {
+        fn hex(v: f64) -> String {
+            format!("{:016x}", v.to_bits())
+        }
+        fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+            let joined = items
+                .into_iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            if joined.is_empty() {
+                "-".into()
+            } else {
+                joined
+            }
+        }
+        fn seal_section(out: &mut String, name: &str, body: String) {
+            out.push_str(&body);
+            let _ = writeln!(out, "crc {name} {:08x}", astra_util::crc32(body.as_bytes()));
+        }
+
+        let mut out = String::new();
+        let _ = writeln!(out, "{HEADER}");
+        let mut body = String::new();
+        let w = &mut body;
+        let _ = writeln!(w, "racks {}", analyzer.system.racks);
+        let _ = writeln!(
+            w,
+            "consumed {} {} {} {}",
+            consumed[0], consumed[1], consumed[2], consumed[3]
+        );
+        seal_section(&mut out, "meta", std::mem::take(&mut body));
+
+        let w = &mut body;
+        let _ = writeln!(w, "coalesce.ces {}", analyzer.coalesce.ces);
+        let mut keys: Vec<_> = analyzer.coalesce.groups.keys().copied().collect();
+        keys.sort_unstable();
+        for key in keys {
+            let feet = &analyzer.coalesce.groups[&key];
+            let _ = writeln!(w, "group {} {} {} {}", key.0, key.1, key.2, feet.len());
+            for f in feet {
+                let _ = writeln!(
+                    w,
+                    "f {} {} {} {} {} {}",
+                    f.idx, f.time.0, f.bank, f.col, f.bit_pos, f.addr
+                );
+            }
+        }
+        seal_section(&mut out, "coalesce", std::mem::take(&mut body));
+
+        let c = &analyzer.spatial.counts;
+        let w = &mut body;
+        let flat: Vec<u64> = c
+            .faults_by_rack_region
+            .iter()
+            .flat_map(|row| row.iter().copied())
+            .collect();
+        for (name, values) in [
+            ("errors_by_socket", &c.errors_by_socket[..]),
+            ("faults_by_socket", &c.faults_by_socket[..]),
+            ("errors_by_bank", &c.errors_by_bank[..]),
+            ("faults_by_bank", &c.faults_by_bank[..]),
+            ("errors_by_col", &c.errors_by_col[..]),
+            ("faults_by_col", &c.faults_by_col[..]),
+            ("errors_by_rank", &c.errors_by_rank[..]),
+            ("faults_by_rank", &c.faults_by_rank[..]),
+            ("errors_by_slot", &c.errors_by_slot[..]),
+            ("faults_by_slot", &c.faults_by_slot[..]),
+            ("errors_by_rack", &c.errors_by_rack[..]),
+            ("faults_by_rack", &c.faults_by_rack[..]),
+            ("errors_by_region", &c.errors_by_region[..]),
+            ("faults_by_region", &c.faults_by_region[..]),
+            ("faults_by_rack_region", &flat[..]),
+        ] {
+            let values: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+            let _ = writeln!(w, "spatial.{name} {}", values.join(" "));
+        }
+        for (name, table) in [
+            ("errors_by_node", &c.errors_by_node),
+            ("faults_by_node", &c.faults_by_node),
+            ("faults_by_bit", &c.faults_by_bit),
+            ("faults_by_addr", &c.faults_by_addr),
+        ] {
+            let _ = writeln!(
+                w,
+                "spatial.{name} {}",
+                list(table.iter().map(|(k, v)| format!("{k}:{v}")))
+            );
+        }
+        seal_section(&mut out, "spatial", std::mem::take(&mut body));
+
+        let w = &mut body;
+        let _ = writeln!(
+            w,
+            "het.totals {} {}",
+            analyzer.het.total, analyzer.het.memory_dues
+        );
+        for (&(kind, day), &n) in &analyzer.het.daily {
+            let _ = writeln!(w, "het {kind} {day} {n}");
+        }
+        seal_section(&mut out, "het", std::mem::take(&mut body));
+
+        let w = &mut body;
+        for (&(sensor, month), &(sum, n)) in &analyzer.tempcorr.sensor_months {
+            let _ = writeln!(w, "temp.sensor {sensor} {month} {} {n}", hex(sum));
+        }
+        for (&month, &n) in &analyzer.tempcorr.monthly_ces {
+            let _ = writeln!(w, "temp.ce {month} {n}");
+        }
+        seal_section(&mut out, "temp", std::mem::take(&mut body));
+
+        let w = &mut body;
+        for (&(node, slot, rank), track) in &analyzer.predict.ranks {
+            let mut mask = 0u64;
+            for (i, &f) in track.fired.iter().enumerate() {
+                if f {
+                    mask |= 1 << i;
+                }
+            }
+            let d = track.state.dump();
+            let _ = writeln!(
+                w,
+                "predict.rank {node} {slot} {rank} {mask} {} {} {} {} {} {} {} {} {} {}",
+                d.first_ce.0,
+                d.last_ce.0,
+                d.total_ces,
+                hex(d.leaky),
+                u8::from(d.addrs_saturated),
+                d.escalation_rung,
+                list(&d.banks),
+                list(&d.cols),
+                list(&d.addrs),
+                list(
+                    d.lanes
+                        .iter()
+                        .map(|&(lane, n, m)| format!("{lane}:{n}:{m}"))
+                ),
+            );
+        }
+        for a in &analyzer.predict.alerts {
+            let fv = &a.features;
+            let _ = writeln!(
+                w,
+                "predict.alert {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                a.time.0,
+                a.key.node.0,
+                a.key.slot.index(),
+                a.key.rank.0,
+                a.predictor,
+                hex(a.score),
+                hex(fv.window_ces),
+                fv.total_ces,
+                fv.distinct_banks,
+                fv.distinct_cols,
+                fv.distinct_addrs,
+                fv.distinct_lanes,
+                hex(fv.dominant_lane_share),
+                fv.minutes_since_first,
+                fv.escalation.rung(),
+            );
+        }
+        seal_section(&mut out, "predict", body);
+        let _ = writeln!(out, "end");
+        out
+    }
+
+    /// The streamed bytes of a checkpoint, rendered into memory.
+    fn render_bytes(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let n = render(&mut out, analyzer, consumed).unwrap();
+        assert_eq!(n, out.len() as u64, "byte count must match the output");
+        out
+    }
+
+    fn parse(
+        bytes: &[u8],
+        system: &SystemConfig,
+    ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+        let mut lines = Lines::new(bytes);
+        parse_lines(
+            Path::new("test"),
+            &mut lines,
+            system,
+            &StreamOptions::default(),
+        )
+    }
+
+    fn dataset(racks: u32) -> &'static Dataset {
+        static ONE: OnceLock<Dataset> = OnceLock::new();
+        static TWO: OnceLock<Dataset> = OnceLock::new();
+        match racks {
+            1 => ONE.get_or_init(|| Dataset::generate(1, 42)),
+            2 => TWO.get_or_init(|| Dataset::generate(2, 42)),
+            _ => unreachable!("tests use 1 or 2 racks"),
+        }
+    }
+
+    /// Fold a dataset's events into a fresh analyzer: CEs (at most
+    /// `max_ces`), HETs and sensor readings, keeping only those on racks
+    /// `racks` as a shard worker does.
+    fn fold(ds: &Dataset, racks: std::ops::Range<u32>, max_ces: usize) -> StreamAnalyzer {
         let opts = StreamOptions::default();
         let mut a = StreamAnalyzer::new(ds.system, opts.coalesce, opts.predict.clone());
-        for (i, rec) in ds.sim.ce_log.iter().enumerate() {
+        let per_rack = ds.system.nodes_per_rack();
+        let keep = |node: NodeId| racks.contains(&node.rack(per_rack).0);
+        let ces = ds
+            .sim
+            .ce_log
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| keep(r.node));
+        for (i, rec) in ces.take(max_ces) {
             a.consume(&MemEvent::Ce {
                 seq: i as u64,
                 rec: *rec,
             });
         }
         for (i, rec) in ds.sim.het_log.iter().enumerate() {
-            a.consume(&MemEvent::Het {
-                seq: i as u64,
-                rec: *rec,
-            });
+            if keep(rec.node) {
+                a.consume(&MemEvent::Het {
+                    seq: i as u64,
+                    rec: *rec,
+                });
+            }
         }
         for (i, rec) in ds.sensor_excerpt().iter().enumerate() {
-            a.consume(&MemEvent::Sensor {
-                seq: i as u64,
-                rec: *rec,
-            });
+            if keep(rec.node) {
+                a.consume(&MemEvent::Sensor {
+                    seq: i as u64,
+                    rec: *rec,
+                });
+            }
         }
-        (a, ds.system)
+        a
+    }
+
+    fn analyzer_with_state() -> (StreamAnalyzer, SystemConfig) {
+        let ds = dataset(1);
+        (fold(ds, 0..1, usize::MAX), ds.system)
+    }
+
+    /// A shard worker's state for rack 1 of 2, cut to a few thousand CEs
+    /// so that sweeps over its bytes stay cheap.
+    fn small_shard_state() -> (StreamAnalyzer, SystemConfig) {
+        let ds = dataset(2);
+        (fold(ds, 1..2, 3_000), ds.system)
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_fmt_oracle() {
+        let opts = StreamOptions::default();
+        let empty = StreamAnalyzer::new(SystemConfig::scaled(1), opts.coalesce, opts.predict);
+        let (full, _) = analyzer_with_state();
+        let (shard, _) = small_shard_state();
+        assert!(shard.coalesce.ces > 0 && !shard.predict.ranks.is_empty());
+        for (what, analyzer, consumed) in [
+            ("empty", &empty, [0; 4]),
+            ("1 rack", &full, full.counts),
+            ("rack 1 of 2", &shard, [u64::MAX, 0, 7, 1 << 40]),
+        ] {
+            let streamed = render_bytes(analyzer, &consumed);
+            let oracle = render_fmt(analyzer, &consumed);
+            assert!(
+                streamed == oracle.as_bytes(),
+                "{what}: streamed checkpoint differs from the fmt renderer"
+            );
+        }
     }
 
     #[test]
     fn render_parse_render_is_identity() {
         let (analyzer, system) = analyzer_with_state();
         let consumed = analyzer.counts;
-        let text = render(&analyzer, &consumed);
-        let (restored, consumed2) =
-            parse(Path::new("test"), &text, &system, &StreamOptions::default()).unwrap();
+        let bytes = render_bytes(&analyzer, &consumed);
+        let (restored, consumed2) = parse(&bytes, &system).unwrap();
         assert_eq!(consumed2, consumed);
         // Byte-identical reserialization covers every serialized field.
-        assert_eq!(render(&restored, &consumed2), text);
+        assert!(render_bytes(&restored, &consumed2) == bytes);
     }
 
     #[test]
     fn restored_analyzer_produces_identical_report() {
         let (analyzer, system) = analyzer_with_state();
-        let text = render(&analyzer, &analyzer.counts);
-        let (restored, _) =
-            parse(Path::new("test"), &text, &system, &StreamOptions::default()).unwrap();
+        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let (restored, _) = parse(&bytes, &system).unwrap();
         let a = analyzer.snapshot();
         let b = restored.snapshot();
         assert_eq!(a.faults, b.faults);
@@ -828,9 +1445,8 @@ mod tests {
     #[test]
     fn rack_mismatch_names_both_shapes() {
         let (analyzer, _) = analyzer_with_state();
-        let text = render(&analyzer, &analyzer.counts);
-        let wrong = SystemConfig::scaled(2);
-        let err = match parse(Path::new("test"), &text, &wrong, &StreamOptions::default()) {
+        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let err = match parse(&bytes, &SystemConfig::scaled(2)) {
             Err(e) => e,
             Ok(_) => panic!("rack mismatch accepted"),
         };
@@ -845,7 +1461,7 @@ mod tests {
     #[test]
     fn section_crc_mismatch_is_detected_and_named() {
         let (analyzer, system) = analyzer_with_state();
-        let text = render(&analyzer, &analyzer.counts);
+        let text = String::from_utf8(render_bytes(&analyzer, &analyzer.counts)).unwrap();
         // Corrupt one digit inside the coalesce section without touching
         // line structure: the stored CRC no longer matches.
         let victim = text
@@ -858,12 +1474,7 @@ mod tests {
             format!("{}0", victim)
         };
         let corrupted = text.replacen(victim, &flipped, 1);
-        let err = match parse(
-            Path::new("test"),
-            &corrupted,
-            &system,
-            &StreamOptions::default(),
-        ) {
+        let err = match parse(corrupted.as_bytes(), &system) {
             Err(e) => e,
             Ok(_) => panic!("corrupted section accepted"),
         };
@@ -872,6 +1483,36 @@ mod tests {
             msg.contains("CRC mismatch") && msg.contains("coalesce"),
             "error must name the damaged section: {msg}"
         );
+    }
+
+    #[test]
+    fn truncation_anywhere_is_a_typed_error() {
+        let (analyzer, system) = small_shard_state();
+        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let len = bytes.len();
+        // Every section boundary (the end of each line around a CRC
+        // trailer), a sweep of offsets, and the file's last bytes.
+        let mut cuts: Vec<usize> = Vec::new();
+        let mut at = 0;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            if line.starts_with(b"crc ") || line.starts_with(HEADER.as_bytes()) {
+                cuts.extend([at, at + 4, at + line.len() - 1, at + line.len()]);
+            }
+            at += line.len();
+        }
+        cuts.extend((0..len).step_by(len / 251 + 1));
+        cuts.extend(len - 64..len - 1);
+        assert!(cuts.len() > 300, "sweep too small: {} cuts", cuts.len());
+        for &cut in &cuts {
+            match parse(&bytes[..cut], &system) {
+                Err(StreamError::Checkpoint { .. }) => {}
+                Err(e) => panic!("cut at {cut}/{len}: untyped error {e}"),
+                Ok(_) => panic!("cut at {cut}/{len} accepted"),
+            }
+        }
+        // Only the final newline missing: every line is still whole.
+        let (_, consumed) = parse(&bytes[..len - 1], &system).unwrap();
+        assert_eq!(consumed, analyzer.counts);
     }
 
     struct TempDirGuard(PathBuf);
@@ -897,13 +1538,61 @@ mod tests {
     }
 
     #[test]
+    fn damaged_footprint_count_is_a_typed_error_and_salvage_takes_the_tmp() {
+        let (analyzer, system) = small_shard_state();
+        let opts = StreamOptions::default();
+        let text = String::from_utf8(render_bytes(&analyzer, &analyzer.counts)).unwrap();
+        let group = text
+            .lines()
+            .find(|l| l.starts_with("group "))
+            .expect("a group line");
+        let (head, _count) = group.rsplit_once(' ').unwrap();
+        let damaged = text.replacen(group, &format!("{head} 99999999999999999"), 1);
+
+        let guard = TempDirGuard::new("ckpt-count");
+        let path = guard.0.join("ck.txt");
+        std::fs::write(&path, &damaged).unwrap();
+        match read(&path, &system, &opts) {
+            Err(StreamError::Checkpoint { detail, .. }) => {
+                assert!(detail.starts_with("line "), "must name the line: {detail}")
+            }
+            Err(e) => panic!("untyped error {e}"),
+            Ok(_) => panic!("damaged count accepted"),
+        }
+        // An intact `.tmp` sibling is then the one to resume.
+        std::fs::write(path.with_extension("txt.tmp"), &text).unwrap();
+        let (_, consumed) = read(&path, &system, &opts).unwrap();
+        assert_eq!(consumed, analyzer.counts);
+    }
+
+    #[test]
+    fn a_failed_write_is_reported() {
+        struct Full(usize);
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 < buf.len() {
+                    return Err(io::Error::other("device full"));
+                }
+                self.0 -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (analyzer, _) = small_shard_state();
+        let err = render(Full(BUF_BYTES), &analyzer, &analyzer.counts).unwrap_err();
+        assert_eq!(err.to_string(), "device full");
+    }
+
+    #[test]
     fn salvage_ignores_torn_tmp_and_resumes_primary() {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-torn");
         let path = guard.0.join("ck.txt");
         write(&path, &analyzer, &analyzer.counts).unwrap();
         // A crash mid-write leaves a truncated next snapshot in `.tmp`.
-        let next = render(&analyzer, &[analyzer.counts[0] + 500, 0, 0, 0]);
+        let next = render_bytes(&analyzer, &[analyzer.counts[0] + 500, 0, 0, 0]);
         std::fs::write(path.with_extension("txt.tmp"), &next[..next.len() / 2]).unwrap();
         let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
         assert_eq!(consumed, analyzer.counts, "must resume the intact file");
@@ -919,7 +1608,11 @@ mod tests {
         // and strictly further along: it is the one to resume.
         let mut newer = analyzer.counts;
         newer[0] += 500;
-        std::fs::write(path.with_extension("txt.tmp"), render(&analyzer, &newer)).unwrap();
+        std::fs::write(
+            path.with_extension("txt.tmp"),
+            render_bytes(&analyzer, &newer),
+        )
+        .unwrap();
         let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
         assert_eq!(consumed, newer, "must salvage the fresher snapshot");
     }
@@ -929,13 +1622,13 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-damaged");
         let path = guard.0.join("ck.txt");
-        let text = render(&analyzer, &analyzer.counts);
-        std::fs::write(&path, &text[..text.len() / 3]).unwrap();
-        std::fs::write(path.with_extension("txt.tmp"), &text).unwrap();
+        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
+        std::fs::write(path.with_extension("txt.tmp"), &bytes).unwrap();
         let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
         assert_eq!(consumed, analyzer.counts);
         // Both torn: the primary's error surfaces.
-        std::fs::write(path.with_extension("txt.tmp"), &text[..10]).unwrap();
+        std::fs::write(path.with_extension("txt.tmp"), &bytes[..10]).unwrap();
         assert!(read(&path, &system, &StreamOptions::default()).is_err());
     }
 
@@ -943,17 +1636,16 @@ mod tests {
     fn truncated_and_foreign_files_are_rejected() {
         let system = SystemConfig::scaled(1);
         let opts = StreamOptions::default();
-        assert!(parse(Path::new("t"), "not a checkpoint\n", &system, &opts).is_err());
+        assert!(parse(b"not a checkpoint\n", &system).is_err());
         let (analyzer, _) = analyzer_with_state();
-        let text = render(&analyzer, &analyzer.counts);
-        let cut = &text[..text.len() - 10];
-        assert!(parse(Path::new("t"), cut, &system, &opts).is_err());
+        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        assert!(parse(&bytes[..bytes.len() - 10], &system).is_err());
         // A file in the binlog container, even one wrapping intact
         // checkpoint text, is a typed checkpoint error, not a panic.
         let guard = TempDirGuard::new("ckpt-binlog");
         let path = guard.0.join("ck.txt");
         let mut binlog = Vec::from(binfmt::header_bytes(binfmt::KIND_CE, 1));
-        binfmt::append_block(&mut binlog, text.as_bytes());
+        binfmt::append_block(&mut binlog, &bytes);
         std::fs::write(&path, binlog).unwrap();
         match read(&path, &system, &opts) {
             Err(StreamError::Checkpoint { .. }) => {}

@@ -3,7 +3,9 @@
 //! Used by the streaming-analysis checkpoint format to guard each section
 //! against torn writes: a crash mid-write leaves a section whose stored
 //! CRC no longer matches its content, which the salvage path detects
-//! without having to interpret the section. The polynomial is the
+//! without having to interpret the section. [`crc32_update`] extends a
+//! CRC over more bytes, so the checkpoint codec folds each section in as
+//! it streams through its buffer. The polynomial is the
 //! ubiquitous reflected `0xEDB88320` so checkpoints can be checked with
 //! standard tools (`python -c 'import zlib; ...'`, `cksum -o 3`, …).
 
@@ -40,8 +42,16 @@ fn tables() -> &'static [[u32; 256]; 8] {
 
 /// CRC-32 of `bytes` (IEEE, reflected, init/final xor `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC-32 of some earlier bytes, over `bytes`: the
+/// CRC-32 of their concatenation (zlib's `crc32(value, data)`
+/// convention, so `crc32_update(0, b) == crc32(b)`). Lets a writer or
+/// reader checksum a section buffer by buffer, without holding it whole.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = tables();
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = crc ^ 0xFFFF_FFFF;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -90,6 +100,29 @@ mod tests {
             }
             assert_eq!(crc32(bytes), crc ^ 0xFFFF_FFFF, "len {len}");
         }
+    }
+
+    #[test]
+    fn any_split_into_updates_matches_one_shot() {
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 131 + 17) as u8).collect();
+        let whole = crc32(&data);
+        // Every two-way split, then a sweep of three-way splits whose
+        // pieces straddle the 8-byte fold in every alignment.
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_update(crc32_update(0, a), b), whole, "cut {cut}");
+        }
+        for first in 0..20 {
+            for second in first..first + 20 {
+                let crc = crc32_update(0, &data[..first]);
+                let crc = crc32_update(crc, &data[first..second]);
+                let crc = crc32_update(crc, &data[second..]);
+                assert_eq!(crc, whole, "cuts {first}/{second}");
+            }
+        }
+        // Empty updates are the identity, including on the empty prefix.
+        assert_eq!(crc32_update(whole, b""), whole);
+        assert_eq!(crc32_update(0, b""), 0);
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod par;
 pub mod rng;
 pub mod time;
 
-pub use crc::crc32;
+pub use crc::{crc32, crc32_update};
 pub use rng::{splitmix64, DetRng, StreamKey};
 pub use time::{CalDate, Minute, MINUTES_PER_DAY};

@@ -156,6 +156,66 @@ fn corrupt_lines_surface_in_skip_counters() {
 }
 
 #[test]
+fn checkpoint_io_is_exported_once_per_checkpoint() {
+    let dir = TempDir::new("ckpt-io");
+    generate(dir.path());
+    let data = dir.path().to_str().unwrap();
+    let ckpt = dir.join("ck.txt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let metrics = dir.join("m.json");
+    let metrics_arg = metrics.to_str().unwrap();
+    let span = |jsonl: &str, path: &str| jsonl.contains(&format!("\"name\":\"time.{path}\""));
+
+    run(&[
+        "stream-analyze",
+        data,
+        "--racks",
+        "1",
+        "--stop-after",
+        "20000",
+        "--checkpoint",
+        ckpt_arg,
+        "--metrics-out",
+        metrics_arg,
+    ]);
+    let size = std::fs::metadata(&ckpt).unwrap().len() as f64;
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(metric_value(&jsonl, "checkpoint.bytes_written"), Some(size));
+    assert!(span(&jsonl, "pipeline.stream/checkpoint.write"), "{jsonl}");
+
+    run(&[
+        "stream-analyze",
+        data,
+        "--racks",
+        "1",
+        "--resume",
+        ckpt_arg,
+        "--metrics-out",
+        metrics_arg,
+    ]);
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(metric_value(&jsonl, "checkpoint.bytes_read"), Some(size));
+    assert!(span(&jsonl, "pipeline.stream/checkpoint.read"), "{jsonl}");
+    assert_eq!(metric_value(&jsonl, "checkpoint.bytes_written"), None);
+
+    // The shard supervisor reads each worker's snapshot through the
+    // same codec.
+    run(&[
+        "shard-analyze",
+        data,
+        "--racks",
+        "1",
+        "--shards",
+        "1",
+        "--metrics-out",
+        metrics_arg,
+    ]);
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    assert!(metric_value(&jsonl, "checkpoint.bytes_read").is_some_and(|n| n > 0.0));
+    assert!(span(&jsonl, "pipeline.shard/checkpoint.read"), "{jsonl}");
+}
+
+#[test]
 fn report_metrics_span_all_stages_and_are_deterministic() {
     let dir = TempDir::new("report");
     generate(dir.path());

@@ -18,10 +18,9 @@ fn text_pipeline_reaches_identical_analysis() {
     let ds = dataset();
     let (ce, het, inv) = ds.to_text();
     let via_text = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
-    let direct = AnalysisInput::from_dataset_direct(ds.clone());
 
     let a = Analysis::run(ds.system, via_text.records);
-    let b = Analysis::run(ds.system, direct.records);
+    let b = Analysis::run(ds.system, ds.sim.ce_log);
     assert_eq!(a.total_errors(), b.total_errors());
     assert_eq!(a.total_faults(), b.total_faults());
     assert_eq!(a.spatial.errors_by_slot, b.spatial.errors_by_slot);

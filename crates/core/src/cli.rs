@@ -639,6 +639,10 @@ fn load_error_hint(dir: &Path, e: &LoadError) -> String {
              analyze the rest",
             dir.display()
         ),
+        LoadError::Changed { .. } => format!(
+            "{e}\nhint: resume only against the logs the checkpoint was written from \
+             (appending to them is fine), or run again without --resume"
+        ),
         LoadError::Manifest { .. } => format!(
             "{e}\nhint: the dataset's provenance record is damaged — re-run \
              `astra-mem generate` to rewrite it, or delete manifest.txt to fall back \

@@ -262,6 +262,18 @@ pub enum LoadError {
         /// Lines that parsed cleanly before the abort.
         lines_ok: u64,
     },
+    /// A checkpoint resume found the log no longer holding what the
+    /// checkpoint consumed: it is shorter than the saved offset, the
+    /// bytes before that offset or its format changed, or it ends before
+    /// the consumed record count. Appending to a log is not a change.
+    Changed {
+        /// Log file name.
+        name: &'static str,
+        /// Full path of the log.
+        path: PathBuf,
+        /// What no longer matches.
+        detail: String,
+    },
     /// The directory's `manifest.txt` exists but is unreadable or
     /// malformed. The provenance record cannot be trusted, and silently
     /// guessing a platform profile would defeat its purpose (evaluating
@@ -316,6 +328,11 @@ impl std::fmt::Display for LoadError {
                 }
                 Ok(())
             }
+            LoadError::Changed { name, path, detail } => write!(
+                f,
+                "log {name} changed since the checkpoint: {}: {detail}",
+                path.display()
+            ),
             LoadError::Manifest { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -326,7 +343,9 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LoadError::MissingLog { .. } | LoadError::Corrupt { .. } => None,
+            LoadError::MissingLog { .. }
+            | LoadError::Corrupt { .. }
+            | LoadError::Changed { .. } => None,
             LoadError::Unreadable { source, .. } => Some(source),
             LoadError::Manifest { source, .. } => Some(source),
         }

@@ -15,7 +15,7 @@
 //! * the worker (`astra-mem` re-invoked in the hidden `shard-worker`
 //!   mode, entry point [`run_worker`]) streams the full event sequence
 //!   but consumes only its racks' events, then serializes its analyzer
-//!   state with the checkpoint-v2 container (per-section CRCs, atomic
+//!   state with the checkpoint container (per-section CRCs, atomic
 //!   `.tmp` + rename);
 //! * the supervisor ([`supervise`]) drives every shard through a small
 //!   state machine — spawn → deadline → retry/backoff → degrade — and
@@ -44,7 +44,9 @@ use astra_logs::chaos::{self, ShardChaos, ShardFaultMode};
 use astra_topology::{NodeId, SystemConfig};
 use astra_util::{DetRng, StreamKey};
 
-use crate::stream::{checkpoint, Analyzer, EventStream, MemEvent, StreamAnalyzer, StreamOptions};
+use crate::stream::{
+    checkpoint, Analyzer, EventStream, MemEvent, ResumePoint, StreamAnalyzer, StreamOptions,
+};
 
 /// Hidden subcommand name the supervisor re-invokes its own executable
 /// with. The `astra-mem` shim forwards every argv to
@@ -92,7 +94,7 @@ pub struct WorkerConfig {
     /// error messages; the analysis depends only on the rack range.
     pub shard_index: u32,
     /// Where the serialized analyzer snapshot goes (written atomically
-    /// via the checkpoint-v2 `.tmp` + rename).
+    /// via the checkpoint `.tmp` + rename).
     pub snapshot_out: PathBuf,
     /// Stream knobs shared with the supervisor: ingest policy and
     /// coalesce/predict configs.
@@ -107,8 +109,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
     let injected = ShardChaos::from_env()?;
     let mut analyzer =
         StreamAnalyzer::new(cfg.system, cfg.stream.coalesce, cfg.stream.predict.clone());
-    let mut source =
-        EventStream::open_with(&cfg.dir, [0; 4], cfg.stream.ingest).map_err(|e| e.to_string())?;
+    let mut source = EventStream::open_with(&cfg.dir, &ResumePoint::default(), cfg.stream.ingest)
+        .map_err(|e| e.to_string())?;
     let nodes_per_rack = cfg.system.nodes_per_rack();
     let mut in_range = 0u64;
     while let Some(ev) = source.next_event().map_err(|e| e.to_string())? {
@@ -124,7 +126,18 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
             }
         }
     }
-    checkpoint::write(&cfg.snapshot_out, &analyzer, &analyzer.counts).map_err(|e| e.to_string())
+    write_snapshot(&analyzer, cfg)
+}
+
+/// Serialize a worker's analyzer state. A snapshot is merged, never
+/// resumed from, so its positions stay at byte 0.
+fn write_snapshot(analyzer: &StreamAnalyzer, cfg: &WorkerConfig) -> Result<(), String> {
+    checkpoint::write(
+        &cfg.snapshot_out,
+        analyzer,
+        &ResumePoint::replay(analyzer.counts),
+    )
+    .map_err(|e| e.to_string())
 }
 
 /// Act out an armed shard fault at the trip point.
@@ -139,8 +152,7 @@ fn trip(mode: ShardFaultMode, analyzer: &StreamAnalyzer, cfg: &WorkerConfig) -> 
         // Exit 0 with a half-written snapshot: the success path the
         // supervisor must *not* trust without validating the CRCs.
         ShardFaultMode::TornSnapshot => {
-            checkpoint::write(&cfg.snapshot_out, analyzer, &analyzer.counts)
-                .map_err(|e| e.to_string())?;
+            write_snapshot(analyzer, cfg)?;
             let len = std::fs::metadata(&cfg.snapshot_out)
                 .map(|m| m.len())
                 .map_err(|e| e.to_string())?;
@@ -216,12 +228,47 @@ enum SlotState {
 struct ShardSlot {
     range: (u32, u32),
     snapshot: PathBuf,
-    /// Attempts started so far.
+    /// Attempts started so far; the current one's stderr goes to
+    /// [`ShardSlot::stderr`].
     attempts: u32,
     /// Consecutive failures faster than [`CRASH_LOOP_WINDOW`].
     fast_failures: u32,
     rng: DetRng,
     state: SlotState,
+}
+
+impl ShardSlot {
+    /// Where the current attempt's stderr goes: next to the snapshot in
+    /// the run's scratch directory, one file per attempt.
+    fn stderr(&self) -> PathBuf {
+        self.snapshot
+            .with_extension(format!("attempt-{}.stderr", self.attempts))
+    }
+}
+
+/// How much of a failed attempt's stderr its failure reason carries.
+const STDERR_TAIL_BYTES: u64 = 4096;
+
+/// `reason` with the last [`STDERR_TAIL_BYTES`] of the attempt's stderr
+/// appended, one indented line each, when the worker wrote any.
+fn with_stderr(reason: String, stderr: &Path) -> String {
+    use std::io::{Read as _, Seek as _, SeekFrom};
+    let mut tail = Vec::new();
+    let read = std::fs::File::open(stderr).and_then(|mut f| {
+        let len = f.metadata()?.len();
+        f.seek(SeekFrom::Start(len.saturating_sub(STDERR_TAIL_BYTES)))?;
+        f.read_to_end(&mut tail)
+    });
+    let tail = String::from_utf8_lossy(&tail);
+    if read.is_err() || tail.trim().is_empty() {
+        return reason;
+    }
+    let mut out = format!("{reason}; worker stderr:");
+    for line in tail.trim_end().lines() {
+        out.push_str("\n    ");
+        out.push_str(line);
+    }
+    out
 }
 
 /// Failures faster than this look like a crash loop, not a transient.
@@ -293,8 +340,8 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
                 SlotState::Waiting { until } => {
                     settled = false;
                     if now >= *until {
-                        let child = spawn_worker(&exe, cfg, index as u32, slot)?;
                         slot.attempts += 1;
+                        let child = spawn_worker(&exe, cfg, index as u32, slot)?;
                         obs.counter("shard.spawned").inc();
                         slot.state = SlotState::Running {
                             child,
@@ -335,7 +382,10 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
                             }
                         }
                     };
-                    let reason = failure.expect("every non-continue arm failed");
+                    let reason = with_stderr(
+                        failure.expect("every non-continue arm failed"),
+                        &slot.stderr(),
+                    );
                     record_attempt(index, elapsed);
                     slot.fast_failures = if elapsed < CRASH_LOOP_WINDOW {
                         slot.fast_failures + 1
@@ -344,12 +394,12 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
                     };
                     let verdict = if slot.fast_failures >= CRASH_LOOP_LIMIT {
                         Some(format!(
-                            "crash loop ({} fast failures in a row; last: {reason})",
+                            "crash loop, {} fast failures in a row; last: {reason}",
                             slot.fast_failures
                         ))
                     } else if slot.attempts > cfg.retries {
                         Some(format!(
-                            "retries exhausted after {} attempts (last: {reason})",
+                            "retries exhausted after {} attempts; last: {reason}",
                             slot.attempts
                         ))
                     } else {
@@ -363,7 +413,8 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
                             let base = (BACKOFF_BASE_MS << shift).min(BACKOFF_CAP_MS);
                             let delay = base + slot.rng.below(base / 2 + 1);
                             eprintln!(
-                                "shard {index} (racks {}..{}): {reason}; retrying in {delay}ms",
+                                "shard {index} (racks {}..{}): retrying in {delay}ms after: \
+                                 {reason}",
                                 slot.range.0, slot.range.1
                             );
                             slot.state = SlotState::Waiting {
@@ -436,15 +487,19 @@ fn record_attempt(index: usize, elapsed: Duration) {
         .record(ns);
 }
 
-/// Spawn one worker attempt. Stdout/stderr are discarded: the snapshot
-/// file is the contract, and per-worker manifest notes repeated N times
-/// would bury the supervisor's own diagnostics.
+/// Spawn one worker attempt. Stdout is discarded (the snapshot file is
+/// the contract) and stderr goes to the attempt's file, which is read
+/// only if the attempt fails: per-worker manifest notes repeated N times
+/// would bury the supervisor's own diagnostics, but a failure's reason
+/// should reach the operator.
 fn spawn_worker(
     exe: &Path,
     cfg: &SupervisorConfig,
     index: u32,
     slot: &ShardSlot,
 ) -> Result<Child, String> {
+    let stderr = std::fs::File::create(slot.stderr())
+        .map_err(|e| format!("creating {}: {e}", slot.stderr().display()))?;
     let mut cmd = Command::new(exe);
     cmd.arg(WORKER_COMMAND)
         .arg(&cfg.dir)
@@ -459,7 +514,7 @@ fn spawn_worker(
         .args(&cfg.worker_flags)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
+        .stderr(stderr);
     cmd.spawn()
         .map_err(|e| format!("spawning shard worker {index}: {e}"))
 }

@@ -1,12 +1,22 @@
 //! Checkpoint serialization for the incremental engine.
 //!
 //! A checkpoint is a line-oriented UTF-8 snapshot of the full
-//! [`StreamAnalyzer`] state plus the resume point — the number of parsed
-//! records consumed from each log. Resuming replays each file and drops
-//! that many parsed records; unparseable-line skipping is deterministic,
-//! so the resumed stream continues byte-for-byte where the checkpointed
-//! run stopped, and a resumed `stream-analyze` produces output identical
-//! to an uninterrupted one (the golden equivalence test enforces this).
+//! [`StreamAnalyzer`] state plus the resume point: the number of parsed
+//! records consumed from each log, and each log's [`LogPosition`]. A
+//! position is the byte offset of the text chunk or binary block that
+//! holds the log's next unconsumed record (or the log's end when every
+//! record read was consumed), the reader state at that offset (text:
+//! lines seen and the ordering check's running maximum; binary: records
+//! decoded, whether anything was quarantined, whether the reader had
+//! stopped), the records parsed and the quarantine tally with its
+//! samples before it, and a CRC-32 of the up to 4 KiB before it.
+//! Resuming seeks each log to its offset and drops only the consumed
+//! records of that one chunk: at most one 8 MiB text chunk or one
+//! 65,536-record block is read again per log. Chunk parsing is
+//! deterministic from any chunk start, so a resumed `stream-analyze`
+//! produces output identical to an uninterrupted one (the golden
+//! equivalence test enforces this). A log shorter than its offset, or
+//! with other bytes before it, is refused rather than silently mixed.
 //!
 //! Format notes:
 //!
@@ -21,7 +31,12 @@
 //! * every section (meta, coalesce, spatial, het, temp, predict) ends
 //!   with a `crc NAME HEX` line — the CRC-32 of the section's lines — so
 //!   a torn or bit-flipped checkpoint is detected as *which section* is
-//!   damaged, not silently resumed from;
+//!   damaged, not silently resumed from. Positions live in `meta`: one
+//!   `log` line per log, then `quarantined` and `sample` lines for a
+//!   tally that is not empty (a sample's text travels as hex);
+//! * a v2 checkpoint (no positions) is still read: its logs resume from
+//!   byte-0 positions, which replays each log and drops the consumed
+//!   records. Only v3 is written;
 //! * writes go to a `.tmp` sibling then rename, so a crash mid-write
 //!   never leaves a truncated checkpoint under the configured name; a
 //!   failed write removes its orphaned `.tmp`. On resume, [`read`]
@@ -46,17 +61,24 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use astra_logs::HetKind;
+use astra_logs::binfmt::BinPoint;
+use astra_logs::io::TextPoint;
+use astra_logs::quarantine::QuarantinedLine;
+use astra_logs::{HetKind, QuarantineReason};
 use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
 use astra_util::{crc32_update, Minute};
 
 use super::analyzers::{RankTrack, StreamAnalyzer};
-use super::{StreamError, StreamOptions};
+use super::{EventSource, LogPosition, ReadPoint, ResumePoint, StreamError, StreamOptions};
 use crate::spatial::SpatialCounts;
 
-/// First line of every checkpoint. v2 added the per-section CRC lines.
-const HEADER: &str = "astra-stream-checkpoint v2";
+/// First line of every checkpoint written. v2 added the per-section CRC
+/// lines, v3 the per-log positions.
+const HEADER: &str = "astra-stream-checkpoint v3";
+
+/// First line of a v2 checkpoint, which still resumes (from byte 0).
+const HEADER_V2: &str = "astra-stream-checkpoint v2";
 
 /// Size of the one buffer a checkpoint passes through, each way.
 const BUF_BYTES: usize = 64 * 1024;
@@ -80,11 +102,11 @@ fn cerr(path: &Path, detail: impl Into<String>) -> StreamError {
 pub(crate) fn write(
     path: &Path,
     analyzer: &StreamAnalyzer,
-    consumed: &[u64; 4],
+    resume: &ResumePoint,
 ) -> Result<(), StreamError> {
     let _span = astra_obs::span("checkpoint.write");
     let tmp = tmp_sibling(path);
-    let bytes = match File::create(&tmp).and_then(|mut f| render(&mut f, analyzer, consumed)) {
+    let bytes = match File::create(&tmp).and_then(|mut f| render(&mut f, analyzer, resume)) {
         Ok(bytes) => bytes,
         Err(e) => {
             std::fs::remove_file(&tmp).ok();
@@ -294,16 +316,19 @@ impl<W: Write> Sink<W> {
     }
 }
 
-/// Stream the checkpoint of `analyzer` at `consumed` into `out`; returns
+/// Stream the checkpoint of `analyzer` at `resume` into `out`; returns
 /// the number of bytes written.
-fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> io::Result<u64> {
+fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, resume: &ResumePoint) -> io::Result<u64> {
     let mut s = Sink::new(out);
     s.uncovered(|s| {
         s.bytes(HEADER.as_bytes()).nl();
     });
 
     s.bytes(b"racks ").u64(analyzer.system.racks.into()).nl();
-    s.bytes(b"consumed ").words(consumed).nl();
+    s.bytes(b"consumed ").words(&resume.consumed).nl();
+    for (src, pos) in EventSource::ALL.into_iter().zip(&resume.logs) {
+        render_position(&mut s, src.name(), pos);
+    }
     s.seal("meta");
 
     // Coalesce: every footprint, grouped, groups in key order.
@@ -438,6 +463,67 @@ fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> i
     s.finish()
 }
 
+/// One log's `log` line, then its nonzero tally and samples.
+fn render_position<W: Write>(s: &mut Sink<W>, name: &str, pos: &LogPosition) {
+    let name = name.as_bytes();
+    s.bytes(b"log ").bytes(name);
+    match pos.point {
+        ReadPoint::Text(_) => s.bytes(b" text "),
+        ReadPoint::Bin(_) => s.bytes(b" bin "),
+    };
+    s.words(&[pos.point.offset(), pos.parsed])
+        .sp()
+        .hex(pos.tail_crc.into(), 8)
+        .sp();
+    match pos.point {
+        ReadPoint::Text(p) => {
+            s.u64(p.lines).sp();
+            match p.max_key {
+                Some(k) => s.i64(k),
+                None => s.bytes(b"-"),
+            };
+        }
+        ReadPoint::Bin(p) => {
+            s.words(&[p.decoded, p.dirty.into(), p.ended.into()]);
+        }
+    }
+    s.nl();
+    // Samples go out grouped by reason: within a reason they are in file
+    // order, but how reasons interleave depends on where chunks and
+    // parse shards were cut, which must not change the bytes.
+    let q = &pos.quarantine;
+    for reason in QuarantineReason::ALL {
+        let n = q.count(reason);
+        if n == 0 {
+            continue;
+        }
+        let reason_name = reason.name().as_bytes();
+        s.bytes(b"quarantined ")
+            .bytes(name)
+            .sp()
+            .bytes(reason_name)
+            .sp()
+            .u64(n)
+            .nl();
+        for sample in q.samples.iter().filter(|q| q.reason == reason) {
+            s.bytes(b"sample ")
+                .bytes(name)
+                .sp()
+                .bytes(reason_name)
+                .sp()
+                .u64(sample.line_no)
+                .sp();
+            if sample.snippet.is_empty() {
+                s.bytes(b"-");
+            }
+            for &b in sample.snippet.as_bytes() {
+                s.hex(b.into(), 2);
+            }
+            s.nl();
+        }
+    }
+}
+
 fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
     let flat: Vec<u64> = c
         .faults_by_rack_region
@@ -482,7 +568,8 @@ fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
 }
 
 /// Deserialize a checkpoint into a restored analyzer plus the per-source
-/// resume point, salvaging when necessary. `system` and the configs in
+/// resume point (byte-0 positions for a v2 file), salvaging when
+/// necessary. `system` and the configs in
 /// `opts` must be the ones the checkpointed run used; the machine shape
 /// is verified, the configs are the caller's contract.
 ///
@@ -500,7 +587,7 @@ pub(crate) fn read(
     path: &Path,
     system: &SystemConfig,
     opts: &StreamOptions,
-) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let _span = astra_obs::span("checkpoint.read");
     let primary = read_one(path, system, opts);
     let tmp = tmp_sibling(path);
@@ -508,7 +595,7 @@ pub(crate) fn read(
         return primary;
     }
     let secondary = read_one(&tmp, system, opts);
-    let salvaged = |which: &Path, state: (StreamAnalyzer, [u64; 4]), note: &str| {
+    let salvaged = |which: &Path, state: (StreamAnalyzer, ResumePoint), note: &str| {
         astra_obs::global().counter("checkpoint.salvaged").add(1);
         eprintln!(
             "note: salvaged checkpoint from {} ({note})",
@@ -519,7 +606,7 @@ pub(crate) fn read(
     match (primary, secondary) {
         (Ok(p), Ok(s)) => {
             // Both intact: freshest wins; ties keep the configured file.
-            if s.1.iter().sum::<u64>() > p.1.iter().sum::<u64>() {
+            if s.1.consumed.iter().sum::<u64>() > p.1.consumed.iter().sum::<u64>() {
                 salvaged(&tmp, s, "newer than the configured file")
             } else {
                 Ok(p)
@@ -543,7 +630,7 @@ fn read_one(
     path: &Path,
     system: &SystemConfig,
     opts: &StreamOptions,
-) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let file = File::open(path).map_err(|e| cerr(path, format!("unreadable: {e}")))?;
     let mut lines = Lines::new(BufReader::with_capacity(BUF_BYTES, file));
     let parsed = parse_lines(path, &mut lines, system, opts);
@@ -690,14 +777,90 @@ fn dec_lanes(tok: &[u8]) -> Option<Vec<(u16, u64, u16)>> {
         .collect()
 }
 
+/// The [`EventSource`] index a log token names.
+fn log_index(tok: Option<&[u8]>) -> Option<usize> {
+    let tok = tok?;
+    EventSource::ALL
+        .into_iter()
+        .find(|src| src.name().as_bytes() == tok)
+        .map(EventSource::index)
+}
+
+fn quarantine_reason(tok: Option<&[u8]>) -> Option<QuarantineReason> {
+    let tok = tok?;
+    QuarantineReason::ALL
+        .into_iter()
+        .find(|r| r.name().as_bytes() == tok)
+}
+
+fn flag(tok: Option<&[u8]>) -> Option<bool> {
+    match tok? {
+        b"0" => Some(false),
+        b"1" => Some(true),
+        _ => None,
+    }
+}
+
+/// A sample's text: hex of its UTF-8 bytes, `-` for none.
+fn hex_text(tok: &[u8]) -> Option<String> {
+    if tok == b"-" {
+        return Some(String::new());
+    }
+    if !tok.len().is_multiple_of(2) {
+        return None;
+    }
+    let bytes = tok
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok())
+        .collect::<Option<Vec<u8>>>()?;
+    String::from_utf8(bytes).ok()
+}
+
+/// The rest of a `log NAME` line: format, offset, records parsed, tail
+/// CRC, then the format's reader state.
+fn parse_position(toks: &mut Toks<'_>, pos: &mut LogPosition) -> Result<(), String> {
+    let kind = toks.next().ok_or("missing log format")?;
+    let offset = toks.u64().ok_or("bad or missing offset")?;
+    pos.parsed = toks.u64().ok_or("bad or missing parsed count")?;
+    pos.tail_crc = toks
+        .next()
+        .and_then(|t| u32::from_str_radix(std::str::from_utf8(t).ok()?, 16).ok())
+        .ok_or("bad or missing tail crc")?;
+    pos.point = match kind {
+        b"text" => ReadPoint::Text(TextPoint {
+            offset,
+            lines: toks.u64().ok_or("bad or missing line count")?,
+            max_key: match toks.next().ok_or("missing ordering maximum")? {
+                b"-" => None,
+                t => Some(dec_i64(t).ok_or("bad ordering maximum")?),
+            },
+        }),
+        b"bin" => ReadPoint::Bin(BinPoint {
+            offset,
+            decoded: toks.u64().ok_or("bad or missing decoded count")?,
+            dirty: flag(toks.next()).ok_or("bad or missing dirty flag")?,
+            ended: flag(toks.next()).ok_or("bad or missing ended flag")?,
+        }),
+        other => {
+            return Err(format!(
+                "unknown log format {:?}",
+                String::from_utf8_lossy(other)
+            ))
+        }
+    };
+    Ok(())
+}
+
 fn parse_lines<R: BufRead>(
     path: &Path,
     lines: &mut Lines<R>,
     system: &SystemConfig,
     opts: &StreamOptions,
-) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let mut analyzer = StreamAnalyzer::new(*system, opts.coalesce, opts.predict.clone());
     let mut consumed: Option<[u64; 4]> = None;
+    let mut resume = ResumePoint::default();
+    let mut positioned = [false; 4];
     let mut saw_racks = false;
     let mut saw_end = false;
     // CRC-32 of the current section's lines so far, and whether it has
@@ -708,15 +871,16 @@ fn parse_lines<R: BufRead>(
     let bad = |no: usize, detail: String| cerr(path, format!("line {no}: {detail}"));
     let io_err = |e: io::Error| cerr(path, format!("unreadable: {e}"));
 
-    match lines.next().map_err(io_err)? {
-        Some((_, line)) if line == HEADER.as_bytes() => {}
+    let v2 = match lines.next().map_err(io_err)? {
+        Some((_, line)) if line == HEADER.as_bytes() => false,
+        Some((_, line)) if line == HEADER_V2.as_bytes() => true,
         _ => {
             return Err(cerr(
                 path,
                 format!("not a checkpoint (expected {HEADER:?})"),
             ))
         }
-    }
+    };
 
     while let Some((no, line)) = lines.next().map_err(io_err)? {
         let mut toks = Toks(line);
@@ -780,6 +944,40 @@ fn parse_lines<R: BufRead>(
                     toks.u64()
                         .ok_or_else(|| bad(no, "bad or missing sensors".into()))?,
                 ]);
+            }
+            b"log" => {
+                let src =
+                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
+                parse_position(&mut toks, &mut resume.logs[src])
+                    .map_err(|detail| bad(no, detail))?;
+                positioned[src] = true;
+            }
+            b"quarantined" => {
+                let src =
+                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
+                let reason = quarantine_reason(toks.next())
+                    .ok_or_else(|| bad(no, "bad or missing reason".into()))?;
+                resume.logs[src].quarantine.counts[reason.index()] = toks
+                    .u64()
+                    .ok_or_else(|| bad(no, "bad or missing count".into()))?;
+            }
+            b"sample" => {
+                let src =
+                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
+                let reason = quarantine_reason(toks.next())
+                    .ok_or_else(|| bad(no, "bad or missing reason".into()))?;
+                let line_no = toks
+                    .u64()
+                    .ok_or_else(|| bad(no, "bad or missing line number".into()))?;
+                let snippet = toks
+                    .next()
+                    .and_then(hex_text)
+                    .ok_or_else(|| bad(no, "bad or missing sample text".into()))?;
+                resume.logs[src].quarantine.samples.push(QuarantinedLine {
+                    line_no,
+                    reason,
+                    snippet,
+                });
             }
             b"coalesce.ces" => {
                 analyzer.coalesce.ces = toks
@@ -1059,8 +1257,26 @@ fn parse_lines<R: BufRead>(
         return Err(cerr(path, "truncated checkpoint (no end marker)"));
     }
     let consumed = consumed.ok_or_else(|| cerr(path, "missing consumed counts"))?;
+    for src in EventSource::ALL {
+        let i = src.index();
+        if !v2 && !positioned[i] {
+            return Err(cerr(path, format!("missing position of {}", src.name())));
+        }
+        if resume.logs[i].parsed > consumed[i] {
+            return Err(cerr(
+                path,
+                format!(
+                    "position of {} follows {} parsed records, more than the {} consumed",
+                    src.name(),
+                    resume.logs[i].parsed,
+                    consumed[i]
+                ),
+            ));
+        }
+    }
     analyzer.counts = consumed;
-    Ok((analyzer, consumed))
+    resume.consumed = consumed;
+    Ok((analyzer, resume))
 }
 
 fn parse_spatial(
@@ -1146,7 +1362,7 @@ mod tests {
 
     /// The `core::fmt` renderer the codec replaced, kept as the oracle
     /// for the streamed bytes.
-    fn render_fmt(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> String {
+    fn render_fmt(analyzer: &StreamAnalyzer, resume: &ResumePoint) -> String {
         fn hex(v: f64) -> String {
             format!("{:016x}", v.to_bits())
         }
@@ -1172,11 +1388,42 @@ mod tests {
         let mut body = String::new();
         let w = &mut body;
         let _ = writeln!(w, "racks {}", analyzer.system.racks);
+        let consumed = &resume.consumed;
         let _ = writeln!(
             w,
             "consumed {} {} {} {}",
             consumed[0], consumed[1], consumed[2], consumed[3]
         );
+        for (src, pos) in EventSource::ALL.into_iter().zip(&resume.logs) {
+            let name = src.name();
+            let (offset, parsed, crc) = (pos.point.offset(), pos.parsed, pos.tail_crc);
+            let _ = match pos.point {
+                ReadPoint::Text(p) => writeln!(
+                    w,
+                    "log {name} text {offset} {parsed} {crc:08x} {} {}",
+                    p.lines,
+                    p.max_key.map_or("-".to_string(), |k| k.to_string())
+                ),
+                ReadPoint::Bin(p) => writeln!(
+                    w,
+                    "log {name} bin {offset} {parsed} {crc:08x} {} {} {}",
+                    p.decoded,
+                    u8::from(p.dirty),
+                    u8::from(p.ended)
+                ),
+            };
+            for reason in QuarantineReason::ALL {
+                let n = pos.quarantine.count(reason);
+                if n > 0 {
+                    let _ = writeln!(w, "quarantined {name} {reason} {n}");
+                }
+                for q in pos.quarantine.samples.iter().filter(|q| q.reason == reason) {
+                    let hex: String = q.snippet.bytes().map(|b| format!("{b:02x}")).collect();
+                    let hex = if hex.is_empty() { "-".into() } else { hex };
+                    let _ = writeln!(w, "sample {name} {reason} {} {hex}", q.line_no);
+                }
+            }
+        }
         seal_section(&mut out, "meta", std::mem::take(&mut body));
 
         let w = &mut body;
@@ -1313,17 +1560,86 @@ mod tests {
     }
 
     /// The streamed bytes of a checkpoint, rendered into memory.
-    fn render_bytes(analyzer: &StreamAnalyzer, consumed: &[u64; 4]) -> Vec<u8> {
+    fn render_bytes(analyzer: &StreamAnalyzer, resume: &ResumePoint) -> Vec<u8> {
         let mut out = Vec::new();
-        let n = render(&mut out, analyzer, consumed).unwrap();
+        let n = render(&mut out, analyzer, resume).unwrap();
         assert_eq!(n, out.len() as u64, "byte count must match the output");
         out
+    }
+
+    /// A checkpoint of `analyzer` at byte-0 positions.
+    fn replay_bytes(analyzer: &StreamAnalyzer) -> Vec<u8> {
+        render_bytes(analyzer, &ResumePoint::replay(analyzer.counts))
+    }
+
+    /// A resume point with every kind of position: a text log inside a
+    /// chunk with a tally and samples (one empty, one multi-byte), a
+    /// dirty binary log, one at byte 0 and a binary log that had ended.
+    fn positioned(consumed: [u64; 4]) -> ResumePoint {
+        // Noted out of reason order: a checkpoint groups samples by
+        // reason, and parsing gives them back that way.
+        let mut quarantine = astra_logs::Quarantine::default();
+        quarantine.note(7, QuarantineReason::UnknownFormat, b"ntpd[9]: clock step");
+        quarantine.note(9, QuarantineReason::UnknownFormat, b"");
+        quarantine.note(
+            12,
+            QuarantineReason::BadUtf8,
+            &[0xc3, 0x28, b' ', 0xe2, 0x82, 0xac],
+        );
+        quarantine.note(40, QuarantineReason::OutOfOrder, b"x");
+        let mut dirty = astra_logs::Quarantine::default();
+        dirty.note(1_234, QuarantineReason::BlockCrc, b"block crc mismatch");
+        ResumePoint {
+            consumed,
+            logs: [
+                LogPosition {
+                    point: ReadPoint::Text(TextPoint {
+                        offset: 7_294_894,
+                        lines: 123_456,
+                        max_key: Some(-27_123_456),
+                    }),
+                    parsed: consumed[0] / 2,
+                    quarantine,
+                    tail_crc: 0xdead_beef,
+                },
+                LogPosition {
+                    point: ReadPoint::Bin(BinPoint {
+                        offset: 1_234,
+                        decoded: 65_536,
+                        dirty: true,
+                        ended: false,
+                    }),
+                    parsed: consumed[1],
+                    quarantine: dirty,
+                    tail_crc: 7,
+                },
+                LogPosition::default(),
+                LogPosition {
+                    point: ReadPoint::Bin(BinPoint {
+                        offset: 24,
+                        decoded: 0,
+                        dirty: true,
+                        ended: true,
+                    }),
+                    ..LogPosition::default()
+                },
+            ],
+        }
+    }
+
+    /// `resume` with each log's samples grouped by reason (stably), the
+    /// order a checkpoint writes and reads them in.
+    fn grouped(mut resume: ResumePoint) -> ResumePoint {
+        for pos in &mut resume.logs {
+            pos.quarantine.samples.sort_by_key(|s| s.reason);
+        }
+        resume
     }
 
     fn parse(
         bytes: &[u8],
         system: &SystemConfig,
-    ) -> Result<(StreamAnalyzer, [u64; 4]), StreamError> {
+    ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
         let mut lines = Lines::new(bytes);
         parse_lines(
             Path::new("test"),
@@ -1401,13 +1717,13 @@ mod tests {
         let (full, _) = analyzer_with_state();
         let (shard, _) = small_shard_state();
         assert!(shard.coalesce.ces > 0 && !shard.predict.ranks.is_empty());
-        for (what, analyzer, consumed) in [
-            ("empty", &empty, [0; 4]),
-            ("1 rack", &full, full.counts),
-            ("rack 1 of 2", &shard, [u64::MAX, 0, 7, 1 << 40]),
+        for (what, analyzer, resume) in [
+            ("empty", &empty, ResumePoint::default()),
+            ("1 rack", &full, positioned(full.counts)),
+            ("rack 1 of 2", &shard, positioned([u64::MAX, 0, 7, 1 << 40])),
         ] {
-            let streamed = render_bytes(analyzer, &consumed);
-            let oracle = render_fmt(analyzer, &consumed);
+            let streamed = render_bytes(analyzer, &resume);
+            let oracle = render_fmt(analyzer, &resume);
             assert!(
                 streamed == oracle.as_bytes(),
                 "{what}: streamed checkpoint differs from the fmt renderer"
@@ -1418,18 +1734,69 @@ mod tests {
     #[test]
     fn render_parse_render_is_identity() {
         let (analyzer, system) = analyzer_with_state();
-        let consumed = analyzer.counts;
-        let bytes = render_bytes(&analyzer, &consumed);
-        let (restored, consumed2) = parse(&bytes, &system).unwrap();
-        assert_eq!(consumed2, consumed);
+        let resume = positioned(analyzer.counts);
+        let bytes = render_bytes(&analyzer, &resume);
+        let (restored, resume2) = parse(&bytes, &system).unwrap();
+        assert_eq!(resume2, grouped(resume));
         // Byte-identical reserialization covers every serialized field.
-        assert!(render_bytes(&restored, &consumed2) == bytes);
+        assert!(render_bytes(&restored, &resume2) == bytes);
+    }
+
+    #[test]
+    fn a_v2_checkpoint_resumes_from_byte_0() {
+        let (analyzer, system) = analyzer_with_state();
+        let v3 = String::from_utf8(replay_bytes(&analyzer)).unwrap();
+        // The v2 bytes: the same sections without the `log` lines, so
+        // `meta` gets the CRC of its two remaining lines.
+        let mut v2 = String::new();
+        let mut meta = String::new();
+        for line in v3.lines() {
+            if line == HEADER {
+                v2.push_str(HEADER_V2);
+                v2.push('\n');
+            } else if line.starts_with("racks ") || line.starts_with("consumed ") {
+                meta.push_str(line);
+                meta.push('\n');
+            } else if line.starts_with("crc meta ") {
+                v2.push_str(&meta);
+                let crc = astra_util::crc32(meta.as_bytes());
+                let _ = writeln!(v2, "crc meta {crc:08x}");
+            } else if !line.starts_with("log ") {
+                v2.push_str(line);
+                v2.push('\n');
+            }
+        }
+        let (_, resume) = parse(v2.as_bytes(), &system).unwrap();
+        assert_eq!(resume, ResumePoint::replay(analyzer.counts));
+        // v3 must carry a position for every log.
+        let cut = v3.replace("log sensors text 0 0 00000000 0 -\n", "");
+        let crc = |t: &str| {
+            let meta: String = t
+                .lines()
+                .skip(1)
+                .take_while(|l| !l.starts_with("crc "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            astra_util::crc32(meta.as_bytes())
+        };
+        let resealed = cut.replacen(
+            &format!("crc meta {:08x}", crc(&v3)),
+            &format!("crc meta {:08x}", crc(&cut)),
+            1,
+        );
+        match parse(resealed.as_bytes(), &system) {
+            Err(StreamError::Checkpoint { detail, .. }) => {
+                assert!(detail.contains("position of sensors"), "{detail}")
+            }
+            Err(e) => panic!("untyped error {e}"),
+            Ok(_) => panic!("a v3 checkpoint without a sensors position was accepted"),
+        }
     }
 
     #[test]
     fn restored_analyzer_produces_identical_report() {
         let (analyzer, system) = analyzer_with_state();
-        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let bytes = replay_bytes(&analyzer);
         let (restored, _) = parse(&bytes, &system).unwrap();
         let a = analyzer.snapshot();
         let b = restored.snapshot();
@@ -1445,7 +1812,7 @@ mod tests {
     #[test]
     fn rack_mismatch_names_both_shapes() {
         let (analyzer, _) = analyzer_with_state();
-        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let bytes = replay_bytes(&analyzer);
         let err = match parse(&bytes, &SystemConfig::scaled(2)) {
             Err(e) => e,
             Ok(_) => panic!("rack mismatch accepted"),
@@ -1461,7 +1828,7 @@ mod tests {
     #[test]
     fn section_crc_mismatch_is_detected_and_named() {
         let (analyzer, system) = analyzer_with_state();
-        let text = String::from_utf8(render_bytes(&analyzer, &analyzer.counts)).unwrap();
+        let text = String::from_utf8(replay_bytes(&analyzer)).unwrap();
         // Corrupt one digit inside the coalesce section without touching
         // line structure: the stored CRC no longer matches.
         let victim = text
@@ -1488,7 +1855,7 @@ mod tests {
     #[test]
     fn truncation_anywhere_is_a_typed_error() {
         let (analyzer, system) = small_shard_state();
-        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let bytes = render_bytes(&analyzer, &positioned(analyzer.counts));
         let len = bytes.len();
         // Every section boundary (the end of each line around a CRC
         // trailer), a sweep of offsets, and the file's last bytes.
@@ -1511,8 +1878,8 @@ mod tests {
             }
         }
         // Only the final newline missing: every line is still whole.
-        let (_, consumed) = parse(&bytes[..len - 1], &system).unwrap();
-        assert_eq!(consumed, analyzer.counts);
+        let (_, resume) = parse(&bytes[..len - 1], &system).unwrap();
+        assert_eq!(resume, grouped(positioned(analyzer.counts)));
     }
 
     struct TempDirGuard(PathBuf);
@@ -1541,7 +1908,7 @@ mod tests {
     fn damaged_footprint_count_is_a_typed_error_and_salvage_takes_the_tmp() {
         let (analyzer, system) = small_shard_state();
         let opts = StreamOptions::default();
-        let text = String::from_utf8(render_bytes(&analyzer, &analyzer.counts)).unwrap();
+        let text = String::from_utf8(replay_bytes(&analyzer)).unwrap();
         let group = text
             .lines()
             .find(|l| l.starts_with("group "))
@@ -1561,8 +1928,8 @@ mod tests {
         }
         // An intact `.tmp` sibling is then the one to resume.
         std::fs::write(path.with_extension("txt.tmp"), &text).unwrap();
-        let (_, consumed) = read(&path, &system, &opts).unwrap();
-        assert_eq!(consumed, analyzer.counts);
+        let (_, resume) = read(&path, &system, &opts).unwrap();
+        assert_eq!(resume.consumed, analyzer.counts);
     }
 
     #[test]
@@ -1581,7 +1948,12 @@ mod tests {
             }
         }
         let (analyzer, _) = small_shard_state();
-        let err = render(Full(BUF_BYTES), &analyzer, &analyzer.counts).unwrap_err();
+        let err = render(
+            Full(BUF_BYTES),
+            &analyzer,
+            &ResumePoint::replay(analyzer.counts),
+        )
+        .unwrap_err();
         assert_eq!(err.to_string(), "device full");
     }
 
@@ -1590,12 +1962,18 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-torn");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &analyzer.counts).unwrap();
+        write(&path, &analyzer, &ResumePoint::replay(analyzer.counts)).unwrap();
         // A crash mid-write leaves a truncated next snapshot in `.tmp`.
-        let next = render_bytes(&analyzer, &[analyzer.counts[0] + 500, 0, 0, 0]);
+        let next = render_bytes(
+            &analyzer,
+            &ResumePoint::replay([analyzer.counts[0] + 500, 0, 0, 0]),
+        );
         std::fs::write(path.with_extension("txt.tmp"), &next[..next.len() / 2]).unwrap();
-        let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
-        assert_eq!(consumed, analyzer.counts, "must resume the intact file");
+        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        assert_eq!(
+            resume.consumed, analyzer.counts,
+            "must resume the intact file"
+        );
     }
 
     #[test]
@@ -1603,18 +1981,18 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-fresh");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &analyzer.counts).unwrap();
+        write(&path, &analyzer, &ResumePoint::replay(analyzer.counts)).unwrap();
         // The rename never happened, but the `.tmp` snapshot is complete
         // and strictly further along: it is the one to resume.
         let mut newer = analyzer.counts;
         newer[0] += 500;
         std::fs::write(
             path.with_extension("txt.tmp"),
-            render_bytes(&analyzer, &newer),
+            render_bytes(&analyzer, &ResumePoint::replay(newer)),
         )
         .unwrap();
-        let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
-        assert_eq!(consumed, newer, "must salvage the fresher snapshot");
+        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        assert_eq!(resume.consumed, newer, "must salvage the fresher snapshot");
     }
 
     #[test]
@@ -1622,11 +2000,11 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-damaged");
         let path = guard.0.join("ck.txt");
-        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let bytes = replay_bytes(&analyzer);
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         std::fs::write(path.with_extension("txt.tmp"), &bytes).unwrap();
-        let (_, consumed) = read(&path, &system, &StreamOptions::default()).unwrap();
-        assert_eq!(consumed, analyzer.counts);
+        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        assert_eq!(resume.consumed, analyzer.counts);
         // Both torn: the primary's error surfaces.
         std::fs::write(path.with_extension("txt.tmp"), &bytes[..10]).unwrap();
         assert!(read(&path, &system, &StreamOptions::default()).is_err());
@@ -1638,7 +2016,7 @@ mod tests {
         let opts = StreamOptions::default();
         assert!(parse(b"not a checkpoint\n", &system).is_err());
         let (analyzer, _) = analyzer_with_state();
-        let bytes = render_bytes(&analyzer, &analyzer.counts);
+        let bytes = replay_bytes(&analyzer);
         assert!(parse(&bytes[..bytes.len() - 10], &system).is_err());
         // A file in the binlog container, even one wrapping intact
         // checkpoint text, is a typed checkpoint error, not a panic.

@@ -18,10 +18,13 @@
 //! * every analyzer's [`Analyzer::merge`] is either exact (integer sums,
 //!   footprint-list append in stream order) or never exercised by the
 //!   shipped paths (see `analyzers`);
-//! * checkpoints identify the resume point by *consumed parsed-record
-//!   counts per source*; unparseable-line skipping is deterministic, so
-//!   replaying a file and dropping the first N parsed records lands on
-//!   the same byte state as the run that wrote the checkpoint.
+//! * checkpoints identify the resume point per source by *consumed
+//!   parsed-record counts* plus a [`LogPosition`]: the offset of the
+//!   chunk (or block) holding the next record, with the reader and ingest
+//!   state there. Resume seeks to that offset and drops the chunk's
+//!   consumed records; chunk parsing is deterministic from any chunk
+//!   start, so the resumed stream lands on the same state as the run
+//!   that wrote the checkpoint.
 //!
 //! [`run_batch`] drives the same analyzers over an in-memory record slice,
 //! which is how `pipeline::run_with` becomes a thin adapter: batch and
@@ -32,11 +35,12 @@ pub mod checkpoint;
 pub mod site;
 
 use std::collections::VecDeque;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use astra_logs::binfmt::{self, BinFormat, BinReader};
-use astra_logs::io::{ChunkReader, IngestChunk, STREAM_CHUNK_BYTES};
+use astra_logs::binfmt::{self, BinFormat, BinPoint, BinReader};
+use astra_logs::io::{ChunkReader, IngestChunk, TextPoint, STREAM_CHUNK_BYTES};
 use astra_logs::{
     ce, het, inventory, sensor, CeRecord, HetRecord, IngestOptions, LineFormat, Quarantine,
     ReplacementRecord, SensorRecord,
@@ -186,13 +190,90 @@ pub trait Analyzer: Sized {
     fn snapshot(&self) -> Self::Report;
 }
 
+/// A reader's saved place in its log, by format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadPoint {
+    /// A text log's [`ChunkReader::point`].
+    Text(TextPoint),
+    /// An `astra-binlog` file's [`BinReader::point`].
+    Bin(BinPoint),
+}
+
+impl Default for ReadPoint {
+    /// Byte 0, which is the start of a log in either format.
+    fn default() -> Self {
+        ReadPoint::Text(TextPoint::default())
+    }
+}
+
+impl ReadPoint {
+    /// File offset of the next chunk or block.
+    pub fn offset(&self) -> u64 {
+        match self {
+            ReadPoint::Text(p) => p.offset,
+            ReadPoint::Bin(p) => p.offset,
+        }
+    }
+
+    /// Whether this is a fresh start, whatever the log's format.
+    fn is_start(&self) -> bool {
+        match self {
+            ReadPoint::Text(p) => p.offset == 0,
+            ReadPoint::Bin(p) => p.offset == 0 && !p.ended,
+        }
+    }
+}
+
+/// One log's resume position: the reader's place at the chunk (text) or
+/// block (binary) that holds the next unconsumed record — or at the
+/// log's current end when every record read so far was consumed — with
+/// the ingest state there and a fingerprint of the bytes before it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LogPosition {
+    /// The reader's place and state.
+    pub point: ReadPoint,
+    /// Records parsed before the point.
+    pub parsed: u64,
+    /// Lines (or binary units) quarantined before the point.
+    pub quarantine: Quarantine,
+    /// CRC-32 of the up to 4 KiB of the log before the point's offset:
+    /// a resume refuses a log whose bytes there differ.
+    pub tail_crc: u32,
+}
+
+/// How many bytes before a saved offset [`LogPosition::tail_crc`] covers.
+const TAIL_CRC_BYTES: u64 = 4096;
+
+/// Where a run stopped, per log in [`EventSource`] order: the records it
+/// consumed and the position to seek to. A log resumes at its position
+/// and drops the `consumed - parsed` records of the chunk there; byte-0
+/// positions ([`ResumePoint::replay`]) replay the whole log instead.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ResumePoint {
+    /// Parsed records consumed per source.
+    pub consumed: [u64; 4],
+    /// Per-source positions.
+    pub logs: [LogPosition; 4],
+}
+
+impl ResumePoint {
+    /// Byte-0 positions: read each log from its start and drop its first
+    /// `consumed` records (what a v2 checkpoint resumes as).
+    pub fn replay(consumed: [u64; 4]) -> Self {
+        ResumePoint {
+            consumed,
+            logs: Default::default(),
+        }
+    }
+}
+
 /// The per-file reader behind a [`LogSource`], picked by magic-byte
 /// sniffing at open: text logs stream through the chunked line parser,
 /// `astra-binlog` files through the CRC-framed block reader. Both yield
 /// [`IngestChunk`]s, so everything downstream is format-blind.
 enum SourceReader<T> {
-    Text(ChunkReader<std::fs::File, T>),
-    Bin(BinReader<std::fs::File, T>),
+    Text(ChunkReader<File, T>),
+    Bin(BinReader<File, T>),
 }
 
 impl<T: Send> SourceReader<T> {
@@ -209,15 +290,32 @@ impl<T: Send> SourceReader<T> {
             SourceReader::Bin(r) => r.bytes_consumed(),
         }
     }
+
+    fn point(&self) -> ReadPoint {
+        match self {
+            SourceReader::Text(r) => ReadPoint::Text(r.point()),
+            SourceReader::Bin(r) => ReadPoint::Bin(r.point()),
+        }
+    }
+}
+
+/// CRC-32 of the up to [`TAIL_CRC_BYTES`] of `file` before `offset`.
+fn tail_crc(file: &mut File, offset: u64) -> io::Result<u32> {
+    let from = offset.saturating_sub(TAIL_CRC_BYTES);
+    let mut bytes = vec![0u8; (offset - from) as usize];
+    file.seek(SeekFrom::Start(from))?;
+    file.read_exact(&mut bytes)?;
+    Ok(astra_util::crc32(&bytes))
 }
 
 /// One log file as a resumable record queue: a [`SourceReader`] plus the
-/// parsed-but-unconsumed buffer, with consumed-record accounting for
-/// checkpoints. Resuming re-reads the file and drops the first
-/// `skip` parsed records — exact, because line skipping (and the
-/// out-of-order check, whose running maximum rebuilds from byte 0) is
-/// deterministic, and binary block decode is deterministic by
-/// construction.
+/// parsed-but-unconsumed buffer, with the accounting a checkpoint saves.
+/// `buf` only ever holds records of the last chunk read, so the chunk's
+/// start (`start`) is where a resumed reader seeks to; it drops the
+/// chunk's consumed records and carries on. Chunk parsing depends only
+/// on the saved reader state (line count and ordering maximum, or the
+/// binary decode state), so the re-read chunk yields the same records
+/// and quarantine as the first read did.
 struct LogSource<T> {
     name: &'static str,
     path: PathBuf,
@@ -227,11 +325,15 @@ struct LogSource<T> {
     next_seq: u64,
     /// Parsed records still to drop before buffering (resume).
     skip_remaining: u64,
-    /// Records parsed so far, resume-skipped ones included (the budget
-    /// denominator alongside the quarantine total).
+    /// Records parsed so far, from byte 0 (the budget denominator
+    /// alongside the quarantine total).
     parsed: u64,
     /// Lines quarantined so far (whole file, from byte 0).
     quarantine: Quarantine,
+    /// The position before the chunk `buf` holds, or the end position
+    /// once the reader is retired (its `tail_crc` is filled in only when
+    /// a checkpoint asks).
+    start: LogPosition,
     /// The strict/lenient policy this source enforces.
     ingest: IngestOptions,
     /// Tail mode: the file may still be growing. EOF means "dry for
@@ -248,6 +350,10 @@ struct LogSource<T> {
 }
 
 impl<T: Send> LogSource<T> {
+    /// Open `dir/name` at `pos` with `consumed` records already folded.
+    /// A position past byte 0 is first checked against the file: long
+    /// enough, the same bytes before the offset, the same format, and
+    /// (binary) a header that still validates.
     #[allow(clippy::too_many_arguments)]
     fn open(
         dir: &Path,
@@ -255,7 +361,8 @@ impl<T: Send> LogSource<T> {
         format: LineFormat<T>,
         bin: BinFormat<T>,
         required: bool,
-        skip: u64,
+        consumed: u64,
+        pos: &LogPosition,
         ingest: IngestOptions,
         tail: bool,
     ) -> Result<Self, LoadError> {
@@ -265,48 +372,119 @@ impl<T: Send> LogSource<T> {
             path: dir.join(name),
             source,
         };
-        let reader = match std::fs::File::open(&path) {
-            Ok(f) => Some(if binfmt::file_is_binlog(&path).map_err(unreadable)? {
-                SourceReader::Bin(
-                    BinReader::new(f, bin)
-                        .with_retry(ingest.retry)
-                        .with_tail(tail),
-                )
-            } else {
-                SourceReader::Text(
-                    ChunkReader::new(f, format, STREAM_CHUNK_BYTES)
-                        .with_retry(ingest.retry)
-                        .with_tail(tail),
-                )
-            }),
+        let changed = |detail: String| LoadError::Changed {
+            name,
+            path: dir.join(name),
+            detail,
+        };
+        let skip = consumed.checked_sub(pos.parsed).ok_or_else(|| {
+            changed(format!(
+                "the checkpoint's position follows {} parsed records, more than the {consumed} \
+                 it consumed",
+                pos.parsed
+            ))
+        })?;
+        let reader = match File::open(&path) {
+            Ok(mut f) => {
+                let is_bin = binfmt::file_is_binlog(&path).map_err(unreadable)?;
+                let point = pos.point;
+                let mut header = Vec::with_capacity(binfmt::HEADER_LEN);
+                if !point.is_start() {
+                    let offset = point.offset();
+                    let len = f.metadata().map_err(unreadable)?.len();
+                    if len < offset {
+                        return Err(changed(format!(
+                            "{len} bytes, shorter than the checkpoint's offset {offset}"
+                        )));
+                    }
+                    if tail_crc(&mut f, offset).map_err(unreadable)? != pos.tail_crc {
+                        return Err(changed(format!(
+                            "the bytes before offset {offset} differ from the checkpoint's"
+                        )));
+                    }
+                    match (point, is_bin) {
+                        (ReadPoint::Text(_), true) => {
+                            return Err(changed(
+                                "was text at the checkpoint, is astra-binlog now".into(),
+                            ))
+                        }
+                        (ReadPoint::Bin(_), false) => {
+                            return Err(changed(
+                                "was astra-binlog at the checkpoint, is text now".into(),
+                            ))
+                        }
+                        _ => {}
+                    }
+                    if is_bin {
+                        f.seek(SeekFrom::Start(0)).map_err(unreadable)?;
+                        (&mut f)
+                            .take(binfmt::HEADER_LEN as u64)
+                            .read_to_end(&mut header)
+                            .map_err(unreadable)?;
+                    }
+                    f.seek(SeekFrom::Start(offset)).map_err(unreadable)?;
+                }
+                // At byte 0 either format's point is a fresh start.
+                Some(match point {
+                    ReadPoint::Bin(p) if is_bin => SourceReader::Bin(
+                        BinReader::new(f, bin)
+                            .starting_at(p, &header)
+                            .map_err(|e| changed(format!("header no longer valid: {e}")))?
+                            .with_retry(ingest.retry)
+                            .with_tail(tail),
+                    ),
+                    _ if is_bin => SourceReader::Bin(
+                        BinReader::new(f, bin)
+                            .with_retry(ingest.retry)
+                            .with_tail(tail),
+                    ),
+                    ReadPoint::Text(p) => SourceReader::Text(
+                        ChunkReader::new(f, format, STREAM_CHUNK_BYTES)
+                            .starting_at(p)
+                            .with_retry(ingest.retry)
+                            .with_tail(tail),
+                    ),
+                    ReadPoint::Bin(_) => SourceReader::Text(
+                        ChunkReader::new(f, format, STREAM_CHUNK_BYTES)
+                            .with_retry(ingest.retry)
+                            .with_tail(tail),
+                    ),
+                })
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 if required {
                     return Err(LoadError::MissingLog { name, path });
                 }
+                if consumed > 0 || !pos.point.is_start() {
+                    return Err(changed(format!(
+                        "missing, but the checkpoint consumed {consumed} records of it"
+                    )));
+                }
                 None
             }
-            Err(e) => {
-                return Err(LoadError::Unreadable {
-                    name,
-                    path,
-                    source: e,
-                })
-            }
+            Err(e) => return Err(unreadable(e)),
         };
-        Ok(LogSource {
+        let source = LogSource {
             name,
             path,
             reader,
             buf: VecDeque::new(),
-            next_seq: skip,
+            next_seq: consumed,
             skip_remaining: skip,
-            parsed: 0,
-            quarantine: Quarantine::default(),
+            parsed: pos.parsed,
+            quarantine: pos.quarantine.clone(),
+            start: pos.clone(),
             ingest,
             tail,
             dry: false,
             bytes_done: 0,
-        })
+        };
+        // A strict run stops at its first quarantined line, so a stored
+        // tally that is not empty can only resume leniently.
+        if ingest.is_strict() && !source.quarantine.is_empty() {
+            return Err(source.corrupt());
+        }
+        Ok(source)
     }
 
     /// The typed abort for this source's accumulated quarantine.
@@ -316,6 +494,17 @@ impl<T: Send> LogSource<T> {
             path: self.path.clone(),
             quarantine: Box::new(self.quarantine.clone()),
             lines_ok: self.parsed,
+        }
+    }
+
+    /// The state at the reader's current place: what a checkpoint saves
+    /// once every record read so far is consumed.
+    fn here(&self, point: ReadPoint) -> LogPosition {
+        LogPosition {
+            point,
+            parsed: self.parsed,
+            quarantine: self.quarantine.clone(),
+            tail_crc: 0,
         }
     }
 
@@ -332,21 +521,34 @@ impl<T: Send> LogSource<T> {
             if self.dry {
                 return Ok(());
             }
+            let before = reader.point();
             match reader.next_chunk() {
                 Ok(Some(mut chunk)) => {
+                    let drop = self.skip_remaining.min(chunk.records.len() as u64) as usize;
+                    if drop < chunk.records.len() {
+                        // This chunk holds the next record.
+                        self.start = self.here(before);
+                    }
                     self.parsed += chunk.records.len() as u64;
                     self.quarantine.merge(&chunk.quarantine);
                     if self.ingest.is_strict() && !self.quarantine.is_empty() {
                         return Err(self.corrupt());
                     }
-                    if self.skip_remaining > 0 {
-                        let drop = self.skip_remaining.min(chunk.records.len() as u64) as usize;
-                        chunk.records.drain(..drop);
-                        self.skip_remaining -= drop as u64;
-                    }
+                    chunk.records.drain(..drop);
+                    self.skip_remaining -= drop as u64;
                     self.buf.extend(chunk.records);
                 }
                 Ok(None) => {
+                    if self.skip_remaining > 0 {
+                        return Err(LoadError::Changed {
+                            name: self.name,
+                            path: self.path.clone(),
+                            detail: format!(
+                                "ends after {} records, but the checkpoint consumed {}",
+                                self.parsed, self.next_seq
+                            ),
+                        });
+                    }
                     // Lenient budget is per file, checked at its EOF —
                     // same rule as `parse_stream_chunked`. In tail mode
                     // every dry point is the EOF as currently visible,
@@ -364,6 +566,8 @@ impl<T: Send> LogSource<T> {
                         return Ok(());
                     }
                     self.bytes_done += reader.bytes_consumed();
+                    let end = reader.point();
+                    self.start = self.here(end);
                     self.reader = None;
                 }
                 Err(e) => {
@@ -392,6 +596,26 @@ impl<T: Send> LogSource<T> {
     fn bytes(&self) -> usize {
         self.bytes_done + self.reader.as_ref().map_or(0, SourceReader::bytes_consumed)
     }
+
+    /// Where a resume should seek for this log, with its tail CRC read
+    /// from the file.
+    fn position(&self) -> Result<LogPosition, LoadError> {
+        let mut pos = match &self.reader {
+            Some(reader) if self.buf.is_empty() => self.here(reader.point()),
+            _ => self.start.clone(),
+        };
+        let offset = pos.point.offset();
+        if offset > 0 {
+            pos.tail_crc = File::open(&self.path)
+                .and_then(|mut f| tail_crc(&mut f, offset))
+                .map_err(|source| LoadError::Unreadable {
+                    name: self.name,
+                    path: self.path.clone(),
+                    source,
+                })?;
+        }
+        Ok(pos)
+    }
 }
 
 /// The k-way merge over the four log readers.
@@ -415,22 +639,33 @@ impl EventStream {
         Self::open_resumed(dir, [0; 4])
     }
 
-    /// As [`EventStream::open`] with a checkpoint resume point.
+    /// As [`EventStream::open`], resuming after `consumed[source]` parsed
+    /// records of each log: the byte-0 case of a checkpoint resume
+    /// ([`ResumePoint::replay`]), which reads each log from its start
+    /// and drops those records.
     pub fn open_resumed(dir: &Path, consumed: [u64; 4]) -> Result<Self, LoadError> {
-        Self::open_with(dir, consumed, IngestOptions::default())
+        Self::open_with(
+            dir,
+            &ResumePoint::replay(consumed),
+            IngestOptions::default(),
+        )
     }
 
-    /// Open with the first `consumed[source]` parsed records of each log
-    /// already accounted for (checkpoint resume) and an explicit ingest
-    /// policy. Each source enforces the policy independently: strict
-    /// aborts on its first quarantined line, lenient checks the error
-    /// budget at that file's EOF.
+    /// Open at a checkpoint's resume point under an explicit ingest
+    /// policy. Each log seeks to its saved position and drops the
+    /// consumed records of the chunk there; a position past byte 0 is
+    /// refused with [`LoadError::Changed`] when the log is shorter than
+    /// its offset, differs in the bytes before it, or changed format. A
+    /// log that ends before its consumed count is refused the same way,
+    /// at its end. Each source enforces the policy independently: strict
+    /// aborts on its first quarantined line (or a saved tally that is
+    /// not empty), lenient checks the error budget at that file's EOF.
     pub fn open_with(
         dir: &Path,
-        consumed: [u64; 4],
+        resume: &ResumePoint,
         ingest: IngestOptions,
     ) -> Result<Self, LoadError> {
-        Self::open_impl(dir, consumed, ingest, false)
+        Self::open_impl(dir, resume, ingest, false)
     }
 
     /// As [`EventStream::open_with`], but in tail mode: the logs may
@@ -451,18 +686,19 @@ impl EventStream {
     /// the next drain.
     pub fn open_tailing(
         dir: &Path,
-        consumed: [u64; 4],
+        resume: &ResumePoint,
         ingest: IngestOptions,
     ) -> Result<Self, LoadError> {
-        Self::open_impl(dir, consumed, ingest, true)
+        Self::open_impl(dir, resume, ingest, true)
     }
 
     fn open_impl(
         dir: &Path,
-        consumed: [u64; 4],
+        resume: &ResumePoint,
         ingest: IngestOptions,
         tail: bool,
     ) -> Result<Self, LoadError> {
+        let (consumed, logs) = (&resume.consumed, &resume.logs);
         Ok(EventStream {
             ce: LogSource::open(
                 dir,
@@ -471,6 +707,7 @@ impl EventStream {
                 binfmt::CE,
                 true,
                 consumed[0],
+                &logs[0],
                 ingest,
                 tail,
             )?,
@@ -481,6 +718,7 @@ impl EventStream {
                 binfmt::HET,
                 true,
                 consumed[1],
+                &logs[1],
                 ingest,
                 tail,
             )?,
@@ -491,6 +729,7 @@ impl EventStream {
                 binfmt::INVENTORY,
                 true,
                 consumed[2],
+                &logs[2],
                 ingest,
                 tail,
             )?,
@@ -501,6 +740,7 @@ impl EventStream {
                 binfmt::SENSOR,
                 false,
                 consumed[3],
+                &logs[3],
                 ingest,
                 tail,
             )?,
@@ -563,7 +803,7 @@ impl EventStream {
         }))
     }
 
-    /// Parsed records consumed per source (the checkpoint resume point).
+    /// Parsed records consumed per source.
     pub fn consumed(&self) -> [u64; 4] {
         [
             self.ce.next_seq,
@@ -571,6 +811,20 @@ impl EventStream {
             self.inventory.next_seq,
             self.sensors.next_seq,
         ]
+    }
+
+    /// What a checkpoint saves to resume here: the consumed counts and
+    /// each log's position, with the tail CRCs read from the logs.
+    pub fn resume_point(&self) -> Result<ResumePoint, LoadError> {
+        Ok(ResumePoint {
+            consumed: self.consumed(),
+            logs: [
+                self.ce.position()?,
+                self.het.position()?,
+                self.inventory.position()?,
+                self.sensors.position()?,
+            ],
+        })
     }
 
     /// Lines quarantined across all logs so far.
@@ -587,7 +841,8 @@ impl EventStream {
         q
     }
 
-    /// Log bytes read so far.
+    /// Log bytes read so far by this stream (a resumed stream counts
+    /// from its positions, not from byte 0).
     pub fn bytes_read(&self) -> usize {
         self.ce.bytes() + self.het.bytes() + self.inventory.bytes() + self.sensors.bytes()
     }
@@ -672,15 +927,15 @@ pub fn stream_analyze(
     opts: &StreamOptions,
 ) -> Result<Option<StreamReport>, StreamError> {
     let _span = astra_obs::span("pipeline.stream");
-    let (mut analyzer, consumed0) = match &opts.resume_from {
+    let (mut analyzer, resume) = match &opts.resume_from {
         Some(path) => checkpoint::read(path, &system, opts)?,
         None => (
             StreamAnalyzer::new(system, opts.coalesce, opts.predict.clone()),
-            [0; 4],
+            ResumePoint::default(),
         ),
     };
-    let mut source = EventStream::open_with(dir, consumed0, opts.ingest)?;
-    let mut position: u64 = consumed0.iter().sum();
+    let mut source = EventStream::open_with(dir, &resume, opts.ingest)?;
+    let mut position: u64 = resume.consumed.iter().sum();
     let mut counted = [0u64; 4];
     let mut checkpoints_written = 0u64;
 
@@ -694,7 +949,7 @@ pub fn stream_analyze(
                     detail: "a checkpoint cadence or stop was requested without --checkpoint FILE"
                         .into(),
                 })?;
-            checkpoint::write(path, analyzer, &source.consumed())
+            checkpoint::write(path, analyzer, &source.resume_point()?)
         };
 
     loop {
@@ -921,8 +1176,12 @@ mod tests {
         for format in [binfmt::LogFormat::Text, binfmt::LogFormat::Binary] {
             let guard = TempDirGuard::new("stream-tail-reprobe");
             let rest = write_with_ce_prefix(&ds, &guard.0, format, cut);
-            let mut stream =
-                EventStream::open_tailing(&guard.0, [0; 4], IngestOptions::default()).unwrap();
+            let mut stream = EventStream::open_tailing(
+                &guard.0,
+                &ResumePoint::default(),
+                IngestOptions::default(),
+            )
+            .unwrap();
             let mut events = drain(&mut stream);
             assert_eq!(stream.consumed()[0], cut as u64, "{format:?}: the prefix");
             // Nothing appended: the re-probe finds every log still dry.
@@ -957,6 +1216,49 @@ mod tests {
             }
             assert_eq!(stream.consumed(), complete.consumed(), "{format:?}");
             assert_eq!(stream.bytes_read(), complete.bytes_read(), "{format:?}");
+        }
+    }
+
+    #[test]
+    fn a_tailing_resume_point_follows_a_log_that_grew() {
+        let ds = Dataset::generate(1, 42);
+        let cut = ds.sim.ce_log.len() / 2;
+        for format in [binfmt::LogFormat::Text, binfmt::LogFormat::Binary] {
+            let guard = TempDirGuard::new("stream-tail-grown");
+            let rest = write_with_ce_prefix(&ds, &guard.0, format, cut);
+            let ingest = IngestOptions::default();
+            let mut first =
+                EventStream::open_tailing(&guard.0, &ResumePoint::default(), ingest).unwrap();
+            let mut events = drain(&mut first);
+            let point = first.resume_point().unwrap();
+            assert_eq!(point.consumed[0], cut as u64, "{format:?}");
+            let prefix_len = std::fs::metadata(guard.0.join("ce.log")).unwrap().len();
+            assert_eq!(point.logs[0].point.offset(), prefix_len, "{format:?}");
+            drop(first);
+
+            // The writer finishes ce.log while nothing reads it; a
+            // stream opened at the saved point reads only the new bytes.
+            append(&guard.0.join("ce.log"), &rest);
+            let mut second = EventStream::open_tailing(&guard.0, &point, ingest).unwrap();
+            events.extend(drain(&mut second));
+            assert_eq!(second.bytes_read(), rest.len(), "{format:?}");
+
+            let mut complete = EventStream::open(&guard.0).unwrap();
+            let expected = drain(&mut complete);
+            for src in EventSource::ALL {
+                let of = |evs: &[MemEvent]| -> Vec<MemEvent> {
+                    evs.iter()
+                        .filter(|ev| ev.source() == src)
+                        .copied()
+                        .collect()
+                };
+                assert_eq!(
+                    of(&events),
+                    of(&expected),
+                    "{format:?}: {} events differ from a one-shot read",
+                    src.name()
+                );
+            }
         }
     }
 
@@ -1080,9 +1382,12 @@ mod tests {
             .unwrap();
         writeln!(f, "ntpd[9]: clock step").unwrap();
         drop(f);
-        let mut stream =
-            EventStream::open_with(&guard.0, [0; 4], astra_logs::IngestOptions::lenient(None))
-                .unwrap();
+        let mut stream = EventStream::open_with(
+            &guard.0,
+            &ResumePoint::default(),
+            astra_logs::IngestOptions::lenient(None),
+        )
+        .unwrap();
         let events = drain(&mut stream);
         assert_eq!(stream.skipped(), 1);
         let ces: Vec<CeRecord> = events

@@ -10,8 +10,8 @@
 //! * [`SiteEngine::poll`] consumes every event currently available in
 //!   the growing logs (tail mode: a torn final record is held back, not
 //!   quarantined) and returns how many it folded in;
-//! * [`SiteEngine::checkpoint`] writes the analyzer state atomically so
-//!   a restart replays nothing;
+//! * [`SiteEngine::checkpoint`] writes the analyzer state and each log's
+//!   position atomically, so a restart seeks instead of replaying;
 //! * [`SiteEngine::report`] snapshots the analyzer into the same
 //!   [`StreamReport`] `stream-analyze` produces — once the logs are
 //!   fully consumed, analysis output is byte-identical to the batch
@@ -43,8 +43,8 @@ use astra_logs::Quarantine;
 use astra_topology::SystemConfig;
 
 use super::{
-    checkpoint, Analyzer as _, EventStream, StreamAnalyzer, StreamError, StreamOptions,
-    StreamReport,
+    checkpoint, Analyzer as _, EventStream, ResumePoint, StreamAnalyzer, StreamError,
+    StreamOptions, StreamReport,
 };
 
 /// A resumable tail-mode analysis engine over one log directory.
@@ -74,19 +74,19 @@ impl SiteEngine {
                 .clone()
                 .filter(|p| checkpoint::resume_candidate_exists(p))
         });
-        let (analyzer, consumed0) = match &resume {
+        let (analyzer, point) = match &resume {
             Some(path) => checkpoint::read(path, &system, opts)?,
             None => (
                 StreamAnalyzer::new(system, opts.coalesce, opts.predict.clone()),
-                [0; 4],
+                ResumePoint::default(),
             ),
         };
-        let source = EventStream::open_tailing(dir, consumed0, opts.ingest)?;
+        let source = EventStream::open_tailing(dir, &point, opts.ingest)?;
         Ok(SiteEngine {
             opts: opts.clone(),
             analyzer,
             source,
-            position: consumed0.iter().sum(),
+            position: point.consumed.iter().sum(),
             resumed: resume.is_some(),
             checkpoints_written: 0,
         })
@@ -114,7 +114,7 @@ impl SiteEngine {
         let Some(path) = self.opts.checkpoint_path.as_deref() else {
             return Ok(false);
         };
-        checkpoint::write(path, &self.analyzer, &self.source.consumed())?;
+        checkpoint::write(path, &self.analyzer, &self.source.resume_point()?)?;
         self.checkpoints_written += 1;
         Ok(true)
     }
@@ -154,7 +154,8 @@ impl SiteEngine {
         self.source.quarantine()
     }
 
-    /// Log bytes read so far.
+    /// Log bytes read so far by this engine (after a resume, from the
+    /// checkpoint's positions on).
     pub fn bytes_read(&self) -> usize {
         self.source.bytes_read()
     }

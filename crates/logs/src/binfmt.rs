@@ -632,6 +632,23 @@ fn validate_header(hdr: &[u8], expected_kind: u8) -> Result<u64, (QuarantineReas
     Ok(count)
 }
 
+/// Where a [`BinReader`] stands in its file: enough for a new reader to
+/// carry on from there ([`BinReader::starting_at`]) instead of from
+/// byte 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BinPoint {
+    /// File offset of the next block frame.
+    pub offset: u64,
+    /// Records decoded before `offset`, for the header's count check.
+    pub decoded: u64,
+    /// Something before `offset` was quarantined, which turns that check
+    /// off.
+    pub dirty: bool,
+    /// The reader had stopped for good (end of file, a bad header, or
+    /// lost framing): nothing after `offset` is read.
+    pub ended: bool,
+}
+
 /// Streaming block reader over any `Read`: the binary peer of
 /// [`crate::io::ChunkReader`]. Each [`BinReader::next_chunk`] yields the
 /// records of one column block (with any corruption quarantined), until
@@ -647,7 +664,10 @@ pub struct BinReader<R, T> {
     header_done: bool,
     declared: u64,
     decoded: u64,
+    /// File offset of the next byte to read.
     offset: u64,
+    /// File offset the reader started at (0 unless `starting_at`).
+    base: u64,
     blocks: u64,
     dirty: bool,
     done: bool,
@@ -676,6 +696,7 @@ where
             declared: 0,
             decoded: 0,
             offset: 0,
+            base: 0,
             blocks: 0,
             dirty: false,
             done: false,
@@ -688,6 +709,29 @@ where
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
+    }
+
+    /// Carry on from `point`, which [`BinReader::point`] gave for an
+    /// earlier reader over the same file; the wrapped reader must already
+    /// be positioned at `point.offset`. `header` is the file's first
+    /// [`HEADER_LEN`] bytes, validated as a fresh read would validate
+    /// them, for the declared count; the error says why they fail. A
+    /// point at offset 0 that has not ended is a fresh start, which
+    /// reads the header itself.
+    pub fn starting_at(mut self, point: BinPoint, header: &[u8]) -> Result<Self, String> {
+        if point.offset == 0 && !point.ended {
+            return Ok(self);
+        }
+        if !point.ended {
+            self.declared = validate_header(header, self.bin.kind).map_err(|(_, msg)| msg)?;
+        }
+        self.header_done = true;
+        self.offset = point.offset;
+        self.base = point.offset;
+        self.decoded = point.decoded;
+        self.dirty = point.dirty;
+        self.done = point.ended;
+        Ok(self)
     }
 
     /// Enable or disable tail (growing-file) mode.
@@ -742,10 +786,20 @@ where
         self.declared
     }
 
-    /// Bytes consumed into frames so far (stashed bytes of a frame still
-    /// being assembled in tail mode don't count yet).
+    /// Bytes this reader has consumed into frames so far (stashed bytes
+    /// of a frame still being assembled in tail mode don't count yet).
     pub fn bytes_consumed(&self) -> usize {
-        self.offset as usize - self.stash.len()
+        (self.offset - self.base) as usize - self.stash.len()
+    }
+
+    /// Where the next block frame starts, with the decode state there.
+    pub fn point(&self) -> BinPoint {
+        BinPoint {
+            offset: self.offset - self.stash.len() as u64,
+            decoded: self.decoded,
+            dirty: self.dirty,
+            ended: self.done,
+        }
     }
 
     /// Blocks fully framed (read through their CRC trailer) so far.
@@ -1522,6 +1576,66 @@ mod tests {
         data[12] ^= 0xFF; // count field
         let (_, quarantine, ..) = parse_binary_stream(data.as_slice(), CE, &tolerant()).unwrap();
         assert_eq!(quarantine.count(QuarantineReason::BadVersion), 1);
+    }
+
+    #[test]
+    fn a_reader_started_at_a_saved_point_reads_on_as_one_pass_would() {
+        // Three blocks, the first damaged, under a header that promises
+        // more records than decode: a one-pass read quarantines the bad
+        // block and, the file being dirty, skips the count check. A cut
+        // after every block (and after the end) must read the same.
+        let records: Vec<CeRecord> = (0..(BLOCK_RECORDS as i64 * 2 + 10))
+            .map(|i| ce(i % 10_000, 4))
+            .collect();
+        let mut data = write_to_vec(CE, &records);
+        data[HEADER_LEN + 4 + 100] ^= 0x40;
+        let drain = |r: &mut BinReader<&[u8], CeRecord>,
+                     n: usize,
+                     recs: &mut Vec<_>,
+                     q: &mut Quarantine| {
+            for _ in 0..n {
+                let Some(chunk) = r.next_chunk().unwrap() else {
+                    return;
+                };
+                recs.extend(chunk.records);
+                q.merge(&chunk.quarantine);
+            }
+        };
+        let (mut want, mut want_q) = (Vec::new(), Quarantine::default());
+        drain(
+            &mut BinReader::new(&data[..], CE),
+            usize::MAX,
+            &mut want,
+            &mut want_q,
+        );
+        assert_eq!(want_q.total(), 1, "the bad block only: {want_q:?}");
+        for blocks in 0..=4 {
+            let (mut got, mut got_q) = (Vec::new(), Quarantine::default());
+            let mut head = BinReader::new(&data[..], CE);
+            drain(&mut head, blocks, &mut got, &mut got_q);
+            let point = head.point();
+            assert_eq!(point.ended, blocks == 4);
+            let mut tail = BinReader::new(&data[point.offset as usize..], CE)
+                .starting_at(point, &data[..HEADER_LEN])
+                .unwrap();
+            drain(&mut tail, usize::MAX, &mut got, &mut got_q);
+            assert_eq!(got, want, "after {blocks} blocks");
+            assert_eq!(got_q, want_q, "after {blocks} blocks");
+            let rest = if point.ended {
+                0
+            } else {
+                data.len() - point.offset as usize
+            };
+            assert_eq!(tail.bytes_consumed(), rest, "after {blocks} blocks");
+        }
+        // A header that no longer validates is refused.
+        let point = BinPoint {
+            offset: HEADER_LEN as u64,
+            ..BinPoint::default()
+        };
+        assert!(BinReader::new(&data[HEADER_LEN..], HET)
+            .starting_at(point, &data[..HEADER_LEN])
+            .is_err());
     }
 
     #[test]

@@ -358,6 +358,20 @@ pub struct IngestChunk<T> {
     pub quarantine: Quarantine,
 }
 
+/// Where a [`ChunkReader`] stands in its file: enough for a new reader
+/// to carry on from there ([`ChunkReader::starting_at`]) instead of from
+/// byte 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TextPoint {
+    /// File offset of the next chunk (always the start of a line).
+    pub offset: u64,
+    /// Lines before `offset` (blank lines included): the base of
+    /// file-global line numbers.
+    pub lines: u64,
+    /// The ordering check's running maximum at `offset`.
+    pub max_key: Option<i64>,
+}
+
 /// Resumable line-aligned chunk parser over any reader.
 ///
 /// Each [`ChunkReader::next_chunk`] call yields one parsed chunk of
@@ -398,6 +412,8 @@ pub struct ChunkReader<R, T> {
     // progress) and re-probed on the next call instead of parsed as-is.
     tail: bool,
     eof: bool,
+    // File offset the reader started at (0 unless `starting_at`).
+    base: u64,
     bytes: usize,
     chunks: u64,
     // Lines consumed so far (blank lines included) — the base for
@@ -424,11 +440,23 @@ where
             target: chunk_bytes.max(1),
             tail: false,
             eof: false,
+            base: 0,
             bytes: 0,
             chunks: 0,
             lines: 0,
             max_key: None,
         }
+    }
+
+    /// Carry on from `point`, which [`ChunkReader::point`] gave for an
+    /// earlier reader over the same file; the wrapped reader must already
+    /// be positioned at `point.offset`. Line numbers and the ordering
+    /// check continue as if this reader had read the file from byte 0.
+    pub fn starting_at(mut self, point: TextPoint) -> Self {
+        self.base = point.offset;
+        self.lines = point.lines;
+        self.max_key = point.max_key;
+        self
     }
 
     /// Replace the transient-I/O retry policy.
@@ -540,9 +568,19 @@ where
         }
     }
 
-    /// Total input bytes consumed into chunks so far.
+    /// Input bytes this reader has consumed into chunks so far.
     pub fn bytes_consumed(&self) -> usize {
         self.bytes
+    }
+
+    /// Where the next chunk starts, with the line count and ordering
+    /// state there.
+    pub fn point(&self) -> TextPoint {
+        TextPoint {
+            offset: self.base + self.bytes as u64,
+            lines: self.lines,
+            max_key: self.max_key,
+        }
     }
 
     /// Number of chunks yielded so far.
@@ -930,6 +968,57 @@ mod tests {
         assert_eq!(chunk.records, vec![ce(1)]);
         assert!(r.next_chunk().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reader_started_at_a_saved_point_reads_on_as_one_pass_would() {
+        // Displaced records (3 after 9, 2 after 10), a foreign line and a
+        // blank one: the ordering maximum and the line count must carry
+        // over a cut at every line boundary.
+        let mut text = String::new();
+        for t in [0, 9, 3, 10, 10] {
+            text.push_str(&ce(t).to_line());
+            text.push('\n');
+        }
+        text.push_str("junk\n\n");
+        for t in [2, 11] {
+            text.push_str(&ce(t).to_line());
+            text.push('\n');
+        }
+        let drain =
+            |r: &mut ChunkReader<&[u8], CeRecord>, recs: &mut Vec<_>, q: &mut Quarantine| {
+                while let Some(chunk) = r.next_chunk().unwrap() {
+                    recs.extend(chunk.records);
+                    q.merge(&chunk.quarantine);
+                }
+            };
+        let (mut want, mut want_q) = (Vec::new(), Quarantine::default());
+        drain(
+            &mut ChunkReader::new(text.as_bytes(), crate::ce::FORMAT, 1 << 20),
+            &mut want,
+            &mut want_q,
+        );
+        assert_eq!(want_q.count(QuarantineReason::OutOfOrder), 2);
+        let mut sorted_q = want_q.clone();
+        sorted_q.samples.sort_by_key(|s| s.reason);
+        let cuts = text.match_indices('\n').map(|(i, _)| i + 1);
+        for cut in std::iter::once(0).chain(cuts) {
+            let (mut got, mut got_q) = (Vec::new(), Quarantine::default());
+            let mut head = ChunkReader::new(&text.as_bytes()[..cut], crate::ce::FORMAT, 1 << 20);
+            drain(&mut head, &mut got, &mut got_q);
+            let point = head.point();
+            assert_eq!(point.offset, cut as u64);
+            let mut tail = ChunkReader::new(&text.as_bytes()[cut..], crate::ce::FORMAT, 1 << 20)
+                .starting_at(point);
+            drain(&mut tail, &mut got, &mut got_q);
+            assert_eq!(got, want, "cut at {cut}");
+            // Within a reason samples keep file order; how reasons
+            // interleave follows the chunk cuts.
+            got_q.samples.sort_by_key(|s| s.reason);
+            assert_eq!(got_q, sorted_q, "cut at {cut}");
+            assert_eq!(tail.bytes_consumed(), text.len() - cut);
+            assert_eq!(tail.point().offset, text.len() as u64);
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! clean dataset with exactly the quarantined records removed — no more,
 //! no less — at any worker count; strict mode must refuse the corrupted
 //! dataset with a typed report; and a checkpoint write torn mid-flight
-//! must be detected and salvage-resumed with identical stdout.
+//! must be detected and salvage-resumed with identical stdout. A lenient
+//! run stopped before, inside or after the quarantined lines of any log
+//! resumes to the uninterrupted run's stdout and quarantine tally.
 //!
 //! Subprocesses, not in-process calls, because stdout is the contract
 //! under test and the metric registry is process-global. The chaos
@@ -11,11 +13,14 @@
 //! can use the manifest's damaged-line list to rebuild the expected
 //! clean dataset.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use astra_logs::chaos;
+use astra_core::stream::{EventStream, ResumePoint};
+use astra_logs::io::ChunkReader;
+use astra_logs::{ce, chaos, het, inventory, sensor, IngestOptions, LineFormat};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_astra-mem")
@@ -341,4 +346,181 @@ fn torn_checkpoint_is_salvaged_and_resume_output_is_identical() {
         out.stdout, batch,
         "resume from the salvaged fresher snapshot differs from analyze"
     );
+}
+
+/// Hands out at most one line per `read`, so that a [`ChunkReader`]
+/// with a 1-byte target yields one chunk per line.
+struct LineReads<R>(R);
+
+impl<R: BufRead> Read for LineReads<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let avail = self.0.fill_buf()?;
+        let line = avail
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(avail.len(), |i| i + 1);
+        let n = line.min(buf.len());
+        buf[..n].copy_from_slice(&avail[..n]);
+        self.0.consume(n);
+        Ok(n)
+    }
+}
+
+/// For each quarantined line of a text log, the records before it, read
+/// with the engine's own line ingest (ordering check included).
+fn quarantined_at<T: Send>(path: &Path, format: LineFormat<T>) -> Vec<u64> {
+    let file = BufReader::new(std::fs::File::open(path).unwrap());
+    let mut reader = ChunkReader::new(LineReads(file), format, 1);
+    let (mut records, mut at) = (0u64, Vec::new());
+    while let Some(chunk) = reader.next_chunk().unwrap() {
+        if !chunk.quarantine.is_empty() {
+            at.push(records);
+        }
+        records += chunk.records.len() as u64;
+    }
+    at
+}
+
+/// The `ingest.quarantined.*` lines of a `--metrics-out` file.
+fn quarantine_metrics(path: &Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("{\"name\":\"ingest.quarantined."))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn lenient_resume_keeps_the_quarantine_tally() {
+    let tmp = TempDir::new("lenient-resume");
+    let (corrupt, _, _) = corrupted_fixture(&tmp, 7);
+    let dir = corrupt.to_str().unwrap();
+    // `stream-analyze DIR` under the fixture's lenient budget.
+    let lenient = |extra: &[&str]| {
+        let mut args = vec!["stream-analyze", dir, "--racks", "1", "--lenient"];
+        args.extend(["--max-bad-frac", "0.5"]);
+        args.extend(extra);
+        run(&args, &[])
+    };
+
+    let whole_metrics = tmp.join("whole.json");
+    let whole = lenient(&["--metrics-out", whole_metrics.to_str().unwrap()]);
+    assert!(whole.status.success());
+    let whole_note = String::from_utf8_lossy(&whole.stderr)
+        .lines()
+        .find(|l| l.starts_with("note: quarantined "))
+        .expect("the lenient run notes its quarantine")
+        .to_owned();
+    let whole_tally = quarantine_metrics(&whole_metrics);
+    assert!(!whole_tally.is_empty());
+
+    // Per log: just before its first quarantined line, between its first
+    // and last, and just after its last.
+    let at = [
+        quarantined_at(&corrupt.join("ce.log"), ce::FORMAT),
+        quarantined_at(&corrupt.join("het.log"), het::FORMAT),
+        quarantined_at(&corrupt.join("inventory.log"), inventory::FORMAT),
+        quarantined_at(&corrupt.join("sensors.log"), sensor::FORMAT),
+    ];
+    let targets = at.map(|lines| match (lines.first(), lines.last()) {
+        (Some(&first), Some(&last)) => vec![first.max(1), (first + last) / 2 + 1, last + 1],
+        _ => Vec::new(),
+    });
+    assert!(targets.iter().filter(|t| !t.is_empty()).count() >= 3);
+    let mut stream = EventStream::open_with(
+        &corrupt,
+        &ResumePoint::default(),
+        IngestOptions::lenient(Some(0.5)),
+    )
+    .unwrap();
+    let (mut position, mut stops) = (0u64, Vec::new());
+    while let Some(ev) = stream.next_event().unwrap() {
+        position += 1;
+        let src = ev.source().index();
+        if targets[src].contains(&stream.consumed()[src]) {
+            stops.push(position);
+        }
+    }
+    stops.sort_unstable();
+    stops.dedup();
+
+    let mut stored_tally = None;
+    for stop in stops {
+        let ck = tmp.join(&format!("ck-{stop}"));
+        let ck_str = ck.to_str().unwrap();
+        let stop = stop.to_string();
+        assert!(lenient(&["--stop-after", &stop, "--checkpoint", ck_str])
+            .status
+            .success());
+        let metrics = tmp.join(&format!("m-{stop}.json"));
+        let resumed = lenient(&[
+            "--resume",
+            ck_str,
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        assert!(
+            resumed.status.success(),
+            "resume after {stop} events failed"
+        );
+        assert_eq!(
+            resumed.stdout, whole.stdout,
+            "resume after {stop} events: stdout differs"
+        );
+        assert!(
+            String::from_utf8_lossy(&resumed.stderr).contains(&whole_note),
+            "resume after {stop} events must note {whole_note:?}"
+        );
+        assert_eq!(
+            quarantine_metrics(&metrics),
+            whole_tally,
+            "resume after {stop} events: ingest.quarantined.* differ"
+        );
+        if std::fs::read_to_string(&ck)
+            .unwrap()
+            .contains("\nquarantined ")
+        {
+            stored_tally.get_or_insert((stop, ck));
+        }
+    }
+
+    let (stop, ck) = stored_tally.expect("some stop lies past a chunk with quarantined lines");
+    // The stored tally, like the rest of a checkpoint, does not depend
+    // on the worker count.
+    for workers in ["1", "4"] {
+        let again = tmp.join(&format!("ck-{stop}-{workers}"));
+        let mut args = vec!["stream-analyze", dir, "--racks", "1", "--lenient"];
+        args.extend(["--max-bad-frac", "0.5", "--stop-after", stop.as_str()]);
+        args.extend(["--checkpoint", again.to_str().unwrap()]);
+        assert!(run(&args, &[("ASTRA_WORKERS", workers)]).status.success());
+        assert!(
+            std::fs::read(&again).unwrap() == std::fs::read(&ck).unwrap(),
+            "the checkpoint after {stop} events differs at {workers} workers"
+        );
+    }
+
+    // A strict resume of a checkpoint that stored a tally aborts as a
+    // strict run would.
+    let out = run(
+        &[
+            "stream-analyze",
+            dir,
+            "--racks",
+            "1",
+            "--resume",
+            ck.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert!(
+        !out.status.success(),
+        "a strict resume of a stored tally must abort"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("corrupt") && stderr.contains("quarantined"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }

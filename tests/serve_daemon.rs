@@ -265,6 +265,20 @@ fn serve_tails_two_sites_independently() {
     daemon.wait_exit();
 }
 
+/// A numeric field of a `/site/<name>` summary.
+fn summary_field(summary: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = summary
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {name}: {summary}"))
+        + key.len();
+    let digits: String = summary[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
 #[test]
 fn shutdown_checkpoint_resumes_with_identical_responses() {
     let tmp = TempDir::new("resume");
@@ -298,6 +312,22 @@ fn shutdown_checkpoint_resumes_with_identical_responses() {
     assert!(
         summary.contains("\"resumed\":true"),
         "restart must resume from the shutdown checkpoint: {summary}"
+    );
+    // It seeks to the saved positions: fewer bytes than the logs hold,
+    // and the quarantine tally the first life had.
+    let log_bytes: u64 = ["ce.log", "het.log", "inventory.log", "sensors.log"]
+        .iter()
+        .map(|f| std::fs::metadata(logs.join(f)).unwrap().len())
+        .sum();
+    let bytes_read = summary_field(&summary, "bytes_read");
+    assert!(
+        bytes_read < log_bytes,
+        "the restart read {bytes_read} of {log_bytes} log bytes: {summary}"
+    );
+    assert_eq!(
+        summary_field(&summary, "quarantined"),
+        summary_field(&first_summary, "quarantined"),
+        "the restart's quarantine tally differs: {summary}"
     );
     assert_eq!(
         http::get(daemon.addr, "/site/logs/analysis").unwrap().body,

@@ -268,3 +268,73 @@ fn degraded_mode_emits_a_partial_report_with_banner_and_exit_code_3() {
     let batch = stdout_of(&["analyze", logs], &[]);
     assert_ne!(out.stdout, batch, "degraded output should be partial");
 }
+
+#[test]
+fn a_failed_worker_keeps_its_reason_and_a_clean_one_stays_quiet() {
+    let tmp = TempDir::new("stderr");
+    let logs = tmp.join("logs");
+    stdout_of(
+        &[
+            "generate",
+            "--racks",
+            "1",
+            "--seed",
+            "42",
+            "--out",
+            logs.to_str().unwrap(),
+        ],
+        &[],
+    );
+    let logs_str = logs.to_str().unwrap();
+
+    // A clean run: the workers' own notes stay in their stderr files.
+    let out = run(&["shard-analyze", logs_str, "--shards", "1"], &[]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("using manifest").count(),
+        1,
+        "only the supervisor's own note may show:\n{stderr}"
+    );
+
+    // One bad ce.log line: the worker fails strictly on every attempt,
+    // and its reason (file, line, quarantine reason) reaches the retry
+    // note, the dead-shard line and the strict error.
+    let mut ce = std::fs::OpenOptions::new()
+        .append(true)
+        .open(logs.join("ce.log"))
+        .unwrap();
+    std::io::Write::write_all(&mut ce, b"@@x\n").unwrap();
+    drop(ce);
+    let out = run(
+        &["shard-analyze", logs_str, "--shards", "1", "--retries", "1"],
+        &[],
+    );
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines = std::fs::read(logs.join("ce.log"))
+        .unwrap()
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count();
+    let reason = format!("line {lines}: [unknown-format] \"@@x\"");
+    for (what, marker) in [
+        ("retry note", "retrying in"),
+        ("dead-shard line", "is dead:"),
+        ("strict error", "failed permanently:"),
+    ] {
+        let at = stderr
+            .find(marker)
+            .unwrap_or_else(|| panic!("no {what}:\n{stderr}"));
+        let rest = &stderr[at..];
+        let next = rest[marker.len()..]
+            .find("shard 0")
+            .map_or(rest.len(), |i| i + marker.len());
+        let message = &rest[..next];
+        assert!(
+            message.contains("log ce.log corrupt") && message.contains(&reason),
+            "the {what} must carry the worker's reason:\n{message}"
+        );
+    }
+}

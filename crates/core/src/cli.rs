@@ -609,6 +609,14 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         std::fs::copy(&metrics, out.join("metrics.jsonl"))
             .map_err(|e| format!("copying metrics.jsonl: {e}"))?;
     }
+    // So does the provenance, in the format the logs now have: without it
+    // every command on the copy would fall back to the 4-rack default.
+    if let Some(mut manifest) = Manifest::load(&dir).map_err(|e| e.to_string())? {
+        manifest.format = to.name().to_string();
+        manifest
+            .write(&out)
+            .map_err(|e| format!("writing manifest.txt: {e}"))?;
+    }
     println!(
         "converted {seen} logs ({total} records) to {} in {}",
         to.name(),
@@ -1258,13 +1266,15 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         snap.gauge("coalesce.ratio"),
         rate_per_sec(records_in, timing_secs_by_suffix(&snap, "coalesce")),
     );
+    // Faults per mode are gauges set by the run's last classification.
     let mode_counts: Vec<(String, u64)> = snap
         .entries
         .iter()
         .filter_map(|(name, _)| {
             name.strip_prefix("coalesce.mode.")
-                .map(|mode| (mode.to_string(), snap.counter(name)))
+                .map(|mode| (mode.to_string(), snap.gauge(name) as u64))
         })
+        .filter(|&(_, n)| n > 0)
         .collect();
     for (mode, n) in &mode_counts {
         println!(

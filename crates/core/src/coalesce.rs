@@ -153,7 +153,7 @@ pub(crate) fn group_footprints(records: &[CeRecord]) -> HashMap<GroupKey, Vec<Ce
 
 /// Classify grouped footprints into the sorted fault list, fanning groups
 /// across workers when `total_records` crosses the parallel threshold.
-/// Emits the `coalesce.groups` / `coalesce.mode.*` counters and the
+/// Sets the `coalesce.groups` / `coalesce.mode.*` gauges and emits the
 /// `coalesce` span. Single code path for batch and streaming — groups are
 /// borrowed so a streaming snapshot classifies in place without cloning
 /// its accumulated footprint state.
@@ -164,15 +164,10 @@ pub(crate) fn classify_groups(
 ) -> Vec<ObservedFault> {
     let _span = astra_obs::span("coalesce");
     groups.sort_unstable_by_key(|(key, _)| *key);
-    let groups_seen = groups.len() as u64;
 
-    let run_group = |(key, feet): &(GroupKey, &[CeFootprint])| -> Vec<ObservedFault> {
-        let &(node, slot_idx, rank) = key;
-        let node = NodeId(node);
-        let slot = DimmSlot::from_index(slot_idx).expect("slot from grouping");
-        let rank = RankId(rank);
+    let run_group = |&(key, feet): &(GroupKey, &[CeFootprint])| -> Vec<ObservedFault> {
         let mut local = Vec::new();
-        coalesce_group(node, slot, rank, feet, config, &mut local);
+        coalesce_group(key, feet, config, &mut local);
         local
     };
 
@@ -185,7 +180,15 @@ pub(crate) fn classify_groups(
     };
     let mut out: Vec<ObservedFault> = Vec::with_capacity(per_group.iter().map(Vec::len).sum());
     out.extend(per_group.into_iter().flatten());
-    out.sort_by_key(|f| {
+    sort_faults(&mut out);
+    set_state_gauges(groups.len(), &out);
+    out
+}
+
+/// The output order: `(node, slot, rank, first_seen, bit_pos, bank)`,
+/// stable, so faults that tie keep the order their group pushed them in.
+fn sort_faults(faults: &mut [ObservedFault]) {
+    faults.sort_by_key(|f| {
         (
             f.node.0,
             f.slot.index() as u8,
@@ -195,14 +198,22 @@ pub(crate) fn classify_groups(
             f.bank,
         )
     });
+}
 
-    let obs = astra_obs::global();
-    obs.counter("coalesce.groups").add(groups_seen);
-    for fault in &out {
-        obs.counter(&format!("coalesce.mode.{}", fault.mode.name()))
-            .inc();
+/// Groups and faults per mode are state, not events: a fault's mode can
+/// change as its errors arrive, and `serve` classifies on every publish.
+/// So they are gauges, set to the latest classification.
+fn set_state_gauges(groups: usize, faults: &[ObservedFault]) {
+    let mut per_mode = [0u64; ObservedMode::ALL.len()];
+    for fault in faults {
+        per_mode[fault.mode.index()] += 1;
     }
-    out
+    let obs = astra_obs::global();
+    obs.gauge("coalesce.groups").set(groups as f64);
+    for mode in ObservedMode::ALL {
+        obs.gauge(&format!("coalesce.mode.{}", mode.name()))
+            .set(per_mode[mode.index()] as f64);
+    }
 }
 
 /// Coalesce a CE record stream into observed faults.
@@ -224,198 +235,515 @@ pub fn coalesce(records: &[CeRecord], config: &CoalesceConfig) -> Vec<ObservedFa
     classify_groups(views, records.len(), config)
 }
 
-/// Coalesce one `(node, slot, rank)` group.
+/// Run keys below this are pin lanes (the key is the lane); from it up,
+/// `(bank, col)` pairs. Pin-lane faults are pushed first, as the
+/// rank-level pass of the classifier runs first.
+const BANK_RUNS: u64 = 1 << 32;
+
+/// Coalesce one `(node, slot, rank)` group from sorted runs.
+///
+/// The footprints of each pin lane, and then of each `(bank, col)`, are
+/// brought together by one stable counting sort, so each run keeps
+/// stream order; every fault is then built from one run (or, for a
+/// single-bank fault, one bank's runs) in a single scan. The faults and
+/// their push order are those of the map-based classifier this replaced
+/// (the test oracle below).
 fn coalesce_group(
-    node: NodeId,
-    slot: DimmSlot,
-    rank: RankId,
+    key: GroupKey,
     feet: &[CeFootprint],
     config: &CoalesceConfig,
     out: &mut Vec<ObservedFault>,
 ) {
-    // Pass 1: find pin lanes — bit positions seen in many banks.
-    let mut lane_banks: HashMap<u16, std::collections::BTreeSet<u16>> = HashMap::new();
-    for f in feet {
-        lane_banks.entry(f.bit_pos).or_default().insert(f.bank);
-    }
-    let pin_lanes: std::collections::BTreeSet<u16> = lane_banks
-        .iter()
-        .filter(|(_, banks)| banks.len() >= config.pin_bank_threshold)
-        .map(|(&lane, _)| lane)
+    let (node, slot, rank) = key;
+    let group = Group {
+        node: NodeId(node),
+        slot: DimmSlot::from_index(slot).expect("slot from grouping"),
+        rank: RankId(rank),
+        feet,
+    };
+
+    // Pin lanes: bit positions seen in at least `pin_bank_threshold`
+    // distinct banks.
+    let mut lane_banks: Vec<u32> =
+        dedup_streaks(feet, |f| u32::from(f.bit_pos) << 16 | u32::from(f.bank));
+    lane_banks.sort_unstable();
+    lane_banks.dedup();
+    let pins: Vec<u16> = lane_banks
+        .chunk_by(|a, b| a >> 16 == b >> 16)
+        .filter(|banks| banks.len() >= config.pin_bank_threshold)
+        .map(|banks| (banks[0] >> 16) as u16)
         .collect();
-
-    let mut per_lane: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
-    let mut per_bank: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
-    for f in feet {
-        if pin_lanes.contains(&f.bit_pos) {
-            per_lane.entry(f.bit_pos).or_default().push(*f);
+    let run_key = |f: &CeFootprint| {
+        if pins.binary_search(&f.bit_pos).is_ok() {
+            u64::from(f.bit_pos)
         } else {
-            per_bank.entry(f.bank).or_default().push(*f);
+            BANK_RUNS | u64::from(f.bank) << 16 | u64::from(f.col)
         }
-    }
+    };
+    let runs = Runs::sort(feet, run_key);
 
-    // Rank-level faults, one per pin lane.
-    let mut lanes: Vec<(u16, Vec<CeFootprint>)> = per_lane.into_iter().collect();
-    lanes.sort_by_key(|(lane, _)| *lane);
-    for (lane, lane_feet) in lanes {
-        out.push(build_fault(
-            node,
-            slot,
-            rank,
+    let first_bank = runs.keys.partition_point(|&key| key < BANK_RUNS);
+    for (r, &lane) in runs.keys[..first_bank].iter().enumerate() {
+        out.push(group.fault(
+            runs.run(r..r + 1),
             None,
             None,
             ObservedMode::RankLevel,
-            lane,
+            lane as u16,
             None,
-            lane_feet,
         ));
     }
-
-    // Per-bank footprint classification.
-    let mut banks: Vec<(u16, Vec<CeFootprint>)> = per_bank.into_iter().collect();
-    banks.sort_by_key(|(bank, _)| *bank);
-    for (bank, bank_feet) in banks {
-        classify_bank_group(node, slot, rank, bank, bank_feet, config, out);
+    let mut scratch = Scratch::default();
+    let mut r = first_bank;
+    while r < runs.keys.len() {
+        let bank = runs.keys[r] >> 16;
+        let end = r + runs.keys[r..].partition_point(|&key| key >> 16 == bank);
+        group.classify_bank(&runs, r..end, config, &mut scratch, out);
+        r = end;
     }
 }
 
-/// Classify the errors of one `(node, slot, rank, bank)` group into the
-/// minimal consistent fault set.
-///
-/// A *bank-dispersed* footprint — many columns, no single column holding
-/// most of the addresses — is one single-bank fault (on Astra this bucket
-/// also covers true single-row faults, §3.2). Anything narrower is split
-/// per column, so two independent faults sharing a bank are not merged:
-/// a column holding several addresses is a single-column fault; a single
-/// address is a single-bit or single-word fault.
-#[allow(clippy::too_many_arguments)]
-fn classify_bank_group(
-    node: NodeId,
-    slot: DimmSlot,
-    rank: RankId,
-    bank: u16,
-    feet: Vec<CeFootprint>,
-    config: &CoalesceConfig,
-    out: &mut Vec<ObservedFault>,
-) {
-    let mut addrs = std::collections::BTreeSet::new();
-    let mut cols = std::collections::BTreeSet::new();
-    let mut col_addrs: HashMap<u16, std::collections::BTreeSet<u64>> = HashMap::new();
-    for f in &feet {
-        addrs.insert(f.addr);
-        cols.insert(f.col);
-        col_addrs.entry(f.col).or_default().insert(f.addr);
-    }
-
-    // Bank-dispersed: many columns, addresses spread across them.
-    let max_col_addrs = col_addrs.values().map(|a| a.len()).max().unwrap_or(0);
-    let dispersed = cols.len() >= config.bank_dispersion_cols
-        && (max_col_addrs as f64) < config.bank_max_col_share * addrs.len() as f64;
-    if dispersed {
-        let lane = majority_bit(&feet);
-        out.push(build_fault(
-            node,
-            slot,
-            rank,
-            Some(bank),
-            None,
-            ObservedMode::SingleBank,
-            lane,
-            None,
-            feet,
-        ));
-        return;
-    }
-
-    // Otherwise split per column.
-    let mut per_col: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
+/// `key` of each footprint, with repeats in a row dropped: errors come
+/// in streaks, so this shrinks what the caller then sorts.
+fn dedup_streaks<T: PartialEq>(feet: &[CeFootprint], key: impl Fn(&CeFootprint) -> T) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
     for f in feet {
-        per_col.entry(f.col).or_default().push(f);
-    }
-    let mut col_groups: Vec<(u16, Vec<CeFootprint>)> = per_col.into_iter().collect();
-    col_groups.sort_by_key(|(col, _)| *col);
-    for (col, col_feet) in col_groups {
-        let mut col_addr_bits = std::collections::BTreeSet::new();
-        let mut col_addr_set = std::collections::BTreeSet::new();
-        for f in &col_feet {
-            col_addr_set.insert(f.addr);
-            col_addr_bits.insert((f.addr, f.bit_pos));
+        let k = key(f);
+        if out.last() != Some(&k) {
+            out.push(k);
         }
-        let (mode, addr) = if col_addr_set.len() == 1 {
-            let addr = Some(*col_addr_set.iter().next().expect("nonempty"));
-            if col_addr_bits.len() == 1 {
-                (ObservedMode::SingleBit, addr)
-            } else {
-                (ObservedMode::SingleWord, addr)
+    }
+    out
+}
+
+/// A group's footprint positions sorted by run key, stably.
+struct Runs {
+    /// The distinct run keys, ascending.
+    keys: Vec<u64>,
+    /// `order[starts[r]..starts[r + 1]]` is run `r`.
+    starts: Vec<usize>,
+    /// Positions into the group's footprints, run by run, each run in
+    /// stream order.
+    order: Vec<u32>,
+}
+
+impl Runs {
+    /// Counting sort: a group has far fewer distinct keys than
+    /// footprints, so each footprint costs a lookup (usually of the key
+    /// it repeats) instead of a comparison sort's log n moves.
+    fn sort(feet: &[CeFootprint], key: impl Fn(&CeFootprint) -> u64) -> Runs {
+        let mut keys = dedup_streaks(feet, &key);
+        keys.sort_unstable();
+        keys.dedup();
+        let mut which: Vec<u32> = Vec::with_capacity(feet.len());
+        let mut starts = vec![0usize; keys.len() + 1];
+        let mut last = (u64::MAX, 0);
+        for f in feet {
+            let k = key(f);
+            if k != last.0 {
+                let r = keys.binary_search(&k).expect("every key was collected");
+                last = (k, r);
             }
-        } else {
-            (ObservedMode::SingleColumn, None)
-        };
-        let lane = majority_bit(&col_feet);
-        out.push(build_fault(
-            node,
-            slot,
-            rank,
-            Some(bank),
-            Some(col),
-            mode,
-            lane,
-            addr,
-            col_feet,
-        ));
+            which.push(last.1 as u32);
+            starts[last.1 + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; feet.len()];
+        for (pos, &r) in (0u32..).zip(&which) {
+            order[next[r as usize]] = pos;
+            next[r as usize] += 1;
+        }
+        Runs {
+            keys,
+            starts,
+            order,
+        }
+    }
+
+    /// The positions of runs `runs`, which lie next to each other.
+    fn run(&self, runs: std::ops::Range<usize>) -> &[u32] {
+        &self.order[self.starts[runs.start]..self.starts[runs.end]]
     }
 }
 
-/// Most common bit position in a set of footprints (ties → smallest).
-fn majority_bit(feet: &[CeFootprint]) -> u16 {
-    let mut counts: HashMap<u16, u32> = HashMap::new();
-    for f in feet {
-        *counts.entry(f.bit_pos).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(bit, _)| bit)
-        .expect("nonempty footprint set")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_fault(
+/// One group's identity and footprints.
+struct Group<'a> {
     node: NodeId,
     slot: DimmSlot,
     rank: RankId,
-    bank: Option<u16>,
-    col: Option<u16>,
-    mode: ObservedMode,
-    bit_pos: u16,
-    addr: Option<u64>,
-    feet: Vec<CeFootprint>,
-) -> ObservedFault {
-    let mut record_indices: Vec<u32> = feet.iter().map(|f| f.idx).collect();
-    record_indices.sort_unstable();
-    let first = feet
-        .iter()
-        .map(|f| f.time)
-        .min()
-        .expect("fault with no records");
-    let last = feet
-        .iter()
-        .map(|f| f.time)
-        .max()
-        .expect("fault with no records");
-    ObservedFault {
-        node,
-        slot,
-        rank,
-        bank,
-        col,
-        mode,
-        bit_pos,
-        addr,
-        error_count: record_indices.len() as u64,
-        first_seen: first,
-        last_seen: last,
-        record_indices,
+    feet: &'a [CeFootprint],
+}
+
+/// Per-bank buffers reused across one group's banks; none outgrows the
+/// group.
+#[derive(Default)]
+struct Scratch {
+    /// One column's distinct addresses.
+    addrs: Vec<u64>,
+    /// The bank's distinct addresses, across its columns.
+    bank_addrs: Vec<u64>,
+    /// Per column of the bank: distinct address count and the smallest.
+    cols: Vec<(usize, u64)>,
+    /// Bit positions of one fault, for its majority.
+    bits: Vec<u16>,
+}
+
+impl Group<'_> {
+    /// Classify the errors of one `(node, slot, rank, bank)` group into
+    /// the minimal consistent fault set; `bank` ranges over the bank's
+    /// `(bank, col)` runs.
+    ///
+    /// A *bank-dispersed* footprint — many columns, no single column
+    /// holding most of the addresses — is one single-bank fault (on Astra
+    /// this bucket also covers true single-row faults, §3.2). Anything
+    /// narrower is split per column, so two independent faults sharing a
+    /// bank are not merged: a column holding several addresses is a
+    /// single-column fault; a single address is a single-bit or
+    /// single-word fault.
+    fn classify_bank(
+        &self,
+        runs: &Runs,
+        bank: std::ops::Range<usize>,
+        config: &CoalesceConfig,
+        scratch: &mut Scratch,
+        out: &mut Vec<ObservedFault>,
+    ) {
+        let bank_id = (runs.keys[bank.start] >> 16) as u16;
+        scratch.cols.clear();
+        scratch.bank_addrs.clear();
+        for r in bank.clone() {
+            scratch.addrs.clear();
+            for &pos in runs.run(r..r + 1) {
+                let addr = self.feet[pos as usize].addr;
+                if scratch.addrs.last() != Some(&addr) {
+                    scratch.addrs.push(addr);
+                }
+            }
+            scratch.addrs.sort_unstable();
+            scratch.addrs.dedup();
+            scratch.cols.push((scratch.addrs.len(), scratch.addrs[0]));
+            scratch.bank_addrs.extend_from_slice(&scratch.addrs);
+        }
+        scratch.bank_addrs.sort_unstable();
+        scratch.bank_addrs.dedup();
+
+        // Bank-dispersed: many columns, addresses spread across them.
+        let max_col_addrs = scratch.cols.iter().map(|&(n, _)| n).max().unwrap_or(0);
+        let dispersed = scratch.cols.len() >= config.bank_dispersion_cols
+            && (max_col_addrs as f64) < config.bank_max_col_share * scratch.bank_addrs.len() as f64;
+        if dispersed {
+            let feet = runs.run(bank);
+            let lane = self.majority_bit(feet, &mut scratch.bits);
+            out.push(self.fault(
+                feet,
+                Some(bank_id),
+                None,
+                ObservedMode::SingleBank,
+                lane,
+                None,
+            ));
+            return;
+        }
+
+        // Otherwise split per column.
+        for (r, &(addrs, addr)) in bank.zip(&scratch.cols) {
+            let col = runs.run(r..r + 1);
+            let (mode, addr) = if addrs == 1 {
+                let bit = self.feet[col[0] as usize].bit_pos;
+                if col
+                    .iter()
+                    .all(|&pos| self.feet[pos as usize].bit_pos == bit)
+                {
+                    (ObservedMode::SingleBit, Some(addr))
+                } else {
+                    (ObservedMode::SingleWord, Some(addr))
+                }
+            } else {
+                (ObservedMode::SingleColumn, None)
+            };
+            let lane = self.majority_bit(col, &mut scratch.bits);
+            out.push(self.fault(
+                col,
+                Some(bank_id),
+                Some(runs.keys[r] as u16),
+                mode,
+                lane,
+                addr,
+            ));
+        }
+    }
+
+    /// Most common bit position among the footprints at `positions`
+    /// (ties → smallest).
+    fn majority_bit(&self, positions: &[u32], bits: &mut Vec<u16>) -> u16 {
+        bits.clear();
+        bits.extend(positions.iter().map(|&pos| self.feet[pos as usize].bit_pos));
+        bits.sort_unstable();
+        let mut best = (0, 0);
+        for same in bits.chunk_by(|a, b| a == b) {
+            if same.len() > best.0 {
+                best = (same.len(), same[0]);
+            }
+        }
+        best.1
+    }
+
+    /// The fault made of the footprints at `positions`.
+    fn fault(
+        &self,
+        positions: &[u32],
+        bank: Option<u16>,
+        col: Option<u16>,
+        mode: ObservedMode,
+        bit_pos: u16,
+        addr: Option<u64>,
+    ) -> ObservedFault {
+        let mut record_indices = Vec::with_capacity(positions.len());
+        let mut first_seen = self.feet[positions[0] as usize].time;
+        let mut last_seen = first_seen;
+        for &pos in positions {
+            let f = &self.feet[pos as usize];
+            record_indices.push(f.idx);
+            first_seen = first_seen.min(f.time);
+            last_seen = last_seen.max(f.time);
+        }
+        // A run keeps stream order, which is index order in every caller
+        // (a single-bank fault's columns interleave, though).
+        if !record_indices.is_sorted() {
+            record_indices.sort_unstable();
+        }
+        ObservedFault {
+            node: self.node,
+            slot: self.slot,
+            rank: self.rank,
+            bank,
+            col,
+            mode,
+            bit_pos,
+            addr,
+            error_count: record_indices.len() as u64,
+            first_seen,
+            last_seen,
+            record_indices,
+        }
+    }
+}
+
+/// The map-based classifier the sorted-run kernel replaced, kept as the
+/// oracle the kernel's tests compare against: every footprint goes
+/// through hash-map and tree-set inserts and is copied into per-lane,
+/// per-bank and per-column lists.
+#[cfg(test)]
+mod oracle {
+    use std::collections::{BTreeSet, HashMap};
+
+    use super::*;
+
+    /// [`classify_groups`] with this classifier, sequentially.
+    pub(super) fn classify(
+        groups: &[(GroupKey, &[CeFootprint])],
+        config: &CoalesceConfig,
+    ) -> Vec<ObservedFault> {
+        let mut groups = groups.to_vec();
+        groups.sort_unstable_by_key(|(key, _)| *key);
+        let mut out = Vec::new();
+        for &((node, slot, rank), feet) in &groups {
+            let slot = DimmSlot::from_index(slot).expect("slot from grouping");
+            coalesce_group(NodeId(node), slot, RankId(rank), feet, config, &mut out);
+        }
+        sort_faults(&mut out);
+        out
+    }
+
+    /// Coalesce one `(node, slot, rank)` group.
+    pub(super) fn coalesce_group(
+        node: NodeId,
+        slot: DimmSlot,
+        rank: RankId,
+        feet: &[CeFootprint],
+        config: &CoalesceConfig,
+        out: &mut Vec<ObservedFault>,
+    ) {
+        // Pass 1: find pin lanes — bit positions seen in many banks.
+        let mut lane_banks: HashMap<u16, BTreeSet<u16>> = HashMap::new();
+        for f in feet {
+            lane_banks.entry(f.bit_pos).or_default().insert(f.bank);
+        }
+        let pin_lanes: BTreeSet<u16> = lane_banks
+            .iter()
+            .filter(|(_, banks)| banks.len() >= config.pin_bank_threshold)
+            .map(|(&lane, _)| lane)
+            .collect();
+
+        let mut per_lane: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
+        let mut per_bank: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
+        for f in feet {
+            if pin_lanes.contains(&f.bit_pos) {
+                per_lane.entry(f.bit_pos).or_default().push(*f);
+            } else {
+                per_bank.entry(f.bank).or_default().push(*f);
+            }
+        }
+
+        // Rank-level faults, one per pin lane.
+        let mut lanes: Vec<(u16, Vec<CeFootprint>)> = per_lane.into_iter().collect();
+        lanes.sort_by_key(|(lane, _)| *lane);
+        for (lane, lane_feet) in lanes {
+            out.push(build_fault(
+                node,
+                slot,
+                rank,
+                None,
+                None,
+                ObservedMode::RankLevel,
+                lane,
+                None,
+                lane_feet,
+            ));
+        }
+
+        // Per-bank footprint classification.
+        let mut banks: Vec<(u16, Vec<CeFootprint>)> = per_bank.into_iter().collect();
+        banks.sort_by_key(|(bank, _)| *bank);
+        for (bank, bank_feet) in banks {
+            classify_bank_group(node, slot, rank, bank, bank_feet, config, out);
+        }
+    }
+
+    /// Classify the errors of one `(node, slot, rank, bank)` group into
+    /// the minimal consistent fault set.
+    #[allow(clippy::too_many_arguments)]
+    fn classify_bank_group(
+        node: NodeId,
+        slot: DimmSlot,
+        rank: RankId,
+        bank: u16,
+        feet: Vec<CeFootprint>,
+        config: &CoalesceConfig,
+        out: &mut Vec<ObservedFault>,
+    ) {
+        let mut addrs = BTreeSet::new();
+        let mut cols = BTreeSet::new();
+        let mut col_addrs: HashMap<u16, BTreeSet<u64>> = HashMap::new();
+        for f in &feet {
+            addrs.insert(f.addr);
+            cols.insert(f.col);
+            col_addrs.entry(f.col).or_default().insert(f.addr);
+        }
+
+        // Bank-dispersed: many columns, addresses spread across them.
+        let max_col_addrs = col_addrs.values().map(|a| a.len()).max().unwrap_or(0);
+        let dispersed = cols.len() >= config.bank_dispersion_cols
+            && (max_col_addrs as f64) < config.bank_max_col_share * addrs.len() as f64;
+        if dispersed {
+            let lane = majority_bit(&feet);
+            out.push(build_fault(
+                node,
+                slot,
+                rank,
+                Some(bank),
+                None,
+                ObservedMode::SingleBank,
+                lane,
+                None,
+                feet,
+            ));
+            return;
+        }
+
+        // Otherwise split per column.
+        let mut per_col: HashMap<u16, Vec<CeFootprint>> = HashMap::new();
+        for f in feet {
+            per_col.entry(f.col).or_default().push(f);
+        }
+        let mut col_groups: Vec<(u16, Vec<CeFootprint>)> = per_col.into_iter().collect();
+        col_groups.sort_by_key(|(col, _)| *col);
+        for (col, col_feet) in col_groups {
+            let mut col_addr_bits = BTreeSet::new();
+            let mut col_addr_set = BTreeSet::new();
+            for f in &col_feet {
+                col_addr_set.insert(f.addr);
+                col_addr_bits.insert((f.addr, f.bit_pos));
+            }
+            let (mode, addr) = if col_addr_set.len() == 1 {
+                let addr = Some(*col_addr_set.iter().next().expect("nonempty"));
+                if col_addr_bits.len() == 1 {
+                    (ObservedMode::SingleBit, addr)
+                } else {
+                    (ObservedMode::SingleWord, addr)
+                }
+            } else {
+                (ObservedMode::SingleColumn, None)
+            };
+            let lane = majority_bit(&col_feet);
+            out.push(build_fault(
+                node,
+                slot,
+                rank,
+                Some(bank),
+                Some(col),
+                mode,
+                lane,
+                addr,
+                col_feet,
+            ));
+        }
+    }
+
+    /// Most common bit position in a set of footprints (ties → smallest).
+    fn majority_bit(feet: &[CeFootprint]) -> u16 {
+        let mut counts: HashMap<u16, u32> = HashMap::new();
+        for f in feet {
+            *counts.entry(f.bit_pos).or_insert(0) += 1;
+        }
+        counts
+            .into_iter()
+            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+            .map(|(bit, _)| bit)
+            .expect("nonempty footprint set")
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build_fault(
+        node: NodeId,
+        slot: DimmSlot,
+        rank: RankId,
+        bank: Option<u16>,
+        col: Option<u16>,
+        mode: ObservedMode,
+        bit_pos: u16,
+        addr: Option<u64>,
+        feet: Vec<CeFootprint>,
+    ) -> ObservedFault {
+        let mut record_indices: Vec<u32> = feet.iter().map(|f| f.idx).collect();
+        record_indices.sort_unstable();
+        let first = feet
+            .iter()
+            .map(|f| f.time)
+            .min()
+            .expect("fault with no records");
+        let last = feet
+            .iter()
+            .map(|f| f.time)
+            .max()
+            .expect("fault with no records");
+        ObservedFault {
+            node,
+            slot,
+            rank,
+            bank,
+            col,
+            mode,
+            bit_pos,
+            addr,
+            error_count: record_indices.len() as u64,
+            first_seen: first,
+            last_seen: last,
+            record_indices,
+        }
     }
 }
 
@@ -424,7 +752,7 @@ fn build_fault(
 mod tests {
     use super::*;
     use astra_topology::{PhysAddr, SocketId};
-    use astra_util::CalDate;
+    use astra_util::{CalDate, DetRng};
 
     fn rec(
         node: u32,
@@ -685,6 +1013,215 @@ mod tests {
             assert_eq!(x.mode, y.mode);
             assert_eq!(x.error_count, y.error_count);
             assert_eq!(x.bank, y.bank);
+        }
+    }
+
+    /// A footprint at stream index `idx`.
+    fn foot(idx: u32, bank: u16, col: u16, bit_pos: u16, addr: u64, minute: i64) -> CeFootprint {
+        CeFootprint {
+            idx,
+            time: Minute::from_i64(minute),
+            bank,
+            col,
+            bit_pos,
+            addr,
+        }
+    }
+
+    /// Classifies `groups` with the kernel and with the oracle, asserts
+    /// the two agree, and returns the faults.
+    fn check(
+        groups: &[(GroupKey, Vec<CeFootprint>)],
+        config: &CoalesceConfig,
+    ) -> Vec<ObservedFault> {
+        let views: Vec<(GroupKey, &[CeFootprint])> = groups
+            .iter()
+            .map(|(key, feet)| (*key, feet.as_slice()))
+            .collect();
+        let total = views.iter().map(|(_, feet)| feet.len()).sum();
+        let got = classify_groups(views.clone(), total, config);
+        assert_eq!(got, oracle::classify(&views, config));
+        got
+    }
+
+    /// One group on node 1, slot A, rank 0.
+    fn one_group(feet: Vec<CeFootprint>) -> Vec<ObservedFault> {
+        check(&[((1, 0, 0), feet)], &CoalesceConfig::default())
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_arbitrary_footprints() {
+        // A small coordinate space, so that lanes cross banks, columns
+        // share addresses and faults tie; configs around the defaults.
+        let mut rng = DetRng::new(0x5eed_c0a1);
+        for case in 0..400 {
+            let config = if case % 2 == 0 {
+                CoalesceConfig::default()
+            } else {
+                CoalesceConfig {
+                    pin_bank_threshold: 1 + rng.below(6) as usize,
+                    bank_dispersion_cols: 1 + rng.below(8) as usize,
+                    bank_max_col_share: [0.25, 0.5, 0.75, 1.0][rng.below(4) as usize],
+                }
+            };
+            let mut groups: Vec<(GroupKey, Vec<CeFootprint>)> = (0..1 + rng.below(4))
+                .map(|g| {
+                    (
+                        (g as u32, rng.below(16) as u8, rng.below(2) as u8),
+                        Vec::new(),
+                    )
+                })
+                .collect();
+            groups.sort_unstable_by_key(|(key, _)| *key);
+            groups.dedup_by_key(|(key, _)| *key);
+            for idx in 0..rng.below(300) as u32 {
+                let g = rng.below(groups.len() as u64) as usize;
+                groups[g].1.push(foot(
+                    idx,
+                    rng.below(8) as u16,
+                    rng.below(8) as u16,
+                    rng.below(6) as u16 * 7,
+                    rng.below(12) * 64,
+                    rng.below(200) as i64,
+                ));
+            }
+            groups.retain(|(_, feet)| !feet.is_empty());
+            if case % 5 == 0 {
+                // Footprints out of index order: what no caller feeds,
+                // but the output must still match.
+                for (_, feet) in &mut groups {
+                    feet.reverse();
+                }
+            }
+            check(&groups, &config);
+        }
+    }
+
+    #[test]
+    fn a_lane_is_a_pin_lane_from_the_threshold_on() {
+        let threshold = CoalesceConfig::default().pin_bank_threshold as u16;
+        for banks in [threshold - 1, threshold] {
+            let feet = (0..banks)
+                .map(|b| foot(b as u32, b, 3, 77, 64 * b as u64, b as i64))
+                .collect();
+            let faults = one_group(feet);
+            if banks == threshold {
+                assert_eq!(faults.len(), 1);
+                assert_eq!(faults[0].mode, ObservedMode::RankLevel);
+            } else {
+                assert_eq!(faults.len(), banks as usize);
+                assert!(faults.iter().all(|f| f.mode == ObservedMode::SingleBit));
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_holding_exactly_the_share_splits_the_bank() {
+        // Six columns (`bank_dispersion_cols`), 12 addresses, column 0
+        // holding 6 of them: 6 is not below 0.5 x 12, so the bank splits
+        // per column. One address fewer in column 0 makes it dispersed.
+        let config = CoalesceConfig::default();
+        let mut feet: Vec<CeFootprint> =
+            (0..6).map(|a| foot(a, 2, 0, 9, 64 * a as u64, 0)).collect();
+        for (i, col) in [1, 1, 2, 3, 4, 5].into_iter().enumerate() {
+            feet.push(foot(6 + i as u32, 2, col, 9, 64 * (6 + i as u64), 1));
+        }
+        assert_eq!(config.bank_dispersion_cols, 6);
+        let split = one_group(feet.clone());
+        assert_eq!(split.len(), 6);
+        assert!(split.iter().all(|f| f.mode != ObservedMode::SingleBank));
+        feet.remove(5);
+        let dispersed = one_group(feet);
+        assert_eq!(dispersed.len(), 1);
+        assert_eq!(dispersed[0].mode, ObservedMode::SingleBank);
+    }
+
+    #[test]
+    fn majority_bit_ties_go_to_the_smallest_bit() {
+        let bits = [9, 5, 5, 3, 3, 9, 1];
+        let feet = (0u32..)
+            .zip(bits)
+            .map(|(i, bit)| foot(i, 1, 1, bit, 64 * u64::from(i), i as i64))
+            .collect();
+        let faults = one_group(feet);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].mode, ObservedMode::SingleColumn);
+        assert_eq!(faults[0].bit_pos, 3);
+    }
+
+    #[test]
+    fn an_address_logged_in_two_columns_counts_once_in_its_bank() {
+        // Column 0 holds 3 addresses; the bank holds 6 distinct ones but
+        // 8 (column, address) pairs. 3 is not below half of 6, so the
+        // bank splits; counting an address once per column would make
+        // it dispersed.
+        let cols_addrs = [
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (1, 0),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+        ];
+        let feet = (0u32..)
+            .zip(cols_addrs)
+            .map(|(i, (col, addr))| foot(i, 4, col, 11, 64 * addr, 0))
+            .collect();
+        let faults = one_group(feet);
+        let modes: Vec<ObservedMode> = faults.iter().map(|f| f.mode).collect();
+        assert_eq!(modes.len(), 6, "{faults:?}");
+        assert_eq!(modes[0], ObservedMode::SingleColumn);
+        assert!(modes[1..].iter().all(|&m| m == ObservedMode::SingleBit));
+    }
+
+    #[test]
+    fn a_hundred_thousand_repeats_are_one_single_bit_fault() {
+        let feet = (0..100_000)
+            .map(|i| foot(i, 5, 6, 7, 0x40, i as i64))
+            .collect();
+        let faults = one_group(feet);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].mode, ObservedMode::SingleBit);
+        assert_eq!(faults[0].error_count, 100_000);
+        assert!(faults[0].record_indices.iter().copied().eq(0..100_000));
+    }
+
+    #[test]
+    fn faults_that_tie_in_the_output_order_keep_their_push_order() {
+        // Same bank, bit and first error: the final sort keeps the order
+        // the group pushed them in, which is column order.
+        let feet = vec![
+            foot(0, 3, 40, 8, 0x400, 5),
+            foot(1, 3, 10, 8, 0x100, 5),
+            foot(2, 3, 40, 8, 0x400, 6),
+        ];
+        let faults = one_group(feet);
+        let cols: Vec<Option<u16>> = faults.iter().map(|f| f.col).collect();
+        assert_eq!(cols, [Some(10), Some(40)]);
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_simulated_machines() {
+        // Two racks of every profile, at one worker and at four (the
+        // parallel path starts at 50,000 records).
+        for profile in astra_platform::registry() {
+            let sim = astra_faultsim::simulate(&profile.system(Some(2)), &profile.sim, 7);
+            let groups = group_footprints(&sim.ce_log);
+            let views: Vec<(GroupKey, &[CeFootprint])> = groups
+                .iter()
+                .map(|(key, feet)| (*key, feet.as_slice()))
+                .collect();
+            let want = oracle::classify(&views, &CoalesceConfig::default());
+            assert!(!want.is_empty(), "{}", profile.name);
+            for workers in [1, 4] {
+                astra_util::par::set_workers(Some(workers));
+                let got =
+                    classify_groups(views.clone(), sim.ce_log.len(), &CoalesceConfig::default());
+                astra_util::par::set_workers(None);
+                assert!(got == want, "{} at {workers} workers", profile.name);
+            }
         }
     }
 

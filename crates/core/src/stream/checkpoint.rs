@@ -488,9 +488,8 @@ fn render_position<W: Write>(s: &mut Sink<W>, name: &str, pos: &LogPosition) {
         }
     }
     s.nl();
-    // Samples go out grouped by reason: within a reason they are in file
-    // order, but how reasons interleave depends on where chunks and
-    // parse shards were cut, which must not change the bytes.
+    // Each reason's count, then its samples (a quarantine keeps them
+    // grouped by reason, in file order within one).
     let q = &pos.quarantine;
     for reason in QuarantineReason::ALL {
         let n = q.count(reason);
@@ -973,7 +972,7 @@ fn parse_lines<R: BufRead>(
                     .next()
                     .and_then(hex_text)
                     .ok_or_else(|| bad(no, "bad or missing sample text".into()))?;
-                resume.logs[src].quarantine.samples.push(QuarantinedLine {
+                resume.logs[src].quarantine.keep_sample(QuarantinedLine {
                     line_no,
                     reason,
                     snippet,
@@ -1576,8 +1575,8 @@ mod tests {
     /// chunk with a tally and samples (one empty, one multi-byte), a
     /// dirty binary log, one at byte 0 and a binary log that had ended.
     fn positioned(consumed: [u64; 4]) -> ResumePoint {
-        // Noted out of reason order: a checkpoint groups samples by
-        // reason, and parsing gives them back that way.
+        // Noted out of reason order: samples are kept grouped by reason,
+        // the order a checkpoint writes and parses them in.
         let mut quarantine = astra_logs::Quarantine::default();
         quarantine.note(7, QuarantineReason::UnknownFormat, b"ntpd[9]: clock step");
         quarantine.note(9, QuarantineReason::UnknownFormat, b"");
@@ -1625,15 +1624,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    /// `resume` with each log's samples grouped by reason (stably), the
-    /// order a checkpoint writes and reads them in.
-    fn grouped(mut resume: ResumePoint) -> ResumePoint {
-        for pos in &mut resume.logs {
-            pos.quarantine.samples.sort_by_key(|s| s.reason);
-        }
-        resume
     }
 
     fn parse(
@@ -1737,7 +1727,7 @@ mod tests {
         let resume = positioned(analyzer.counts);
         let bytes = render_bytes(&analyzer, &resume);
         let (restored, resume2) = parse(&bytes, &system).unwrap();
-        assert_eq!(resume2, grouped(resume));
+        assert_eq!(resume2, resume);
         // Byte-identical reserialization covers every serialized field.
         assert!(render_bytes(&restored, &resume2) == bytes);
     }
@@ -1879,7 +1869,7 @@ mod tests {
         }
         // Only the final newline missing: every line is still whole.
         let (_, resume) = parse(&bytes[..len - 1], &system).unwrap();
-        assert_eq!(resume, grouped(positioned(analyzer.counts)));
+        assert_eq!(resume, positioned(analyzer.counts));
     }
 
     struct TempDirGuard(PathBuf);

@@ -142,7 +142,9 @@ pub struct Quarantine {
     /// Count per [`QuarantineReason::index`].
     pub counts: [u64; 9],
     /// Retained examples, at most [`MAX_SAMPLES_PER_REASON`] per reason,
-    /// in encounter order.
+    /// grouped by reason in [`QuarantineReason::ALL`] order and in
+    /// encounter order within a reason. How a file was cut into chunks
+    /// or shards changes the order reasons are met in, not this order.
     pub samples: Vec<QuarantinedLine>,
 }
 
@@ -166,15 +168,37 @@ impl Quarantine {
     /// sample quota is not yet full.
     pub fn note(&mut self, line_no: u64, reason: QuarantineReason, raw: &[u8]) {
         self.counts[reason.index()] += 1;
-        let kept = self.samples.iter().filter(|s| s.reason == reason).count();
-        if kept < MAX_SAMPLES_PER_REASON {
+        if let Some(at) = self.sample_slot(reason) {
             let cut = raw.len().min(MAX_SNIPPET_BYTES);
-            self.samples.push(QuarantinedLine {
-                line_no,
-                reason,
-                snippet: String::from_utf8_lossy(&raw[..cut]).into_owned(),
-            });
+            self.samples.insert(
+                at,
+                QuarantinedLine {
+                    line_no,
+                    reason,
+                    snippet: String::from_utf8_lossy(&raw[..cut]).into_owned(),
+                },
+            );
         }
+    }
+
+    /// Keep `sample` (counts unchanged) if its reason's quota is not yet
+    /// full, after the samples of its reason already kept.
+    pub fn keep_sample(&mut self, sample: QuarantinedLine) {
+        if let Some(at) = self.sample_slot(sample.reason) {
+            self.samples.insert(at, sample);
+        }
+    }
+
+    /// Where the next sample of `reason` goes, or `None` when its quota
+    /// is full.
+    fn sample_slot(&self, reason: QuarantineReason) -> Option<usize> {
+        let end = self.samples.partition_point(|s| s.reason <= reason);
+        let kept = self.samples[..end]
+            .iter()
+            .rev()
+            .take_while(|s| s.reason == reason)
+            .count();
+        (kept < MAX_SAMPLES_PER_REASON).then_some(end)
     }
 
     /// Fold another quarantine (from a later slice of the same file, or
@@ -184,10 +208,7 @@ impl Quarantine {
             self.counts[reason.index()] += other.counts[reason.index()];
         }
         for s in &other.samples {
-            let kept = self.samples.iter().filter(|k| k.reason == s.reason).count();
-            if kept < MAX_SAMPLES_PER_REASON {
-                self.samples.push(s.clone());
-            }
+            self.keep_sample(s.clone());
         }
     }
 
@@ -384,6 +405,37 @@ mod tests {
             .filter(|s| s.reason == QuarantineReason::BadUtf8)
             .count();
         assert_eq!(utf8_samples, MAX_SAMPLES_PER_REASON);
+    }
+
+    #[test]
+    fn samples_are_grouped_by_reason_whatever_the_arrival_order() {
+        // One file's damage, met in file order and as two shards that
+        // each report out-of-order records before parse failures.
+        let lines = [
+            (1, QuarantineReason::UnknownFormat),
+            (2, QuarantineReason::OutOfOrder),
+            (3, QuarantineReason::Truncated),
+            (4, QuarantineReason::OutOfOrder),
+            (5, QuarantineReason::UnknownFormat),
+        ];
+        let mut one_pass = Quarantine::default();
+        for (no, reason) in lines {
+            one_pass.note(no, reason, b"x");
+        }
+        let mut sharded = Quarantine::default();
+        for shard in [&lines[..3], &lines[3..]] {
+            let mut q = Quarantine::default();
+            for &(no, reason) in shard.iter().filter(|l| l.1 == QuarantineReason::OutOfOrder) {
+                q.note(no, reason, b"x");
+            }
+            for &(no, reason) in shard.iter().filter(|l| l.1 != QuarantineReason::OutOfOrder) {
+                q.note(no, reason, b"x");
+            }
+            sharded.merge(&q);
+        }
+        assert_eq!(sharded, one_pass);
+        let order: Vec<u64> = one_pass.samples.iter().map(|s| s.line_no).collect();
+        assert_eq!(order, [3, 1, 5, 2, 4]);
     }
 
     #[test]

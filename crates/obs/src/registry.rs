@@ -6,7 +6,7 @@
 //! instrumentation never coordinates. Names are sorted (BTreeMap), which
 //! is what makes every export deterministic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use crate::export::Snapshot;
@@ -77,7 +77,17 @@ impl MetricValue {
 /// A thread-safe, name-keyed metric store.
 #[derive(Debug, Default)]
 pub struct Registry {
-    metrics: Mutex<BTreeMap<String, MetricValue>>,
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    metrics: BTreeMap<String, MetricValue>,
+    /// Names only [`Registry::absorb`] has registered so far. The code's
+    /// first fetch of such a name settles its kind: an imported value of
+    /// another kind (a file an older build wrote) gives way instead of
+    /// panicking.
+    imported: BTreeSet<String>,
 }
 
 impl Registry {
@@ -89,9 +99,12 @@ impl Registry {
     /// Fetch or create the counter `name`.
     ///
     /// Panics if `name` is already registered as a different kind — a
-    /// naming bug worth failing loudly on.
+    /// naming bug worth failing loudly on — unless only an import
+    /// registered it (see [`Registry::absorb`]).
     pub fn counter(&self, name: &str) -> Counter {
-        match self.fetch_or_insert(name, || MetricValue::Counter(Counter::default())) {
+        match self.fetch_or_insert(name, MetricKind::Counter, || {
+            MetricValue::Counter(Counter::default())
+        }) {
             MetricValue::Counter(c) => c,
             other => panic!("metric {name} is a {:?}, not a counter", other.kind()),
         }
@@ -99,7 +112,9 @@ impl Registry {
 
     /// Fetch or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match self.fetch_or_insert(name, || MetricValue::Gauge(Gauge::default())) {
+        match self.fetch_or_insert(name, MetricKind::Gauge, || {
+            MetricValue::Gauge(Gauge::default())
+        }) {
             MetricValue::Gauge(g) => g,
             other => panic!("metric {name} is a {:?}, not a gauge", other.kind()),
         }
@@ -108,7 +123,9 @@ impl Registry {
     /// Fetch or create the size histogram `name`. `bounds` applies only
     /// on first registration; later calls get the existing buckets.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        match self.fetch_or_insert(name, || MetricValue::Histogram(Histogram::new(bounds))) {
+        match self.fetch_or_insert(name, MetricKind::Histogram, || {
+            MetricValue::Histogram(Histogram::new(bounds))
+        }) {
             MetricValue::Histogram(h) => h,
             other => panic!("metric {name} is a {:?}, not a histogram", other.kind()),
         }
@@ -116,7 +133,7 @@ impl Registry {
 
     /// Fetch or create the timing histogram `name` (nanosecond buckets).
     pub fn timing(&self, name: &str) -> Histogram {
-        match self.fetch_or_insert(name, || {
+        match self.fetch_or_insert(name, MetricKind::Timing, || {
             MetricValue::Timing(Histogram::new(&crate::timing_bounds_ns()))
         }) {
             MetricValue::Timing(h) => h,
@@ -124,21 +141,37 @@ impl Registry {
         }
     }
 
-    fn fetch_or_insert(&self, name: &str, make: impl FnOnce() -> MetricValue) -> MetricValue {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        metrics.entry(name.to_string()).or_insert_with(make).clone()
+    fn fetch_or_insert(
+        &self,
+        name: &str,
+        kind: MetricKind,
+        make: impl FnOnce() -> MetricValue,
+    ) -> MetricValue {
+        let mut inner = self.inner.lock().expect("registry poisoned");
+        let imported = !inner.imported.is_empty() && inner.imported.remove(name);
+        if imported && inner.metrics.get(name).is_some_and(|m| m.kind() != kind) {
+            inner.metrics.remove(name);
+        }
+        inner
+            .metrics
+            .entry(name.to_string())
+            .or_insert_with(make)
+            .clone()
     }
 
     /// Remove every metric.
     pub fn clear(&self) {
-        self.metrics.lock().expect("registry poisoned").clear();
+        let mut inner = self.inner.lock().expect("registry poisoned");
+        inner.metrics.clear();
+        inner.imported.clear();
     }
 
     /// Point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.metrics.lock().expect("registry poisoned");
+        let inner = self.inner.lock().expect("registry poisoned");
         Snapshot {
-            entries: metrics
+            entries: inner
+                .metrics
                 .iter()
                 .map(|(name, value)| (name.clone(), crate::export::freeze(value)))
                 .collect(),
@@ -148,17 +181,43 @@ impl Registry {
     /// Merge one exported metric into this registry (counters and
     /// histogram counts add; gauges overwrite). Used to fold a dataset's
     /// generation-time `metrics.jsonl` into an analysis run.
+    ///
+    /// A value whose kind differs from the name's registered kind is
+    /// dropped. A name the import registers first keeps the imported kind
+    /// only until the code fetches it as another kind.
     pub fn absorb(&self, name: &str, kind: MetricKind, value: &AbsorbValue) {
-        match (kind, value) {
-            (MetricKind::Counter, AbsorbValue::Scalar(v)) => {
-                self.counter(name).add(*v as u64);
+        let metric = {
+            let mut inner = self.inner.lock().expect("registry poisoned");
+            match inner.metrics.get(name) {
+                Some(m) if m.kind() != kind => return,
+                Some(m) => m.clone(),
+                None => {
+                    let m = match (kind, value) {
+                        (MetricKind::Counter, AbsorbValue::Scalar(_)) => {
+                            MetricValue::Counter(Counter::default())
+                        }
+                        (MetricKind::Gauge, AbsorbValue::Scalar(_)) => {
+                            MetricValue::Gauge(Gauge::default())
+                        }
+                        (MetricKind::Histogram, AbsorbValue::Histogram(snap)) => {
+                            MetricValue::Histogram(Histogram::new(&snap.bounds))
+                        }
+                        (MetricKind::Timing, AbsorbValue::Histogram(_)) => {
+                            MetricValue::Timing(Histogram::new(&crate::timing_bounds_ns()))
+                        }
+                        _ => return, // kind/value mismatch: drop rather than corrupt
+                    };
+                    inner.imported.insert(name.to_string());
+                    inner.metrics.insert(name.to_string(), m.clone());
+                    m
+                }
             }
-            (MetricKind::Gauge, AbsorbValue::Scalar(v)) => self.gauge(name).set(*v),
-            (MetricKind::Histogram, AbsorbValue::Histogram(snap)) => {
-                self.histogram(name, &snap.bounds).merge_snapshot(snap)
-            }
-            (MetricKind::Timing, AbsorbValue::Histogram(snap)) => {
-                self.timing(name).merge_snapshot(snap)
+        };
+        match (metric, value) {
+            (MetricValue::Counter(c), AbsorbValue::Scalar(v)) => c.add(*v as u64),
+            (MetricValue::Gauge(g), AbsorbValue::Scalar(v)) => g.set(*v),
+            (MetricValue::Histogram(h) | MetricValue::Timing(h), AbsorbValue::Histogram(snap)) => {
+                h.merge_snapshot(snap)
             }
             _ => {} // kind/value mismatch: drop rather than corrupt
         }
@@ -192,6 +251,31 @@ mod tests {
         let r = Registry::new();
         r.counter("a.x");
         r.gauge("a.x");
+    }
+
+    #[test]
+    fn an_imported_value_gives_way_to_the_kind_the_code_uses() {
+        let r = Registry::new();
+        // A file an older build wrote: a counter the code now sets as a
+        // gauge, and a counter it still counts.
+        r.absorb("c.state", MetricKind::Counter, &AbsorbValue::Scalar(516.0));
+        r.absorb("c.events", MetricKind::Counter, &AbsorbValue::Scalar(3.0));
+        r.gauge("c.state").set(42.0);
+        r.counter("c.events").add(2);
+        assert_eq!(r.gauge("c.state").get(), 42.0);
+        assert_eq!(r.counter("c.events").get(), 5);
+        // An import of another kind than the registered one is dropped.
+        r.absorb("c.state", MetricKind::Counter, &AbsorbValue::Scalar(7.0));
+        assert_eq!(r.gauge("c.state").get(), 42.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a gauge")]
+    fn a_claimed_import_still_panics_on_a_kind_clash() {
+        let r = Registry::new();
+        r.absorb("c.x", MetricKind::Counter, &AbsorbValue::Scalar(1.0));
+        r.counter("c.x");
+        r.gauge("c.x");
     }
 
     #[test]

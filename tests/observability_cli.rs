@@ -386,6 +386,51 @@ fn stats_without_metrics_file_prints_actionable_hint() {
 }
 
 #[test]
+fn stats_reads_coalesce_state_over_counters_an_older_build_wrote() {
+    // An older build exported `coalesce.groups` and `coalesce.mode.*` as
+    // counters (e.g. `report --metrics-out` into the dataset). `stats`
+    // imports that file before it classifies; the run's own gauges win,
+    // and the import must not trip the registry's kind check.
+    let dir = TempDir::new("statsold");
+    generate(dir.path());
+    let d = dir.path().to_str().unwrap();
+    let exported = dir.join("analyze.jsonl");
+    run(&[
+        "analyze",
+        d,
+        "--racks",
+        "1",
+        "--metrics-out",
+        exported.to_str().unwrap(),
+    ]);
+    let jsonl = std::fs::read_to_string(&exported).unwrap();
+    let single_bit = metric_value(&jsonl, "coalesce.mode.single-bit").unwrap();
+    assert!(
+        jsonl.contains(r#"{"name":"coalesce.groups","kind":"gauge","#),
+        "{jsonl}"
+    );
+    let mut metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
+    metrics.push_str(
+        "{\"name\":\"coalesce.groups\",\"kind\":\"counter\",\"value\":516}\n\
+         {\"name\":\"coalesce.mode.single-bit\",\"kind\":\"counter\",\"value\":9999}\n",
+    );
+    std::fs::write(dir.join("metrics.jsonl"), metrics).unwrap();
+    let out = Command::new(bin())
+        .args(["stats", d, "--racks", "1"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "stats failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let want = format!("    {:<14} {:>6} (", "single-bit", single_bit as u64);
+    assert!(text.contains(&want), "want {want:?} in:\n{text}");
+    assert!(!text.contains("9999"), "{text}");
+}
+
+#[test]
 fn load_errors_distinguish_missing_from_corrupt() {
     let dir = TempDir::new("loaderr");
     generate(dir.path());

@@ -15,7 +15,7 @@
 //!    fallback to the wrong machine.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -241,6 +241,57 @@ fn manifest_roundtrips_and_consumers_resolve_it() {
 
 /// Claim 3, failure half: a damaged manifest is a typed, actionable
 /// error — not a silent fall-back to the astra assumption.
+/// `convert` carries the manifest over with the new format, so a
+/// converted copy resolves the same machine without flags.
+#[test]
+fn convert_keeps_the_manifest_with_the_new_format() {
+    let tmp = TempDir::new("convert");
+    let src = tmp.join("text");
+    let bin = tmp.join("bin");
+    run_ok(&[
+        "generate",
+        "--racks",
+        "1",
+        "--seed",
+        "42",
+        "--out",
+        src.to_str().unwrap(),
+    ]);
+    let (want, _) = run_ok(&["analyze", src.to_str().unwrap()]);
+    assert!(want.contains("on 72 nodes"), "{want}");
+
+    let to = |dir: &Path, format: &str, out: Option<&Path>| {
+        let mut args = vec!["convert", dir.to_str().unwrap(), "--to", format];
+        if let Some(out) = out {
+            args.extend(["--out", out.to_str().unwrap()]);
+        }
+        run_ok(&args);
+    };
+    to(&src, "binary", Some(&bin));
+    let source = astra_logs::Manifest::load(&src).unwrap().unwrap();
+    let copied = astra_logs::Manifest::load(&bin).unwrap().unwrap();
+    assert_eq!(copied.format, "binary");
+    assert_eq!(
+        copied,
+        astra_logs::Manifest {
+            format: "binary".into(),
+            ..source.clone()
+        }
+    );
+    assert_eq!(run_ok(&["analyze", bin.to_str().unwrap()]).0, want);
+
+    // In place, the format field follows the logs back.
+    to(&bin, "text", None);
+    assert_eq!(astra_logs::Manifest::load(&bin).unwrap().unwrap(), source);
+    assert_eq!(run_ok(&["analyze", bin.to_str().unwrap()]).0, want);
+
+    // A directory without a manifest converts to one without a manifest.
+    std::fs::remove_file(astra_logs::Manifest::path_in(&src)).unwrap();
+    let bare = tmp.join("bare");
+    to(&src, "binary", Some(&bare));
+    assert!(astra_logs::Manifest::load(&bare).unwrap().is_none());
+}
+
 #[test]
 fn damaged_manifest_is_an_error_not_a_fallback() {
     let tmp = TempDir::new("damaged");

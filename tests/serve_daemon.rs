@@ -364,3 +364,85 @@ fn serve_rejects_checkpoint_flag_with_multiple_sites() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("single site"), "stderr: {stderr}");
 }
+
+/// The `coalesce.groups` and `coalesce.mode.*` lines of a JSON-lines
+/// metrics export.
+fn coalesce_state_lines(jsonl: &str) -> Vec<String> {
+    jsonl
+        .lines()
+        .filter(|l| {
+            l.starts_with("{\"name\":\"coalesce.groups\"")
+                || l.starts_with("{\"name\":\"coalesce.mode.")
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn coalesce_gauges_after_the_last_append_match_analyze() {
+    // Groups and faults per mode are state: after a site fed in four
+    // appends is caught up, the daemon reports what one `analyze` of
+    // the completed logs exports, not a sum over its publishes.
+    let tmp = TempDir::new("gauges");
+    let logs = tmp.join("logs");
+    generate(&logs);
+    let logs_str = logs.to_str().unwrap();
+    let ce = std::fs::read(logs.join("ce.log")).unwrap();
+    let mut cuts: Vec<usize> = (1..5)
+        .map(|i| {
+            let at = ce.len() * i / 5;
+            at + ce[at..].iter().position(|&b| b == b'\n').unwrap() + 1
+        })
+        .collect();
+    cuts.push(ce.len());
+    std::fs::write(logs.join("ce.log"), &ce[..cuts[0]]).unwrap();
+
+    let daemon = Daemon::spawn(&[logs_str, "--racks", "1"]);
+    daemon.wait_ready();
+    for pair in cuts.windows(2) {
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(logs.join("ce.log"))
+            .unwrap();
+        std::io::Write::write_all(&mut file, &ce[pair[0]..pair[1]]).unwrap();
+        drop(file);
+        let lines = ce[..pair[1]].iter().filter(|&&b| b == b'\n').count() as u64;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let summary = http::get(daemon.addr, "/site/logs").unwrap().body;
+            let consumed = summary
+                .split("\"consumed\":[")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse::<u64>().ok());
+            if consumed == Some(lines) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "append never published: {summary}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    let served = http::get(daemon.addr, "/metrics.jsonl").unwrap().body;
+    http::request(daemon.addr, "POST", "/shutdown").unwrap();
+    daemon.wait_exit();
+
+    let exported = tmp.join("analyze.jsonl");
+    stdout_of(&[
+        "analyze",
+        logs_str,
+        "--racks",
+        "1",
+        "--metrics-out",
+        exported.to_str().unwrap(),
+    ]);
+    let want = coalesce_state_lines(&std::fs::read_to_string(&exported).unwrap());
+    assert!(
+        want.iter()
+            .any(|l| l.contains("coalesce.groups") && l.contains("\"gauge\"")),
+        "{want:?}"
+    );
+    assert_eq!(coalesce_state_lines(&served), want);
+}

@@ -102,7 +102,9 @@ COMMANDS:
                     /analysis body is byte-identical to `analyze` output.
                     Stop with GET/POST /shutdown or by closing stdin;
                     both drain in-flight requests and checkpoint first
-    report          render every table and figure of the paper
+    report          render every table and figure of the paper (without a
+                    manifest.txt or --seed, the figures drawn from the
+                    telemetry model are skipped, each with a note)
     triage          operational outputs: exclude list, retirement, replacements
     stats           pipeline health report: throughput, drop/skip rates, ratios
                     (ingests leniently so it can diagnose dirty datasets)
@@ -126,7 +128,8 @@ COMMANDS:
                     self time, and peak/net memory when the byte-counting
                     allocator is measuring
 
-OPTIONS:
+OPTIONS (a flag the command does not read is a usage error;
+--metrics-out and --trace-out work on every command):
     --profile P           (generate) platform profile: astra (default),
                           x86-ddr4, datacenter — see `astra-mem profiles`
     --racks N             machine size in racks (default 4; Astra is 36)
@@ -169,6 +172,40 @@ OPTIONS:
     --resume FILE         (stream-analyze) resume from a checkpoint
     --stop-after N        (stream-analyze) checkpoint and stop after N events
 ";
+
+/// Whether `command` reads `flag`: a flag it does not read is a usage
+/// error, so one that would change nothing never passes silently.
+/// `--metrics-out` and `--trace-out` work on every command. `None` for an
+/// unknown command, which dispatch reports.
+fn reads_flag(command: &str, flag: &str) -> Option<bool> {
+    const LOAD: &str = "--profile --racks --seed --lenient --max-bad-frac";
+    let groups: &[&str] = match command {
+        "generate" => &["--profile --racks --seed --format --out"],
+        "profiles" | "fsck" | "trace" => &[],
+        "convert" => &["--to --out --lenient --max-bad-frac"],
+        "analyze" | "report" | "triage" => &[LOAD],
+        "stream-analyze" => &[
+            LOAD,
+            "--checkpoint --checkpoint-every --resume --stop-after",
+        ],
+        "shard-analyze" => &[LOAD, "--shards --timeout --retries --degraded"],
+        crate::shard::WORKER_COMMAND => &[LOAD, "--rack-lo --rack-hi --shard-index --snapshot-out"],
+        "serve" => &[
+            "--racks --lenient --max-bad-frac --checkpoint --checkpoint-every --resume",
+            "--listen --poll-ms",
+        ],
+        "stats" => &["--profile --racks --seed --max-bad-frac --check"],
+        "predict" => &[LOAD, "--train --eval"],
+        "chaos" => &["--seed"],
+        _ => return None,
+    };
+    Some(
+        ["--metrics-out --trace-out"]
+            .iter()
+            .chain(groups)
+            .any(|group| group.split(' ').any(|f| f == flag)),
+    )
+}
 
 #[derive(Debug)]
 struct Args {
@@ -299,6 +336,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         snapshot_out: None,
     };
     while let Some(arg) = args.next() {
+        if arg.starts_with('-') && reads_flag(&parsed.command, &arg) == Some(false) {
+            return Err(format!("{} does not take {arg}", parsed.command));
+        }
         match arg.as_str() {
             "--racks" => {
                 let racks: u32 = flag_value(&mut args, "--racks")?;
@@ -659,7 +699,11 @@ fn load_error_hint(dir: &Path, e: &LoadError) -> String {
     }
 }
 
-/// Fold in the dataset's generation-time metrics, if present.
+/// Fold in the dataset's `metrics.jsonl`, if present. Commands call this
+/// after their own work, and the import adds only names the run did not
+/// record itself: generation's `faultsim.*` arrive, while a file an
+/// earlier analysis exported into the directory never doubles this run's
+/// parse and coalesce figures.
 fn import_dir_metrics(dir: &Path) {
     if let Ok(text) = std::fs::read_to_string(dir.join("metrics.jsonl")) {
         let bad = astra_obs::global().import_jsonl(&text);
@@ -703,6 +747,8 @@ struct Resolved {
     profile: PlatformProfile,
     system: SystemConfig,
     seed: u64,
+    /// The seed came from the manifest or `--seed`, not the fallback.
+    seed_known: bool,
 }
 
 /// Resolve a dataset directory's provenance against the command-line
@@ -759,6 +805,7 @@ fn resolve_for_dir(args: &Args, dir: &Path) -> Result<Resolved, String> {
             Ok(Resolved {
                 system: profile.system(Some(m.racks)),
                 seed: m.seed,
+                seed_known: true,
                 profile,
             })
         }
@@ -774,33 +821,37 @@ fn resolve_for_dir(args: &Args, dir: &Path) -> Result<Resolved, String> {
             Ok(Resolved {
                 system: profile.system(Some(args.racks_or_default())),
                 seed: args.seed_or_default(),
+                seed_known: args.seed.is_some(),
                 profile,
             })
         }
     }
 }
 
-fn load(args: &Args) -> Result<(Resolved, AnalysisInput), String> {
+/// The dataset directory, its resolved provenance, and its parsed logs.
+fn load(args: &Args) -> Result<(PathBuf, Resolved, AnalysisInput), String> {
     load_with(args, &args.ingest())
 }
 
-fn load_with(args: &Args, opts: &IngestOptions) -> Result<(Resolved, AnalysisInput), String> {
+fn load_with(
+    args: &Args,
+    opts: &IngestOptions,
+) -> Result<(PathBuf, Resolved, AnalysisInput), String> {
     let dir = require_dir(args)?;
     let resolved = resolve_for_dir(args, &dir)?;
     let input = AnalysisInput::from_dir_with(&dir, opts).map_err(|e| load_error_hint(&dir, &e))?;
-    if input.skipped > 0 {
+    if !input.quarantine.is_empty() {
         eprintln!(
             "note: quarantined {} lines {}",
-            input.skipped,
+            input.quarantine.total(),
             input.quarantine.summary()
         );
     }
-    import_dir_metrics(&dir);
-    Ok((resolved, input))
+    Ok((dir, resolved, input))
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let (resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
     let body = crate::serve::analysis_body(
@@ -811,6 +862,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         &exp::fig5::compute(&analysis),
     );
     print!("{body}");
+    import_dir_metrics(&dir);
     Ok(())
 }
 
@@ -823,7 +875,6 @@ fn cmd_stream_analyze(args: &Args) -> Result<(), String> {
         checkpoint_path: args.checkpoint.clone(),
         resume_from: args.resume.clone(),
         stop_after: args.stop_after,
-        ..StreamOptions::default()
     };
     let report = stream::stream_analyze(&dir, system, &opts).map_err(|e| match &e {
         StreamError::Load(le) => load_error_hint(&dir, le),
@@ -884,17 +935,13 @@ fn cmd_shard_analyze(args: &Args) -> Result<bool, String> {
         degraded: args.degraded,
         seed: resolved.seed,
         worker_flags,
-        stream: StreamOptions {
-            ingest: args.ingest(),
-            ..StreamOptions::default()
-        },
     };
     let supervised = {
         let _span = astra_obs::span("pipeline.shard");
         crate::shard::supervise(&cfg)?
     };
-    import_dir_metrics(&dir);
     let report = supervised.analyzer.snapshot();
+    import_dir_metrics(&dir);
     // The banner leads the partial output: nobody should be able to
     // read the numbers without reading the holes first.
     for (lo, hi) in &supervised.missing {
@@ -994,16 +1041,26 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let (resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
     // The telemetry model is functional: reconstruct it from the recorded
-    // (or given) seed under the dataset's thermal profile.
-    let telemetry = astra_telemetry::TelemetryModel::new(
-        system,
-        resolved.profile.thermal.clone(),
-        resolved.seed,
-    );
+    // (or given) seed under the dataset's thermal profile. With neither a
+    // manifest nor --seed there is nothing to reconstruct it from, so the
+    // figures it would feed are skipped instead of drawn at a guessed seed.
+    let telemetry = resolved.seed_known.then(|| {
+        astra_telemetry::TelemetryModel::new(
+            system,
+            resolved.profile.thermal.clone(),
+            resolved.seed,
+        )
+    });
+    let skip = |fig: &str, what: &str| {
+        println!(
+            "{fig}: skipped: {what} come from the telemetry model, which needs the dataset's \
+             seed (no manifest.txt, no --seed)\n"
+        )
+    };
     let config = TempCorrConfig::default();
 
     println!(
@@ -1012,12 +1069,19 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     );
     // Prefer the parsed sensors.log excerpt when the directory has one;
     // otherwise sample the telemetry model.
-    let fig2 = if input.sensors.is_empty() {
-        exp::fig2::compute(&telemetry, sensor_span(), 8, 6 * 60)
+    if !input.sensors.is_empty() {
+        println!(
+            "{}",
+            exp::fig2::compute_from_records(&input.sensors).render()
+        );
+    } else if let Some(telemetry) = &telemetry {
+        println!(
+            "{}",
+            exp::fig2::compute(telemetry, sensor_span(), 8, 6 * 60).render()
+        );
     } else {
-        exp::fig2::compute_from_records(&input.sensors)
-    };
-    println!("{}", fig2.render());
+        skip("Fig 2", "without sensors.log, sensor values");
+    }
     println!(
         "{}",
         exp::fig3::compute(&input.replacements, replacement_span()).render()
@@ -1027,19 +1091,30 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     println!("{}", exp::fig6::compute(&analysis).render());
     println!("{}", exp::fig7::compute(&analysis).render());
     println!("{}", exp::fig8::compute(&analysis).render());
-    println!(
-        "{}",
-        exp::fig9::compute(&analysis, &telemetry, sensor_span(), &config).render()
-    );
+    match &telemetry {
+        Some(telemetry) => println!(
+            "{}",
+            exp::fig9::compute(&analysis, telemetry, sensor_span(), &config).render()
+        ),
+        None => skip("Fig 9", "DIMM temperatures"),
+    }
     println!("{}", exp::fig10_12::compute(&analysis).render());
-    println!(
-        "{}",
-        exp::fig13_14::compute_fig13(&analysis, &telemetry, sensor_span(), &config).render()
-    );
-    println!(
-        "{}",
-        exp::fig13_14::compute_fig14(&analysis, &telemetry, sensor_span(), &config).render()
-    );
+    match &telemetry {
+        Some(telemetry) => {
+            println!(
+                "{}",
+                exp::fig13_14::compute_fig13(&analysis, telemetry, sensor_span(), &config).render()
+            );
+            println!(
+                "{}",
+                exp::fig13_14::compute_fig14(&analysis, telemetry, sensor_span(), &config).render()
+            );
+        }
+        None => {
+            skip("Fig 13", "temperatures");
+            skip("Fig 14", "node powers");
+        }
+    }
     let window = TimeSpan::dates(het_firmware_date(), CalDate::new(2019, 9, 14));
     println!(
         "{}",
@@ -1078,11 +1153,12 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             cs.front_loading(30.0, 212.0)
         );
     }
+    import_dir_metrics(&dir);
     Ok(())
 }
 
 fn cmd_triage(args: &Args) -> Result<(), String> {
-    let (resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args)?;
     let analysis = Analysis::run(resolved.system, input.records);
 
     println!("node exclusion curve:");
@@ -1121,6 +1197,7 @@ fn cmd_triage(args: &Args) -> Result<(), String> {
             out.faults_abandoned
         );
     }
+    import_dir_metrics(&dir);
     Ok(())
 }
 
@@ -1174,9 +1251,10 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     // A health report must diagnose unhealthy datasets, so `stats` is
     // lenient with an unbounded budget unless the user tightens it.
     let opts = IngestOptions::lenient(Some(args.max_bad_frac.unwrap_or(1.0)));
-    let (resolved, input) = load_with(args, &opts)?;
+    let (dir, resolved, input) = load_with(args, &opts)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
+    import_dir_metrics(&dir);
     let snap = astra_obs::global().snapshot();
 
     println!("pipeline health ({} nodes)", system.node_count());
@@ -1299,10 +1377,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         ("generate", "pipeline.generate"),
         ("merge", "pipeline.merge"),
         ("parse", "pipeline.parse"),
-        ("consume", "pipeline.consume"),
         ("stream", "pipeline.stream"),
-        ("coalesce", "pipeline.coalesce"),
-        ("spatial", "pipeline.spatial"),
+        ("coalesce", "coalesce"),
+        ("spatial", "spatial.compute"),
         ("predict", "pipeline.predict"),
     ];
     if stages
@@ -1512,7 +1589,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     if !args.train_dirs.is_empty() || !args.eval_dirs.is_empty() {
         return cmd_predict_transfer(args);
     }
-    let (resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args)?;
     let system = resolved.system;
 
     // Ground truth is not persisted by `generate`; re-derive it from the
@@ -1582,6 +1659,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
             );
         }
     }
+    import_dir_metrics(&dir);
     Ok(())
 }
 
@@ -1628,11 +1706,11 @@ fn cmd_predict_transfer(args: &Args) -> Result<(), String> {
         })?;
         let input = AnalysisInput::from_dir_with(dir, &args.ingest())
             .map_err(|e| load_error_hint(dir, &e))?;
-        if input.skipped > 0 {
+        if !input.quarantine.is_empty() {
             eprintln!(
                 "note: {}: quarantined {} lines {}",
                 dir.display(),
-                input.skipped,
+                input.quarantine.total(),
                 input.quarantine.summary()
             );
         }
@@ -1982,6 +2060,74 @@ mod tests {
         assert_eq!(a.checkpoint_every, Some(30));
         assert!(parse_args(argv(&["serve", "d", "--poll-ms", "0"])).is_err());
         assert!(parse_args(argv(&["serve", "d", "--listen"])).is_err());
+    }
+
+    #[test]
+    fn refuses_flags_the_command_does_not_read() {
+        for (args, flag) in [
+            (&["analyze", "d", "--shards", "4"][..], "--shards"),
+            (&["analyze", "d", "--checkpoint", "f"][..], "--checkpoint"),
+            (&["analyze", "d", "--poll-ms", "3"][..], "--poll-ms"),
+            (&["report", "d", "--degraded"][..], "--degraded"),
+            (&["report", "d", "--listen", "1.2.3.4:5"][..], "--listen"),
+            (&["generate", "--out", "d", "--shards", "3"][..], "--shards"),
+            (&["generate", "--out", "d", "--resume", "f"][..], "--resume"),
+            (&["fsck", "d", "--racks", "1"][..], "--racks"),
+        ] {
+            let err = parse_args(argv(args)).unwrap_err();
+            assert_eq!(err, format!("{} does not take {flag}", args[0]));
+        }
+        // The global flags, and every flag a caller passes today, parse.
+        for args in [
+            &["fsck", "d", "--metrics-out", "m", "--trace-out", "t"][..],
+            &[
+                "analyze",
+                "d",
+                "--profile",
+                "astra",
+                "--racks",
+                "1",
+                "--seed",
+                "7",
+            ][..],
+            &["analyze", "d", "--lenient", "--max-bad-frac", "0.5"][..],
+            &[
+                "stream-analyze",
+                "d",
+                "--checkpoint-every",
+                "9",
+                "--checkpoint",
+                "f",
+            ][..],
+            &["stream-analyze", "d", "--resume", "f", "--stop-after", "9"][..],
+            &[
+                "shard-analyze",
+                "d",
+                "--shards",
+                "2",
+                "--timeout",
+                "2",
+                "--retries",
+                "1",
+            ][..],
+            &[
+                "serve",
+                "d",
+                "--racks",
+                "1",
+                "--checkpoint",
+                "f",
+                "--resume",
+                "f",
+            ][..],
+            &["report", "d", "--racks", "1", "--seed", "42", "--lenient"][..],
+            &["stats", "d", "--racks", "1", "--check", "t.json"][..],
+            &["predict", "d", "--racks", "1", "--seed", "7"][..],
+            &["chaos", "d", "--seed", "7"][..],
+            &["convert", "d", "--to", "binary", "--out", "e"][..],
+        ] {
+            assert!(parse_args(argv(args)).is_ok(), "{args:?}");
+        }
     }
 
     #[test]

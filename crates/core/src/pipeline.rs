@@ -5,11 +5,13 @@
 //! extracted logs to reach the conclusions described in this paper."
 //! [`Dataset`] plays the role of the machine (it *generates* logs);
 //! [`AnalysisInput`] plays the role of the extraction step (it *parses*
-//! text); [`Analysis`] is the processing step (coalescing + aggregation).
+//! the logs); [`Analysis`] is the processing step (coalescing +
+//! aggregation).
 //!
 //! Tests that study the analysis alone hand it the simulator's records
-//! (`Analysis::run(system, dataset.sim.ce_log)`); the text round trip
-//! they skip is lossless, which `text_roundtrip_is_lossless` checks.
+//! (`Analysis::run(system, dataset.sim.ce_log)`); the write-and-read
+//! round trip they skip is lossless, which `text_roundtrip_is_lossless`
+//! checks.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -27,7 +29,7 @@ use astra_replace::{simulate_replacements, ReplacementProfile};
 use astra_telemetry::{TelemetryModel, ThermalProfile};
 use astra_topology::SystemConfig;
 
-use crate::coalesce::{CoalesceConfig, ObservedFault};
+use crate::coalesce::{coalesce, CoalesceConfig, ObservedFault};
 use crate::spatial::SpatialCounts;
 
 /// A complete generated dataset: the simulated machine's output.
@@ -101,40 +103,6 @@ impl Dataset {
             telemetry,
             sensor_cache: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Serialize the event logs to text (the published-dataset format).
-    ///
-    /// Returns `(ce_log, het_log, inventory_log)`. Note the CE log of a
-    /// full-scale run is several hundred megabytes; prefer
-    /// [`Dataset::write_logs`] for that.
-    ///
-    /// Each output `String` is pre-sized from the record count times the
-    /// first line's length and records append in place, so serializing a
-    /// multi-hundred-MB log performs no per-record allocation and no
-    /// doubling-regrowth copies of the accumulated text.
-    pub fn to_text(&self) -> (String, String, String) {
-        fn serialize<T>(records: &[T], fill: impl Fn(&T, &mut String)) -> String {
-            let mut out = String::new();
-            let Some(first) = records.first() else {
-                return out;
-            };
-            let mut probe = String::with_capacity(160);
-            fill(first, &mut probe);
-            // Lines of one log differ only in digit widths; first-line
-            // length plus slack is a tight upper estimate.
-            out.reserve(records.len() * (probe.len() + 16));
-            for rec in records {
-                fill(rec, &mut out);
-                out.push('\n');
-            }
-            out
-        }
-        (
-            serialize(&self.sim.ce_log, |r, buf| r.to_line_into(buf)),
-            serialize(&self.sim.het_log, |r, buf| r.to_line_into(buf)),
-            serialize(&self.replacements, |r, buf| r.to_line_into(buf)),
-        )
     }
 
     /// Environmental-log excerpt settings: the full per-minute stream at
@@ -364,51 +332,12 @@ pub struct AnalysisInput {
     /// Environmental sensor records (the dataset excerpt; may be empty
     /// for inputs without a `sensors.log`).
     pub sensors: Vec<SensorRecord>,
-    /// Lines skipped as foreign/corrupt across all logs.
-    pub skipped: u64,
     /// What was quarantined across all logs, by reason (empty unless a
     /// lenient [`AnalysisInput::from_dir_with`] load tolerated bad lines).
     pub quarantine: Quarantine,
 }
 
 impl AnalysisInput {
-    /// Parse the three text logs. The CE log — by far the largest — is
-    /// parsed in parallel shards.
-    ///
-    /// Reports failures as [`LoadError`] exactly like [`from_dir`]
-    /// (`Unreadable` with the log's canonical name), so callers handle
-    /// both entry points with one error path. The paths in those errors
-    /// are the canonical log names — in-memory text has no directory.
-    ///
-    /// [`from_dir`]: AnalysisInput::from_dir
-    pub fn from_text(ce_log: &str, het_log: &str, inventory_log: &str) -> Result<Self, LoadError> {
-        let _span = astra_obs::span("pipeline.parse");
-        let unreadable = |name: &'static str| {
-            move |source: io::Error| LoadError::Unreadable {
-                name,
-                path: PathBuf::from(name),
-                source,
-            }
-        };
-        let ces = logio::parse_lines_parallel_metered(ce_log, CeRecord::parse_line, "ce");
-        let hets = logio::read_lines_metered(het_log.as_bytes(), HetRecord::parse_line, "het")
-            .map_err(unreadable("het.log"))?;
-        let invs = logio::read_lines_metered(
-            inventory_log.as_bytes(),
-            ReplacementRecord::parse_line,
-            "inventory",
-        )
-        .map_err(unreadable("inventory.log"))?;
-        Ok(AnalysisInput {
-            records: ces.records,
-            hets: hets.records,
-            replacements: invs.records,
-            sensors: Vec::new(),
-            skipped: ces.skipped + hets.skipped + invs.skipped,
-            quarantine: Quarantine::default(),
-        })
-    }
-
     /// Read the logs from a directory written by [`Dataset::write_logs`],
     /// under the default (strict) ingest policy: any quarantined line
     /// aborts the load with [`LoadError::Corrupt`].
@@ -488,7 +417,6 @@ impl AnalysisInput {
         .unwrap_or((
             logio::ParsedLog {
                 records: Vec::new(),
-                skipped: 0,
             },
             Quarantine::default(),
         ));
@@ -501,7 +429,6 @@ impl AnalysisInput {
             hets: hets.records,
             replacements: invs.records,
             sensors: sensors.records,
-            skipped: ces.skipped + hets.skipped + invs.skipped + sensors.skipped,
             quarantine,
         })
     }
@@ -523,21 +450,9 @@ pub struct Analysis {
 impl Analysis {
     /// Coalesce and aggregate a CE record stream.
     pub fn run(system: SystemConfig, records: Vec<CeRecord>) -> Analysis {
-        Self::run_with(system, records, &CoalesceConfig::default())
-    }
-
-    /// As [`Analysis::run`] with an explicit coalescing configuration.
-    pub fn run_with(
-        system: SystemConfig,
-        records: Vec<CeRecord>,
-        config: &CoalesceConfig,
-    ) -> Analysis {
         let mut span = astra_obs::span("pipeline.analyze");
-        // One pass of the incremental engine over the record slice,
-        // sharded across workers; shard merge is exact, so the output is
-        // identical to the former separate coalesce + spatial passes at
-        // any worker count.
-        let (faults, spatial) = crate::stream::run_batch(&system, &records, config);
+        let faults = coalesce(&records, &CoalesceConfig::default());
+        let spatial = SpatialCounts::compute(&system, &records, &faults);
 
         let obs = astra_obs::global();
         obs.counter("coalesce.records_in").add(records.len() as u64);
@@ -597,12 +512,13 @@ mod tests {
     #[test]
     fn text_roundtrip_is_lossless() {
         let ds = dataset();
-        let (ce, het, inv) = ds.to_text();
-        let input = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
+        let guard = TempDirGuard::new("pipeline-roundtrip");
+        ds.write_logs(&guard.0).unwrap();
+        let input = AnalysisInput::from_dir(&guard.0).unwrap();
         assert_eq!(input.records, ds.sim.ce_log);
         assert_eq!(input.hets, ds.sim.het_log);
         assert_eq!(input.replacements, ds.replacements);
-        assert_eq!(input.skipped, 0);
+        assert!(input.quarantine.is_empty());
     }
 
     #[test]
@@ -687,7 +603,7 @@ mod tests {
         assert_eq!(input.records, ds.sim.ce_log);
         assert_eq!(input.hets, ds.sim.het_log);
         assert_eq!(input.replacements, ds.replacements);
-        assert_eq!(input.skipped, 0);
+        assert!(input.quarantine.is_empty());
         // The binary directory parses record-identical to the text one
         // (including the sensor values, which both formats quantize to
         // one decimal on write).
@@ -746,17 +662,26 @@ mod tests {
         let input = AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(None)).unwrap();
         assert_eq!(input.records.len(), ds.sim.ce_log.len());
         assert_eq!(input.records, ds.sim.ce_log);
-        assert_eq!(input.skipped, 1);
         assert_eq!(input.quarantine.total(), 1);
     }
 
     #[test]
     fn corrupt_lines_are_skipped_not_fatal() {
+        use std::io::Write as _;
         let ds = dataset();
-        let (mut ce, het, inv) = ds.to_text();
-        ce.push_str("this is not a CE record\n");
-        let input = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
-        assert_eq!(input.skipped, 1);
-        assert_eq!(input.records.len(), ds.sim.ce_log.len());
+        let guard = TempDirGuard::new("pipeline-skip");
+        ds.write_logs(&guard.0).unwrap();
+        for name in ["ce.log", "het.log"] {
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(guard.0.join(name))
+                .unwrap();
+            writeln!(f, "this is not a {name} record").unwrap();
+        }
+        let input =
+            AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(Some(1.0))).unwrap();
+        assert_eq!(input.quarantine.total(), 2);
+        assert_eq!(input.records, ds.sim.ce_log);
+        assert_eq!(input.hets, ds.sim.het_log);
     }
 }

@@ -41,9 +41,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use astra_logs::chaos::{self, ShardChaos, ShardFaultMode};
+use astra_predict::PredictConfig;
 use astra_topology::{NodeId, SystemConfig};
 use astra_util::{DetRng, StreamKey};
 
+use crate::coalesce::CoalesceConfig;
 use crate::stream::{
     checkpoint, Analyzer, EventStream, MemEvent, ResumePoint, StreamAnalyzer, StreamOptions,
 };
@@ -107,8 +109,11 @@ pub struct WorkerConfig {
 /// byte-identical to `analyze`.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
     let injected = ShardChaos::from_env()?;
-    let mut analyzer =
-        StreamAnalyzer::new(cfg.system, cfg.stream.coalesce, cfg.stream.predict.clone());
+    let mut analyzer = StreamAnalyzer::new(
+        cfg.system,
+        CoalesceConfig::default(),
+        PredictConfig::default(),
+    );
     let mut source = EventStream::open_with(&cfg.dir, &ResumePoint::default(), cfg.stream.ingest)
         .map_err(|e| e.to_string())?;
     let nodes_per_rack = cfg.system.nodes_per_rack();
@@ -195,9 +200,6 @@ pub struct SupervisorConfig {
     /// (`--profile`, `--racks`, `--seed`, `--lenient`, ...) so workers
     /// resolve the dataset exactly as the supervisor did.
     pub worker_flags: Vec<String>,
-    /// Stream knobs used both to deserialize worker snapshots and as
-    /// the worker-side analyzer configuration.
-    pub stream: StreamOptions,
 }
 
 /// What a supervised run produced.
@@ -372,7 +374,7 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
                         Ok(Some(_)) => {
                             // Exit 0 is not success until the CRCs say
                             // so: a torn snapshot is a failed attempt.
-                            match checkpoint::read(&slot.snapshot, &cfg.system, &cfg.stream) {
+                            match checkpoint::read(&slot.snapshot, &cfg.system) {
                                 Ok((analyzer, _)) => {
                                     record_attempt(index, elapsed);
                                     slot.state = SlotState::Done(Box::new(analyzer));
@@ -449,8 +451,11 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
     // Left-to-right merge: shard i's racks all precede shard i+1's, so
     // folding in index order preserves the stream order the analyzers'
     // merge contract requires.
-    let mut merged =
-        StreamAnalyzer::new(cfg.system, cfg.stream.coalesce, cfg.stream.predict.clone());
+    let mut merged = StreamAnalyzer::new(
+        cfg.system,
+        CoalesceConfig::default(),
+        PredictConfig::default(),
+    );
     let mut missing = Vec::new();
     for slot in set.slots.drain(..) {
         match slot.state {
@@ -564,9 +569,7 @@ fn compact_footprint_indices(analyzer: &mut StreamAnalyzer) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::CoalesceConfig;
     use crate::pipeline::Dataset;
-    use astra_predict::PredictConfig;
 
     #[test]
     fn partition_covers_exactly_without_overlap() {

@@ -18,9 +18,9 @@
 //! bit-exact for contiguous shards at any worker count. The tempcorr
 //! *sum* is an `f64`, so its merge is last-ulp-sensitive to shard
 //! boundaries — it is exact only for the shipped paths, which never
-//! shard it (the engine consumes sequentially; `run_batch` folds only
-//! coalesce + spatial). Predict state cannot merge mid-rank at all, so
-//! [`PredictAnalyzer::merge`] insists on rank-disjoint shards.
+//! shard it (the engine consumes sequentially). Predict state cannot
+//! merge mid-rank at all, so [`PredictAnalyzer::merge`] insists on
+//! rank-disjoint shards.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -385,55 +385,6 @@ impl Analyzer for PredictAnalyzer {
             (a.time, a.key.sort_key(), a.predictor).cmp(&(b.time, b.key.sort_key(), b.predictor))
         });
         alerts
-    }
-}
-
-/// The coalesce + spatial pair the batch adapter folds — the part of the
-/// composite whose merge is bit-exact for contiguous record shards.
-pub struct BatchAnalyzer {
-    pub(crate) coalesce: CoalesceAnalyzer,
-    pub(crate) spatial: SpatialAnalyzer,
-}
-
-impl BatchAnalyzer {
-    /// Empty state.
-    pub fn new(system: SystemConfig, config: CoalesceConfig) -> Self {
-        BatchAnalyzer {
-            coalesce: CoalesceAnalyzer::new(config),
-            spatial: SpatialAnalyzer::new(system),
-        }
-    }
-}
-
-impl Analyzer for BatchAnalyzer {
-    type Report = (Vec<ObservedFault>, SpatialCounts);
-
-    fn consume(&mut self, ev: &MemEvent) {
-        self.coalesce.consume(ev);
-        self.spatial.consume(ev);
-    }
-
-    fn merge(a: Self, b: Self) -> Self {
-        BatchAnalyzer {
-            coalesce: Analyzer::merge(a.coalesce, b.coalesce),
-            spatial: Analyzer::merge(a.spatial, b.spatial),
-        }
-    }
-
-    fn snapshot(&self) -> (Vec<ObservedFault>, SpatialCounts) {
-        let faults = {
-            let _span = astra_obs::span("pipeline.coalesce");
-            self.coalesce.snapshot()
-        };
-        let spatial = {
-            let _span = astra_obs::span("pipeline.spatial");
-            let mut counts = self.spatial.snapshot();
-            for fault in &faults {
-                counts.absorb_fault(&self.spatial.system, fault);
-            }
-            counts
-        };
-        (faults, spatial)
     }
 }
 

@@ -65,12 +65,13 @@ use astra_logs::binfmt::BinPoint;
 use astra_logs::io::TextPoint;
 use astra_logs::quarantine::QuarantinedLine;
 use astra_logs::{HetKind, QuarantineReason};
-use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector};
+use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector, PredictConfig};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
 use astra_util::{crc32_update, Minute};
 
 use super::analyzers::{RankTrack, StreamAnalyzer};
-use super::{EventSource, LogPosition, ReadPoint, ResumePoint, StreamError, StreamOptions};
+use super::{EventSource, LogPosition, ReadPoint, ResumePoint, StreamError};
+use crate::coalesce::CoalesceConfig;
 use crate::spatial::SpatialCounts;
 
 /// First line of every checkpoint written. v2 added the per-section CRC
@@ -568,9 +569,8 @@ fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
 
 /// Deserialize a checkpoint into a restored analyzer plus the per-source
 /// resume point (byte-0 positions for a v2 file), salvaging when
-/// necessary. `system` and the configs in
-/// `opts` must be the ones the checkpointed run used; the machine shape
-/// is verified, the configs are the caller's contract.
+/// necessary. `system` must be the one the checkpointed run used; the
+/// machine shape is verified.
 ///
 /// Salvage: both `path` and a leftover `path.tmp` sibling (a write the
 /// process died during, or after, without completing the rename) are
@@ -585,15 +585,14 @@ fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
 pub(crate) fn read(
     path: &Path,
     system: &SystemConfig,
-    opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let _span = astra_obs::span("checkpoint.read");
-    let primary = read_one(path, system, opts);
+    let primary = read_one(path, system);
     let tmp = tmp_sibling(path);
     if !tmp.exists() {
         return primary;
     }
-    let secondary = read_one(&tmp, system, opts);
+    let secondary = read_one(&tmp, system);
     let salvaged = |which: &Path, state: (StreamAnalyzer, ResumePoint), note: &str| {
         astra_obs::global().counter("checkpoint.salvaged").add(1);
         eprintln!(
@@ -628,11 +627,10 @@ pub(crate) fn read(
 fn read_one(
     path: &Path,
     system: &SystemConfig,
-    opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let file = File::open(path).map_err(|e| cerr(path, format!("unreadable: {e}")))?;
     let mut lines = Lines::new(BufReader::with_capacity(BUF_BYTES, file));
-    let parsed = parse_lines(path, &mut lines, system, opts);
+    let parsed = parse_lines(path, &mut lines, system);
     astra_obs::global()
         .counter("checkpoint.bytes_read")
         .add(lines.bytes);
@@ -854,9 +852,9 @@ fn parse_lines<R: BufRead>(
     path: &Path,
     lines: &mut Lines<R>,
     system: &SystemConfig,
-    opts: &StreamOptions,
 ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
-    let mut analyzer = StreamAnalyzer::new(*system, opts.coalesce, opts.predict.clone());
+    let mut analyzer =
+        StreamAnalyzer::new(*system, CoalesceConfig::default(), PredictConfig::default());
     let mut consumed: Option<[u64; 4]> = None;
     let mut resume = ResumePoint::default();
     let mut positioned = [false; 4];
@@ -1131,11 +1129,12 @@ fn parse_lines<R: BufRead>(
                         .and_then(dec_lanes)
                         .ok_or_else(|| bad(no, "bad lanes".into()))?,
                 };
+                let config = &analyzer.predict.config;
                 let state = FeatureState::restore(
                     &dump,
-                    opts.predict.half_life_minutes,
-                    opts.predict.pin_bank_threshold,
-                    opts.predict.bank_dispersion_cols,
+                    config.half_life_minutes,
+                    config.pin_bank_threshold,
+                    config.bank_dispersion_cols,
                 )
                 .ok_or_else(|| bad(no, "unrestorable feature state".into()))?;
                 let fired = (0..analyzer.predict.predictors.len())
@@ -1631,12 +1630,7 @@ mod tests {
         system: &SystemConfig,
     ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
         let mut lines = Lines::new(bytes);
-        parse_lines(
-            Path::new("test"),
-            &mut lines,
-            system,
-            &StreamOptions::default(),
-        )
+        parse_lines(Path::new("test"), &mut lines, system)
     }
 
     fn dataset(racks: u32) -> &'static Dataset {
@@ -1653,8 +1647,11 @@ mod tests {
     /// `max_ces`), HETs and sensor readings, keeping only those on racks
     /// `racks` as a shard worker does.
     fn fold(ds: &Dataset, racks: std::ops::Range<u32>, max_ces: usize) -> StreamAnalyzer {
-        let opts = StreamOptions::default();
-        let mut a = StreamAnalyzer::new(ds.system, opts.coalesce, opts.predict.clone());
+        let mut a = StreamAnalyzer::new(
+            ds.system,
+            CoalesceConfig::default(),
+            PredictConfig::default(),
+        );
         let per_rack = ds.system.nodes_per_rack();
         let keep = |node: NodeId| racks.contains(&node.rack(per_rack).0);
         let ces = ds
@@ -1702,8 +1699,11 @@ mod tests {
 
     #[test]
     fn streamed_bytes_equal_the_fmt_oracle() {
-        let opts = StreamOptions::default();
-        let empty = StreamAnalyzer::new(SystemConfig::scaled(1), opts.coalesce, opts.predict);
+        let empty = StreamAnalyzer::new(
+            SystemConfig::scaled(1),
+            CoalesceConfig::default(),
+            PredictConfig::default(),
+        );
         let (full, _) = analyzer_with_state();
         let (shard, _) = small_shard_state();
         assert!(shard.coalesce.ces > 0 && !shard.predict.ranks.is_empty());
@@ -1897,7 +1897,6 @@ mod tests {
     #[test]
     fn damaged_footprint_count_is_a_typed_error_and_salvage_takes_the_tmp() {
         let (analyzer, system) = small_shard_state();
-        let opts = StreamOptions::default();
         let text = String::from_utf8(replay_bytes(&analyzer)).unwrap();
         let group = text
             .lines()
@@ -1909,7 +1908,7 @@ mod tests {
         let guard = TempDirGuard::new("ckpt-count");
         let path = guard.0.join("ck.txt");
         std::fs::write(&path, &damaged).unwrap();
-        match read(&path, &system, &opts) {
+        match read(&path, &system) {
             Err(StreamError::Checkpoint { detail, .. }) => {
                 assert!(detail.starts_with("line "), "must name the line: {detail}")
             }
@@ -1918,7 +1917,7 @@ mod tests {
         }
         // An intact `.tmp` sibling is then the one to resume.
         std::fs::write(path.with_extension("txt.tmp"), &text).unwrap();
-        let (_, resume) = read(&path, &system, &opts).unwrap();
+        let (_, resume) = read(&path, &system).unwrap();
         assert_eq!(resume.consumed, analyzer.counts);
     }
 
@@ -1959,7 +1958,7 @@ mod tests {
             &ResumePoint::replay([analyzer.counts[0] + 500, 0, 0, 0]),
         );
         std::fs::write(path.with_extension("txt.tmp"), &next[..next.len() / 2]).unwrap();
-        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        let (_, resume) = read(&path, &system).unwrap();
         assert_eq!(
             resume.consumed, analyzer.counts,
             "must resume the intact file"
@@ -1981,7 +1980,7 @@ mod tests {
             render_bytes(&analyzer, &ResumePoint::replay(newer)),
         )
         .unwrap();
-        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        let (_, resume) = read(&path, &system).unwrap();
         assert_eq!(resume.consumed, newer, "must salvage the fresher snapshot");
     }
 
@@ -1993,17 +1992,16 @@ mod tests {
         let bytes = replay_bytes(&analyzer);
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         std::fs::write(path.with_extension("txt.tmp"), &bytes).unwrap();
-        let (_, resume) = read(&path, &system, &StreamOptions::default()).unwrap();
+        let (_, resume) = read(&path, &system).unwrap();
         assert_eq!(resume.consumed, analyzer.counts);
         // Both torn: the primary's error surfaces.
         std::fs::write(path.with_extension("txt.tmp"), &bytes[..10]).unwrap();
-        assert!(read(&path, &system, &StreamOptions::default()).is_err());
+        assert!(read(&path, &system).is_err());
     }
 
     #[test]
     fn truncated_and_foreign_files_are_rejected() {
         let system = SystemConfig::scaled(1);
-        let opts = StreamOptions::default();
         assert!(parse(b"not a checkpoint\n", &system).is_err());
         let (analyzer, _) = analyzer_with_state();
         let bytes = replay_bytes(&analyzer);
@@ -2015,7 +2013,7 @@ mod tests {
         let mut binlog = Vec::from(binfmt::header_bytes(binfmt::KIND_CE, 1));
         binfmt::append_block(&mut binlog, &bytes);
         std::fs::write(&path, binlog).unwrap();
-        match read(&path, &system, &opts) {
+        match read(&path, &system) {
             Err(StreamError::Checkpoint { .. }) => {}
             Err(e) => panic!("binlog rejected with an untyped error: {e}"),
             Ok(_) => panic!("binlog accepted as a checkpoint"),

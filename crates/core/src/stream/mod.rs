@@ -26,9 +26,11 @@
 //!   start, so the resumed stream lands on the same state as the run
 //!   that wrote the checkpoint.
 //!
-//! [`run_batch`] drives the same analyzers over an in-memory record slice,
-//! which is how `pipeline::run_with` becomes a thin adapter: batch and
-//! streaming are provably the same code path down to `classify_groups`.
+//! Batch `Analysis::run` calls `coalesce()` and `SpatialCounts::compute`
+//! over the record vector instead; the coalesce analyzer's snapshot and
+//! `coalesce()` share `classify_groups`, and both spatial paths share
+//! `absorb_record`/`absorb_fault`, so the two give the same faults and
+//! tables.
 
 pub mod analyzers;
 pub mod checkpoint;
@@ -49,9 +51,8 @@ use astra_predict::PredictConfig;
 use astra_topology::SystemConfig;
 use astra_util::Minute;
 
-use crate::coalesce::{CoalesceConfig, ObservedFault};
+use crate::coalesce::CoalesceConfig;
 use crate::pipeline::LoadError;
-use crate::spatial::SpatialCounts;
 
 pub use analyzers::{HetReport, SensorMonth, StreamAnalyzer, StreamReport};
 
@@ -854,10 +855,6 @@ pub struct StreamOptions {
     /// Ingest policy (strict by default; `--lenient` quarantines within
     /// an error budget).
     pub ingest: IngestOptions,
-    /// Coalescing thresholds (shared with the batch path).
-    pub coalesce: CoalesceConfig,
-    /// Prediction feature/window knobs.
-    pub predict: PredictConfig,
     /// Write a checkpoint every N consumed events (absolute stream
     /// position, so cadence survives resume). Requires `checkpoint_path`.
     pub checkpoint_every: Option<u64>,
@@ -928,9 +925,9 @@ pub fn stream_analyze(
 ) -> Result<Option<StreamReport>, StreamError> {
     let _span = astra_obs::span("pipeline.stream");
     let (mut analyzer, resume) = match &opts.resume_from {
-        Some(path) => checkpoint::read(path, &system, opts)?,
+        Some(path) => checkpoint::read(path, &system)?,
         None => (
-            StreamAnalyzer::new(system, opts.coalesce, opts.predict.clone()),
+            StreamAnalyzer::new(system, CoalesceConfig::default(), PredictConfig::default()),
             ResumePoint::default(),
         ),
     };
@@ -1011,81 +1008,9 @@ fn flush_metrics(
         .set_max(analyzer.accounted_bytes() as f64);
 }
 
-/// Below this many records the consume fold runs sequentially (same
-/// threshold as the coalescer and spatial pass).
-const PARALLEL_CONSUME_MIN_RECORDS: usize = 50_000;
-
-/// Drive the coalesce + spatial analyzers over an in-memory record slice:
-/// the batch adapter `pipeline::run_with` delegates to.
-///
-/// Sharding is over contiguous index ranges and the merge appends
-/// footprints in shard order, so the folded state — and therefore the
-/// classified fault list — is bit-identical at any worker count, and
-/// identical to what [`stream_analyze`] accumulates from `ce.log`.
-pub(crate) fn run_batch(
-    system: &SystemConfig,
-    records: &[CeRecord],
-    config: &CoalesceConfig,
-) -> (Vec<ObservedFault>, SpatialCounts) {
-    let consumed = {
-        let _span = astra_obs::span("pipeline.consume");
-        let workers = astra_util::par::worker_count(records.len());
-        if records.len() >= PARALLEL_CONSUME_MIN_RECORDS && workers > 1 {
-            let ranges = shard_ranges(records.len(), workers);
-            let shards = astra_util::par::par_map(&ranges, |&(start, end)| {
-                // Inherits `pipeline.consume` as its span root on worker
-                // threads, so shard time nests identically at any count.
-                let mut span = astra_obs::span("consume.shard");
-                span.attach("records", (end - start) as i64);
-                let mut shard = analyzers::BatchAnalyzer::new(*system, *config);
-                for (off, rec) in records[start..end].iter().enumerate() {
-                    shard.consume(&MemEvent::Ce {
-                        seq: (start + off) as u64,
-                        rec: *rec,
-                    });
-                }
-                shard
-            });
-            shards
-                .into_iter()
-                .reduce(Analyzer::merge)
-                .unwrap_or_else(|| analyzers::BatchAnalyzer::new(*system, *config))
-        } else {
-            let mut span = astra_obs::span("consume.shard");
-            span.attach("records", records.len() as i64);
-            let mut shard = analyzers::BatchAnalyzer::new(*system, *config);
-            for (i, rec) in records.iter().enumerate() {
-                shard.consume(&MemEvent::Ce {
-                    seq: i as u64,
-                    rec: *rec,
-                });
-            }
-            shard
-        }
-    };
-    consumed.snapshot()
-}
-
-/// Split `0..len` into at most `shards` contiguous ranges, earlier ranges
-/// one longer when the division is uneven.
-fn shard_ranges(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.clamp(1, len.max(1));
-    let base = len / shards;
-    let rem = len % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let size = base + usize::from(i < rem);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::coalesce;
     use crate::pipeline::Dataset;
 
     pub(super) struct TempDirGuard(pub(super) PathBuf);
@@ -1422,32 +1347,6 @@ mod tests {
             ds.sim.ce_log.len() + ds.sim.het_log.len() + ds.replacements.len()
         );
         assert!(events.iter().all(|ev| ev.source() != EventSource::Sensor));
-    }
-
-    #[test]
-    fn run_batch_matches_direct_passes() {
-        let ds = Dataset::generate(1, 7);
-        let config = CoalesceConfig::default();
-        let faults_direct = coalesce(&ds.sim.ce_log, &config);
-        let spatial_direct = SpatialCounts::compute(&ds.system, &ds.sim.ce_log, &faults_direct);
-        let (faults, spatial) = run_batch(&ds.system, &ds.sim.ce_log, &config);
-        assert_eq!(faults, faults_direct);
-        assert_eq!(spatial, spatial_direct);
-    }
-
-    #[test]
-    fn shard_ranges_partition_exactly() {
-        for (len, shards) in [(0, 4), (1, 4), (10, 3), (50, 8), (7, 7), (5, 100)] {
-            let ranges = shard_ranges(len, shards);
-            let mut expect = 0;
-            for &(start, end) in &ranges {
-                assert_eq!(start, expect);
-                assert!(end >= start);
-                expect = end;
-            }
-            assert_eq!(expect, len, "ranges must cover 0..{len}");
-            assert!(ranges.len() <= shards.max(1));
-        }
     }
 
     #[test]

@@ -40,7 +40,10 @@
 use std::path::{Path, PathBuf};
 
 use astra_logs::Quarantine;
+use astra_predict::PredictConfig;
 use astra_topology::SystemConfig;
+
+use crate::coalesce::CoalesceConfig;
 
 use super::{
     checkpoint, Analyzer as _, EventStream, ResumePoint, StreamAnalyzer, StreamError,
@@ -75,9 +78,9 @@ impl SiteEngine {
                 .filter(|p| checkpoint::resume_candidate_exists(p))
         });
         let (analyzer, point) = match &resume {
-            Some(path) => checkpoint::read(path, &system, opts)?,
+            Some(path) => checkpoint::read(path, &system)?,
             None => (
-                StreamAnalyzer::new(system, opts.coalesce, opts.predict.clone()),
+                StreamAnalyzer::new(system, CoalesceConfig::default(), PredictConfig::default()),
                 ResumePoint::default(),
             ),
         };

@@ -1101,9 +1101,8 @@ where
             lines_ok: records.len() as u64,
         });
     }
-    let skipped = quarantine.total();
     let (bytes, blocks) = (chunked.bytes_consumed(), chunked.blocks_read());
-    Ok((ParsedLog { records, skipped }, quarantine, bytes, blocks))
+    Ok((ParsedLog { records }, quarantine, bytes, blocks))
 }
 
 /// Parse a log file in whichever format it is stored: sniffs the magic
@@ -1130,14 +1129,10 @@ where
     span.attach("lines_ok", parsed.records.len() as i64);
     span.attach("lines_quarantined", quarantine.total() as i64);
     span.attach("bytes", bytes as i64);
-    let obs = astra_obs::global();
-    obs.counter(&format!("parse.{stage}.lines_ok"))
-        .add(parsed.records.len() as u64);
-    obs.counter(&format!("parse.{stage}.lines_skipped"))
-        .add(parsed.skipped);
-    obs.counter(&format!("parse.{stage}.bytes"))
-        .add(bytes as u64);
-    obs.counter(&format!("parse.{stage}.blocks")).add(blocks);
+    parsed.publish(stage, &quarantine, bytes);
+    astra_obs::global()
+        .counter(&format!("parse.{stage}.blocks"))
+        .add(blocks);
     publish_quarantine(&quarantine);
     Ok((parsed, quarantine))
 }

@@ -7,20 +7,10 @@
 //! in-memory `Vec<u8>` in tests without buffering whole datasets.
 
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use crate::quarantine::{IngestOptions, LineFormat, Quarantine, QuarantineReason, RetryPolicy};
-
-/// Write an iterator of serializable records as lines.
-pub fn write_lines<W, I, T, F>(sink: W, records: I, to_line: F) -> io::Result<u64>
-where
-    W: Write,
-    I: IntoIterator<Item = T>,
-    F: Fn(&T) -> String,
-{
-    write_lines_with(sink, records, |rec, buf| buf.push_str(&to_line(rec)))
-}
 
 /// Write an iterator of records as lines through one reused buffer.
 ///
@@ -46,22 +36,21 @@ where
     Ok(n)
 }
 
-/// Result of reading a log: parsed records plus lines skipped as foreign
-/// or corrupt.
+/// Result of reading a log: the records that parsed, in file order. What
+/// did not parse is in the [`Quarantine`] returned beside it.
 #[derive(Debug, Clone)]
 pub struct ParsedLog<T> {
     /// Successfully parsed records, in file order.
     pub records: Vec<T>,
-    /// Count of lines that did not parse as `T`.
-    pub skipped: u64,
 }
 
-/// Read all lines from `source`, parsing each with `parse`. Unparseable
-/// lines (foreign producers, corruption) are skipped and counted; blank
-/// lines are ignored entirely.
-pub fn read_lines<R, T, F>(source: R, parse: F) -> io::Result<ParsedLog<T>>
+/// Read all lines from `source`, parsing each with `parse`: the plain
+/// sequential reader the chunked parser is checked against. Returns the
+/// records and the count of non-blank lines that did not parse.
+#[cfg(test)]
+pub(crate) fn read_lines<R, T, F>(source: R, parse: F) -> io::Result<(Vec<T>, u64)>
 where
-    R: BufRead,
+    R: io::BufRead,
     F: Fn(&str) -> Option<T>,
 {
     let mut records = Vec::new();
@@ -76,130 +65,24 @@ where
             None => skipped += 1,
         }
     }
-    Ok(ParsedLog { records, skipped })
+    Ok((records, skipped))
 }
 
 impl<T> ParsedLog<T> {
     /// Publish this log's parse outcome under `parse.<stage>.*` in the
-    /// global metrics registry: lines parsed, lines skipped, and bytes
-    /// consumed. The skip counter is the §2.3 lesson applied to our own
-    /// apparatus — corrupt/foreign lines are dropped silently by the
-    /// parser, so the registry is where that loss becomes visible.
-    fn publish(&self, stage: &str, bytes: usize) {
+    /// global metrics registry: lines parsed, lines quarantined, and
+    /// bytes consumed. The skip counter is the §2.3 lesson applied to our
+    /// own apparatus — corrupt/foreign lines are dropped by the parser,
+    /// so the registry is where that loss becomes visible.
+    pub(crate) fn publish(&self, stage: &str, quarantine: &Quarantine, bytes: usize) {
         let obs = astra_obs::global();
         obs.counter(&format!("parse.{stage}.lines_ok"))
             .add(self.records.len() as u64);
         obs.counter(&format!("parse.{stage}.lines_skipped"))
-            .add(self.skipped);
+            .add(quarantine.total());
         obs.counter(&format!("parse.{stage}.bytes"))
             .add(bytes as u64);
     }
-}
-
-/// [`read_lines`] plus metrics: records the outcome under
-/// `parse.<stage>.*` and times the pass under `time.parse.<stage>`.
-pub fn read_lines_metered<R, T, F>(source: R, parse: F, stage: &str) -> io::Result<ParsedLog<T>>
-where
-    R: BufRead,
-    F: Fn(&str) -> Option<T>,
-{
-    let mut span = astra_obs::span(&format!("parse.{stage}"));
-    let parsed = read_lines(source, parse)?;
-    parsed.publish(stage, 0);
-    span.attach("lines_ok", parsed.records.len() as i64);
-    span.attach("lines_skipped", parsed.skipped as i64);
-    Ok(parsed)
-}
-
-/// [`parse_lines_parallel`] plus metrics: per-stage line/skip/byte
-/// counters, the shard count, the per-shard line distribution, and a
-/// `time.parse.<stage>` span.
-pub fn parse_lines_parallel_metered<T, F>(text: &str, parse: F, stage: &str) -> ParsedLog<T>
-where
-    T: Send,
-    F: Fn(&str) -> Option<T> + Sync,
-{
-    let mut span = astra_obs::span(&format!("parse.{stage}"));
-    let parsed = parse_lines_parallel_inner(text, parse, Some(stage));
-    parsed.publish(stage, text.len());
-    span.attach("lines_ok", parsed.records.len() as i64);
-    span.attach("lines_skipped", parsed.skipped as i64);
-    parsed
-}
-
-/// Parse a whole in-memory log in parallel.
-///
-/// The text is split at line boundaries into one shard per worker;
-/// shards parse independently and results are concatenated in order, so
-/// the output is identical to [`read_lines`] on the same input. On a
-/// full-scale CE log (hundreds of MB) this is the difference between a
-/// coffee break and a blink.
-pub fn parse_lines_parallel<T, F>(text: &str, parse: F) -> ParsedLog<T>
-where
-    T: Send,
-    F: Fn(&str) -> Option<T> + Sync,
-{
-    parse_lines_parallel_inner(text, parse, None)
-}
-
-fn parse_lines_parallel_inner<T, F>(text: &str, parse: F, stage: Option<&str>) -> ParsedLog<T>
-where
-    T: Send,
-    F: Fn(&str) -> Option<T> + Sync,
-{
-    let workers = astra_util::par::worker_count(text.len() / 4096 + 1);
-    if workers <= 1 || text.len() < 64 * 1024 {
-        let _shard_span = astra_obs::span("parse.shard");
-        let mut records = Vec::new();
-        let mut skipped = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse(line) {
-                Some(rec) => records.push(rec),
-                None => skipped += 1,
-            }
-        }
-        if let Some(stage) = stage {
-            record_shard_metrics(stage, &[records.len()]);
-        }
-        return ParsedLog { records, skipped };
-    }
-
-    // Cut the text into `workers` shards on line boundaries.
-    let shards = split_line_shards(text, workers);
-
-    let parsed: Vec<ParsedLog<T>> = astra_util::par::par_map(&shards, |shard| {
-        // Workers inherit the caller's span root, so this nests under
-        // the metered `parse.<stage>` span at any worker count.
-        let _shard_span = astra_obs::span("parse.shard");
-        let mut records = Vec::new();
-        let mut skipped = 0;
-        for line in shard.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse(line) {
-                Some(rec) => records.push(rec),
-                None => skipped += 1,
-            }
-        }
-        ParsedLog { records, skipped }
-    });
-
-    if let Some(stage) = stage {
-        let shard_lines: Vec<usize> = parsed.iter().map(|p| p.records.len()).collect();
-        record_shard_metrics(stage, &shard_lines);
-    }
-
-    let mut records = Vec::with_capacity(parsed.iter().map(|p| p.records.len()).sum());
-    let mut skipped = 0;
-    for shard in parsed {
-        records.extend(shard.records);
-        skipped += shard.skipped;
-    }
-    ParsedLog { records, skipped }
 }
 
 /// Default chunk size for the streaming parsers: large enough that the
@@ -283,7 +166,7 @@ where
     span.attach("lines_ok", parsed.records.len() as i64);
     span.attach("lines_quarantined", quarantine.total() as i64);
     span.attach("bytes", bytes as i64);
-    parsed.publish(stage, bytes);
+    parsed.publish(stage, &quarantine, bytes);
     astra_obs::global()
         .counter(&format!("parse.{stage}.chunks"))
         .add(chunks);
@@ -343,9 +226,8 @@ where
             lines_ok: records.len() as u64,
         });
     }
-    let skipped = quarantine.total();
     let (bytes, chunks) = (chunked.bytes_consumed(), chunked.chunks_read());
-    Ok((ParsedLog { records, skipped }, quarantine, bytes, chunks))
+    Ok((ParsedLog { records }, quarantine, bytes, chunks))
 }
 
 /// One parsed chunk from a [`ChunkReader`]: the records that survived,
@@ -782,9 +664,7 @@ fn ingest_bytes<T>(
     (records, quarantine, lines)
 }
 
-/// Cut `text` into at most `workers` shards on line boundaries (the
-/// shard splitter shared by the legacy whole-text parser and the chunk
-/// ingester).
+/// Cut `text` into at most `workers` shards on line boundaries.
 fn split_line_shards(text: &str, workers: usize) -> Vec<&str> {
     let mut shards: Vec<&str> = Vec::with_capacity(workers);
     let bytes = text.as_bytes();
@@ -807,21 +687,6 @@ fn split_line_shards(text: &str, workers: usize) -> Vec<&str> {
         shards.push(&text[start..]);
     }
     shards
-}
-
-/// Shard-level parse metrics: how many shards ran and how evenly the
-/// lines spread across them.
-fn record_shard_metrics(stage: &str, shard_lines: &[usize]) {
-    let obs = astra_obs::global();
-    obs.counter(&format!("parse.{stage}.shards"))
-        .add(shard_lines.len() as u64);
-    let hist = obs.histogram(
-        &format!("parse.{stage}.shard_lines"),
-        &astra_obs::size_bounds(),
-    );
-    for &lines in shard_lines {
-        hist.record(lines as u64);
-    }
 }
 
 #[cfg(test)]
@@ -853,11 +718,12 @@ mod tests {
     fn write_then_read_roundtrip() {
         let records: Vec<CeRecord> = (0..10).map(ce).collect();
         let mut sink = Vec::new();
-        let n = write_lines(&mut sink, records.iter().copied(), CeRecord::to_line).unwrap();
+        let n =
+            write_lines_with(&mut sink, records.iter(), |rec, buf| rec.to_line_into(buf)).unwrap();
         assert_eq!(n, 10);
-        let parsed = read_lines(sink.as_slice(), CeRecord::parse_line).unwrap();
-        assert_eq!(parsed.records, records);
-        assert_eq!(parsed.skipped, 0);
+        let (parsed, skipped) = read_lines(sink.as_slice(), CeRecord::parse_line).unwrap();
+        assert_eq!(parsed, records);
+        assert_eq!(skipped, 0);
     }
 
     #[test]
@@ -877,20 +743,20 @@ mod tests {
         sink.extend_from_slice(b"\n");
         sink.extend_from_slice(format!("{ce_line}\n").as_bytes());
 
-        let ces = read_lines(sink.as_slice(), CeRecord::parse_line).unwrap();
-        assert_eq!(ces.records.len(), 2);
-        assert_eq!(ces.skipped, 2, "sensor + corrupt, blank ignored");
+        let (ces, skipped) = read_lines(sink.as_slice(), CeRecord::parse_line).unwrap();
+        assert_eq!(ces.len(), 2);
+        assert_eq!(skipped, 2, "sensor + corrupt, blank ignored");
 
-        let sensors = read_lines(sink.as_slice(), SensorRecord::parse_line).unwrap();
-        assert_eq!(sensors.records.len(), 1);
-        assert_eq!(sensors.skipped, 3);
+        let (sensors, skipped) = read_lines(sink.as_slice(), SensorRecord::parse_line).unwrap();
+        assert_eq!(sensors.len(), 1);
+        assert_eq!(skipped, 3);
     }
 
     #[test]
     fn empty_input() {
-        let parsed = read_lines(&b""[..], CeRecord::parse_line).unwrap();
-        assert!(parsed.records.is_empty());
-        assert_eq!(parsed.skipped, 0);
+        let (parsed, skipped) = read_lines(&b""[..], CeRecord::parse_line).unwrap();
+        assert!(parsed.is_empty());
+        assert_eq!(skipped, 0);
     }
 
     #[test]
@@ -1017,6 +883,20 @@ mod tests {
         }
     }
 
+    /// Parse `text` as one chunk at `workers` workers (the chunk size
+    /// exceeds the text, so the reader meets EOF before it cuts).
+    fn one_chunk(text: &str, workers: usize) -> IngestChunk<CeRecord> {
+        astra_util::par::set_workers(Some(workers));
+        let mut reader = ChunkReader::new(text.as_bytes(), crate::ce::FORMAT, text.len() + 1);
+        let chunk = reader.next_chunk().unwrap().expect("one chunk");
+        astra_util::par::set_workers(None);
+        assert!(
+            reader.next_chunk().unwrap().is_none(),
+            "the text is one chunk"
+        );
+        chunk
+    }
+
     #[test]
     fn parallel_matches_sequential_small() {
         // Below the parallel threshold: exercises the sequential path.
@@ -1026,30 +906,31 @@ mod tests {
             text.push('\n');
         }
         text.push_str("junk\n\n");
-        let seq = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
-        let par = parse_lines_parallel(&text, CeRecord::parse_line);
-        assert_eq!(seq.records, par.records);
-        assert_eq!(seq.skipped, par.skipped);
+        let (seq, skipped) = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
+        let chunk = one_chunk(&text, 4);
+        assert_eq!(chunk.records, seq);
+        assert_eq!(chunk.quarantine.total(), skipped);
     }
 
     #[test]
     fn parallel_matches_sequential_large() {
         // Above the threshold: shard boundaries must preserve order and
-        // never split a record.
+        // never split a record, at any worker count.
         let mut text = String::new();
         for i in 0..5000 {
-            text.push_str(&ce(i % 1440).to_line());
+            text.push_str(&ce(i).to_line());
             text.push('\n');
             if i % 97 == 0 {
                 text.push_str("corrupt line here\n");
             }
         }
         assert!(text.len() > 64 * 1024, "test must exceed the threshold");
-        let seq = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
-        let par = parse_lines_parallel(&text, CeRecord::parse_line);
-        assert_eq!(seq.records.len(), par.records.len());
-        assert_eq!(seq.records, par.records);
-        assert_eq!(seq.skipped, par.skipped);
+        let (seq, skipped) = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
+        for workers in [1, 4] {
+            let chunk = one_chunk(&text, workers);
+            assert_eq!(chunk.records, seq, "{workers} workers");
+            assert_eq!(chunk.quarantine.total(), skipped, "{workers} workers");
+        }
     }
 
     /// Lenient policy with an unlimited error budget, used where tests
@@ -1075,16 +956,16 @@ mod tests {
             }
         }
         text.push_str(&ce(1400).to_line()); // no trailing newline
-        let whole = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
+        let (whole, skipped) = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
         for chunk_bytes in [1, 7, 64, 1000, 1 << 20] {
             let (streamed, quarantine, bytes, chunks) =
                 parse_stream_chunked(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes)
                     .unwrap();
-            assert_eq!(streamed.records, whole.records, "chunk={chunk_bytes}");
-            assert_eq!(streamed.skipped, whole.skipped, "chunk={chunk_bytes}");
+            assert_eq!(streamed.records, whole, "chunk={chunk_bytes}");
+            assert_eq!(quarantine.total(), skipped, "chunk={chunk_bytes}");
             assert_eq!(
                 quarantine.count(QuarantineReason::UnknownFormat),
-                whole.skipped,
+                skipped,
                 "chunk={chunk_bytes}"
             );
             assert_eq!(bytes, text.len());
@@ -1098,7 +979,6 @@ mod tests {
             parse_stream_chunked(&b""[..], crate::ce::FORMAT, &IngestOptions::default(), 1024)
                 .unwrap();
         assert!(parsed.records.is_empty());
-        assert_eq!(parsed.skipped, 0);
         assert!(quarantine.is_empty());
         assert_eq!((bytes, chunks), (0, 0));
     }
@@ -1338,21 +1218,19 @@ mod tests {
         let n =
             write_lines_with(&mut sink, records.iter(), |rec, buf| rec.to_line_into(buf)).unwrap();
         assert_eq!(n, 10);
-        let mut plain = Vec::new();
-        write_lines(&mut plain, records.iter(), |r| r.to_line()).unwrap();
-        assert_eq!(sink, plain);
+        let plain: String = records.iter().map(|r| r.to_line() + "\n").collect();
+        assert_eq!(sink, plain.as_bytes());
     }
 
     #[test]
     fn parallel_no_trailing_newline() {
         let mut text = String::new();
         for i in 0..3000 {
-            text.push_str(&ce(i % 1440).to_line());
+            text.push_str(&ce(i).to_line());
             text.push('\n');
         }
-        text.push_str(&ce(7).to_line()); // no trailing newline
-        let seq = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
-        let par = parse_lines_parallel(&text, CeRecord::parse_line);
-        assert_eq!(seq.records, par.records);
+        text.push_str(&ce(3000).to_line()); // no trailing newline
+        let (seq, _) = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
+        assert_eq!(one_chunk(&text, 4).records, seq);
     }
 }

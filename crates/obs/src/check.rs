@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Unknown rules and malformed lines are hard errors — a gate that
-//! silently skips rules gates nothing.
+//! silently skips rules gates nothing. For the same reason a stage rule
+//! whose stage recorded no timing reports `no data` and fails.
 
 use crate::export::{Frozen, Snapshot};
 use crate::metrics::{Histogram, HistogramSnapshot};
@@ -22,7 +23,8 @@ use crate::metrics::{Histogram, HistogramSnapshot};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Rule {
     /// Merged p99 across every `time.*` timing whose leaf stage is
-    /// `stage` (any nesting), in milliseconds.
+    /// `stage` (any nesting), in milliseconds. Fails with no data when
+    /// the stage did not run.
     StageP99Ms {
         /// Leaf stage name, e.g. `pipeline.parse`.
         stage: String,
@@ -129,11 +131,12 @@ impl Thresholds {
 pub struct CheckResult {
     /// Rule identity ([`Rule::describe`]).
     pub rule: String,
-    /// Observed value in the rule's unit.
-    pub observed: f64,
+    /// Observed value in the rule's unit; `None` when the rule's stage
+    /// recorded no timing.
+    pub observed: Option<f64>,
     /// Configured upper bound.
     pub limit: f64,
-    /// `observed <= limit`.
+    /// An observed value within `limit`.
     pub ok: bool,
 }
 
@@ -166,12 +169,18 @@ impl CheckReport {
             .max(4);
         let mut out = format!("threshold check: {} rules\n", self.results.len());
         for r in &self.results {
+            let observed = match r.observed {
+                Some(v) => format!(
+                    "observed {} {}",
+                    fmt_value(v),
+                    if r.ok { "<=" } else { ">" }
+                ),
+                None => "no data, the stage did not run;".to_string(),
+            };
             out.push_str(&format!(
-                "  {}  {:<width$}  observed {} {} max {}\n",
+                "  {}  {:<width$}  {observed} max {}\n",
                 if r.ok { "ok  " } else { "FAIL" },
                 r.rule,
-                fmt_value(r.observed),
-                if r.ok { "<=" } else { ">" },
                 fmt_value(r.limit),
             ));
         }
@@ -208,18 +217,18 @@ pub fn check(thresholds: &Thresholds, snap: &Snapshot) -> CheckReport {
                     rule: rule.describe(),
                     observed,
                     limit: rule.limit(),
-                    ok: observed <= rule.limit(),
+                    ok: observed.is_some_and(|v| v <= rule.limit()),
                 }
             })
             .collect(),
     }
 }
 
-fn observe(rule: &Rule, snap: &Snapshot) -> f64 {
-    match rule {
-        Rule::StageP99Ms { stage, .. } => merged_stage_timing(snap, stage)
-            .map(|h| h.p99() as f64 / 1e6)
-            .unwrap_or(0.0),
+fn observe(rule: &Rule, snap: &Snapshot) -> Option<f64> {
+    let value = match rule {
+        Rule::StageP99Ms { stage, .. } => {
+            return merged_stage_timing(snap, stage).map(|h| h.p99() as f64 / 1e6)
+        }
         Rule::QuarantineRate { .. } => {
             let quarantined = sum_counters(snap, |n| n.starts_with("ingest.quarantined."));
             let parsed = sum_counters(snap, |n| {
@@ -243,7 +252,8 @@ fn observe(rule: &Rule, snap: &Snapshot) -> f64 {
             Some(Frozen::Timing(s)) => s.p99() as f64 / 1e6,
             _ => 0.0,
         },
-    }
+    };
+    Some(value)
 }
 
 fn sum_counters(snap: &Snapshot, keep: impl Fn(&str) -> bool) -> u64 {
@@ -360,7 +370,7 @@ mod tests {
         assert!(rendered.contains("FAIL"), "{rendered}");
         assert!(rendered.contains("quarantine_rate"), "{rendered}");
         // 10 quarantined of 1000 total lines.
-        assert!((report.results[0].observed - 0.01).abs() < 1e-9);
+        assert!((report.results[0].observed.unwrap() - 0.01).abs() < 1e-9);
     }
 
     #[test]
@@ -369,7 +379,7 @@ mod tests {
         let t = Thresholds::parse("{\"rule\":\"workingset_mib\",\"max\":2}").unwrap();
         let report = check(&t, &snap);
         assert!(!report.ok());
-        assert!((report.results[0].observed - 3.0).abs() < 1e-9);
+        assert!((report.results[0].observed.unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -378,7 +388,7 @@ mod tests {
         let t = Thresholds::parse("{\"rule\":\"serve_p99_ms\",\"max\":0}").unwrap();
         let report = check(&t, &snapshot_with_stages());
         assert!(report.ok());
-        assert_eq!(report.results[0].observed, 0.0);
+        assert_eq!(report.results[0].observed, Some(0.0));
 
         // With traffic, the rule reads the timing's p99 in milliseconds.
         let r = Registry::new();
@@ -387,13 +397,40 @@ mod tests {
         }
         let report = check(&t, &r.snapshot());
         assert!(!report.ok());
+        let observed = report.results[0].observed.unwrap();
         assert!(
-            report.results[0].observed > 1.0,
-            "p99 of 4ms samples should exceed 1ms, got {}",
-            report.results[0].observed
+            observed > 1.0,
+            "p99 of 4ms samples should exceed 1ms, got {observed}"
         );
         let generous = Thresholds::parse("{\"rule\":\"serve_p99_ms\",\"max\":1000}").unwrap();
         assert!(check(&generous, &r.snapshot()).ok());
+    }
+
+    #[test]
+    fn stage_rule_without_timings_fails_with_no_data() {
+        let snap = snapshot_with_stages();
+        let t = Thresholds::parse(concat!(
+            "{\"rule\":\"stage_p99_ms\",\"stage\":\"pipeline.parse\",\"max\":1000}\n",
+            "{\"rule\":\"stage_p99_ms\",\"stage\":\"pipeline.gone\",\"max\":1000}\n",
+        ))
+        .unwrap();
+        let report = check(&t, &snap);
+        assert!(report.results[0].ok);
+        assert_eq!(report.results[1].observed, None);
+        assert!(
+            !report.results[1].ok,
+            "a rule that saw nothing must not pass"
+        );
+        assert_eq!(report.violations(), 1);
+        let rendered = report.render();
+        let line = rendered
+            .lines()
+            .find(|l| l.contains("stage_p99_ms[pipeline.gone]"))
+            .unwrap();
+        assert!(
+            line.contains("FAIL") && line.contains("no data"),
+            "{rendered}"
+        );
     }
 
     #[test]

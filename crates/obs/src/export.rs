@@ -404,16 +404,23 @@ pub fn parse_jsonl_line(line: &str) -> Option<(String, MetricKind, AbsorbValue)>
 
 impl Registry {
     /// Fold a JSON-lines export (as written by [`Snapshot::to_jsonl`])
-    /// into this registry. Unparseable lines are counted, not fatal —
-    /// the same contract the log readers follow.
+    /// into this registry, for the names it does not hold yet: a name the
+    /// registry already has keeps its own value, so importing a file that
+    /// an earlier run of the same work exported never counts that work
+    /// twice. Unparseable lines are counted, not fatal — the same
+    /// contract the log readers follow.
     pub fn import_jsonl(&self, text: &str) -> u64 {
+        let held: std::collections::BTreeSet<String> = self.lock().keys().cloned().collect();
         let mut skipped = 0;
         for line in text.lines() {
             if line.trim().is_empty() {
                 continue;
             }
             match parse_jsonl_line(line) {
-                Some((name, kind, value)) => self.absorb(&name, kind, &value),
+                Some((name, kind, value)) if !held.contains(&name) => {
+                    self.absorb(&name, kind, &value)
+                }
+                Some(_) => {}
                 None => skipped += 1,
             }
         }
@@ -474,9 +481,14 @@ mod tests {
     fn import_accumulates_counters() {
         let r = Registry::new();
         let line = "{\"name\":\"c\",\"kind\":\"counter\",\"value\":10}\n";
+        r.import_jsonl(&format!("{line}{line}"));
+        assert_eq!(r.counter("c").get(), 20, "one file's lines add up");
         r.import_jsonl(line);
-        r.import_jsonl(line);
-        assert_eq!(r.counter("c").get(), 20);
+        assert_eq!(
+            r.counter("c").get(),
+            20,
+            "a held name is not imported again"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! instrumentation never coordinates. Names are sorted (BTreeMap), which
 //! is what makes every export deterministic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::export::Snapshot;
@@ -77,17 +77,7 @@ impl MetricValue {
 /// A thread-safe, name-keyed metric store.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    metrics: BTreeMap<String, MetricValue>,
-    /// Names only [`Registry::absorb`] has registered so far. The code's
-    /// first fetch of such a name settles its kind: an imported value of
-    /// another kind (a file an older build wrote) gives way instead of
-    /// panicking.
-    imported: BTreeSet<String>,
+    metrics: Mutex<BTreeMap<String, MetricValue>>,
 }
 
 impl Registry {
@@ -99,12 +89,9 @@ impl Registry {
     /// Fetch or create the counter `name`.
     ///
     /// Panics if `name` is already registered as a different kind — a
-    /// naming bug worth failing loudly on — unless only an import
-    /// registered it (see [`Registry::absorb`]).
+    /// naming bug worth failing loudly on.
     pub fn counter(&self, name: &str) -> Counter {
-        match self.fetch_or_insert(name, MetricKind::Counter, || {
-            MetricValue::Counter(Counter::default())
-        }) {
+        match self.fetch_or_insert(name, || MetricValue::Counter(Counter::default())) {
             MetricValue::Counter(c) => c,
             other => panic!("metric {name} is a {:?}, not a counter", other.kind()),
         }
@@ -112,9 +99,7 @@ impl Registry {
 
     /// Fetch or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match self.fetch_or_insert(name, MetricKind::Gauge, || {
-            MetricValue::Gauge(Gauge::default())
-        }) {
+        match self.fetch_or_insert(name, || MetricValue::Gauge(Gauge::default())) {
             MetricValue::Gauge(g) => g,
             other => panic!("metric {name} is a {:?}, not a gauge", other.kind()),
         }
@@ -123,9 +108,7 @@ impl Registry {
     /// Fetch or create the size histogram `name`. `bounds` applies only
     /// on first registration; later calls get the existing buckets.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        match self.fetch_or_insert(name, MetricKind::Histogram, || {
-            MetricValue::Histogram(Histogram::new(bounds))
-        }) {
+        match self.fetch_or_insert(name, || MetricValue::Histogram(Histogram::new(bounds))) {
             MetricValue::Histogram(h) => h,
             other => panic!("metric {name} is a {:?}, not a histogram", other.kind()),
         }
@@ -133,7 +116,7 @@ impl Registry {
 
     /// Fetch or create the timing histogram `name` (nanosecond buckets).
     pub fn timing(&self, name: &str) -> Histogram {
-        match self.fetch_or_insert(name, MetricKind::Timing, || {
+        match self.fetch_or_insert(name, || {
             MetricValue::Timing(Histogram::new(&crate::timing_bounds_ns()))
         }) {
             MetricValue::Timing(h) => h,
@@ -141,37 +124,27 @@ impl Registry {
         }
     }
 
-    fn fetch_or_insert(
-        &self,
-        name: &str,
-        kind: MetricKind,
-        make: impl FnOnce() -> MetricValue,
-    ) -> MetricValue {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let imported = !inner.imported.is_empty() && inner.imported.remove(name);
-        if imported && inner.metrics.get(name).is_some_and(|m| m.kind() != kind) {
-            inner.metrics.remove(name);
-        }
-        inner
-            .metrics
+    fn fetch_or_insert(&self, name: &str, make: impl FnOnce() -> MetricValue) -> MetricValue {
+        self.lock()
             .entry(name.to_string())
             .or_insert_with(make)
             .clone()
     }
 
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, MetricValue>> {
+        self.metrics.lock().expect("registry poisoned")
+    }
+
     /// Remove every metric.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.metrics.clear();
-        inner.imported.clear();
+        self.lock().clear();
     }
 
     /// Point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let metrics = self.lock();
         Snapshot {
-            entries: inner
-                .metrics
+            entries: metrics
                 .iter()
                 .map(|(name, value)| (name.clone(), crate::export::freeze(value)))
                 .collect(),
@@ -183,12 +156,11 @@ impl Registry {
     /// generation-time `metrics.jsonl` into an analysis run.
     ///
     /// A value whose kind differs from the name's registered kind is
-    /// dropped. A name the import registers first keeps the imported kind
-    /// only until the code fetches it as another kind.
+    /// dropped.
     pub fn absorb(&self, name: &str, kind: MetricKind, value: &AbsorbValue) {
         let metric = {
-            let mut inner = self.inner.lock().expect("registry poisoned");
-            match inner.metrics.get(name) {
+            let mut metrics = self.lock();
+            match metrics.get(name) {
                 Some(m) if m.kind() != kind => return,
                 Some(m) => m.clone(),
                 None => {
@@ -207,8 +179,7 @@ impl Registry {
                         }
                         _ => return, // kind/value mismatch: drop rather than corrupt
                     };
-                    inner.imported.insert(name.to_string());
-                    inner.metrics.insert(name.to_string(), m.clone());
+                    metrics.insert(name.to_string(), m.clone());
                     m
                 }
             }
@@ -256,15 +227,21 @@ mod tests {
     #[test]
     fn an_imported_value_gives_way_to_the_kind_the_code_uses() {
         let r = Registry::new();
-        // A file an older build wrote: a counter the code now sets as a
-        // gauge, and a counter it still counts.
-        r.absorb("c.state", MetricKind::Counter, &AbsorbValue::Scalar(516.0));
-        r.absorb("c.events", MetricKind::Counter, &AbsorbValue::Scalar(3.0));
+        // The run's own work comes first: a gauge, and a counter.
         r.gauge("c.state").set(42.0);
         r.counter("c.events").add(2);
+        // Then a file an older build wrote: the gauge as a counter, the
+        // counter again, and a name this run never recorded.
+        r.import_jsonl(concat!(
+            "{\"name\":\"c.state\",\"kind\":\"counter\",\"value\":516}\n",
+            "{\"name\":\"c.events\",\"kind\":\"counter\",\"value\":3}\n",
+            "{\"name\":\"c.generated\",\"kind\":\"counter\",\"value\":7}\n",
+        ));
         assert_eq!(r.gauge("c.state").get(), 42.0);
-        assert_eq!(r.counter("c.events").get(), 5);
-        // An import of another kind than the registered one is dropped.
+        assert_eq!(r.counter("c.events").get(), 2, "the run's own count stands");
+        assert_eq!(r.counter("c.generated").get(), 7);
+        // An absorbed value of another kind than the registered one is
+        // dropped.
         r.absorb("c.state", MetricKind::Counter, &AbsorbValue::Scalar(7.0));
         assert_eq!(r.gauge("c.state").get(), 42.0);
     }

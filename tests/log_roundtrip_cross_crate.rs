@@ -2,10 +2,27 @@
 //! property-based roundtrips at the integration boundary.
 
 use astra_core::pipeline::{AnalysisInput, Dataset};
-use astra_logs::{io as logio, CeRecord, HetRecord, ReplacementRecord, SensorRecord};
+use astra_logs::{
+    ce, het, inventory, io as logio, sensor, CeRecord, HetRecord, IngestOptions, LineFormat,
+    Quarantine, ReplacementRecord, SensorRecord,
+};
 use astra_topology::{NodeId, SensorId};
 use astra_util::time::sensor_span;
 use proptest::prelude::*;
+
+/// Parse `text` as one log of `format`, quarantining (not refusing)
+/// whatever does not parse.
+fn parse<T: Send>(text: &str, format: LineFormat<T>) -> (Vec<T>, Quarantine) {
+    let tolerant = IngestOptions::lenient(Some(1.0));
+    let (parsed, quarantine, ..) = logio::parse_stream_chunked(
+        text.as_bytes(),
+        format,
+        &tolerant,
+        logio::STREAM_CHUNK_BYTES,
+    )
+    .unwrap();
+    (parsed.records, quarantine)
+}
 
 #[test]
 fn mixed_log_file_separates_cleanly() {
@@ -38,15 +55,16 @@ fn mixed_log_file_separates_cleanly() {
     }
     mixed.push_str("garbage line that parses as nothing\n\n");
 
-    let ces = logio::read_lines(mixed.as_bytes(), CeRecord::parse_line).unwrap();
-    let hets = logio::read_lines(mixed.as_bytes(), HetRecord::parse_line).unwrap();
-    let sensors = logio::read_lines(mixed.as_bytes(), SensorRecord::parse_line).unwrap();
-    let invs = logio::read_lines(mixed.as_bytes(), ReplacementRecord::parse_line).unwrap();
+    let (ces, _) = parse(&mixed, ce::FORMAT);
+    let (hets, _) = parse(&mixed, het::FORMAT);
+    let (sensors, _) = parse(&mixed, sensor::FORMAT);
+    let (invs, _) = parse(&mixed, inventory::FORMAT);
 
-    assert_eq!(ces.records.len(), ce_count);
-    assert_eq!(hets.records.len(), ds.sim.het_log.len());
-    assert_eq!(sensors.records.len(), telemetry_records.len());
-    assert_eq!(invs.records.len(), 100.min(ds.replacements.len()));
+    assert_eq!(ces, ds.sim.ce_log[..ce_count]);
+    assert_eq!(hets, ds.sim.het_log);
+    // Sensor values round to one decimal on write; the records line up.
+    assert_eq!(sensors.len(), telemetry_records.len());
+    assert_eq!(invs, ds.replacements[..100.min(ds.replacements.len())]);
 }
 
 #[test]
@@ -54,7 +72,7 @@ fn truncated_log_degrades_gracefully() {
     // Chop the CE log mid-line: the damaged line is skipped, everything
     // before it parses.
     let ds = Dataset::generate(1, 9);
-    let (ce, _, _) = ds.to_text();
+    let ce: String = ds.sim.ce_log.iter().map(|r| r.to_line() + "\n").collect();
     let cut = ce.len() * 2 / 3;
     // Find a safe UTF-8 boundary.
     let mut cut = cut;
@@ -63,20 +81,27 @@ fn truncated_log_degrades_gracefully() {
     }
     let truncated = &ce[..cut];
     let full_lines = truncated.lines().count().saturating_sub(1);
-    let parsed = logio::read_lines(truncated.as_bytes(), CeRecord::parse_line).unwrap();
-    assert!(parsed.records.len() >= full_lines);
-    assert!(parsed.skipped <= 1);
+    let (parsed, quarantine) = parse(truncated, ce::FORMAT);
+    assert!(parsed.len() >= full_lines);
+    assert!(quarantine.total() <= 1);
 }
 
 #[test]
 fn analysis_input_counts_skips_across_logs() {
+    use std::io::Write as _;
     let ds = Dataset::generate(1, 11);
-    let (mut ce, mut het, mut inv) = ds.to_text();
-    ce.push_str("broken ce\n");
-    het.push_str("broken het\n");
-    inv.push_str("broken inv\n");
-    let input = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
-    assert_eq!(input.skipped, 3);
+    let dir = std::env::temp_dir().join(format!("astra-skips-{}", std::process::id()));
+    ds.write_logs(&dir).unwrap();
+    for name in ["ce.log", "het.log", "inventory.log"] {
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(name))
+            .unwrap();
+        writeln!(f, "broken {name}").unwrap();
+    }
+    let input = AnalysisInput::from_dir_with(&dir, &IngestOptions::lenient(Some(1.0)));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(input.unwrap().quarantine.total(), 3);
 }
 
 proptest! {

@@ -314,6 +314,42 @@ fn report_counts_telemetry_samples_drawn_and_summed() {
         assert!(sampled > 0, "{line}");
         want_summed += sampled * minutes.div_ceil(30);
     }
+    // Without manifest.txt the seed must come from --seed: given, the
+    // output is the manifest run's; absent, the exhibits that only the
+    // telemetry model can draw say they were skipped instead of
+    // inventing temperatures at a fallback seed.
+    let manifest = std::fs::read(dir.join("manifest.txt")).unwrap();
+    std::fs::remove_file(dir.join("manifest.txt")).unwrap();
+    let report_without_manifest = |extra: &[&str]| -> String {
+        let out = Command::new(bin())
+            .args(["report", data, "--racks", "1"])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert_eq!(report_without_manifest(&["--seed", "42"]), text);
+    let unseeded = report_without_manifest(&[]);
+    for header in &headers {
+        let n = unseeded
+            .lines()
+            .filter(|l| l.starts_with(header.as_str()))
+            .count();
+        assert_eq!(n, 1, "{n} lines start with {header:?} without a seed");
+    }
+    for fig in ["Fig 9", "Fig 13", "Fig 14"] {
+        assert!(
+            unseeded.contains(&format!("{fig}: skipped: ")),
+            "{fig} must say it was skipped:\n{unseeded}"
+        );
+    }
+    assert!(
+        !unseeded.contains("Fig 2: skipped"),
+        "sensors.log still feeds Fig 2"
+    );
+    std::fs::write(dir.join("manifest.txt"), manifest).unwrap();
+
     let jsonl = std::fs::read_to_string(&metrics).unwrap();
     let summed = metric_value(&jsonl, "telemetry.window_readings_summed").expect("summed");
     let drawn = metric_value(&jsonl, "telemetry.window_readings").expect("drawn");
@@ -389,8 +425,9 @@ fn stats_without_metrics_file_prints_actionable_hint() {
 fn stats_reads_coalesce_state_over_counters_an_older_build_wrote() {
     // An older build exported `coalesce.groups` and `coalesce.mode.*` as
     // counters (e.g. `report --metrics-out` into the dataset). `stats`
-    // imports that file before it classifies; the run's own gauges win,
-    // and the import must not trip the registry's kind check.
+    // imports that file after it classifies, and only the names it did
+    // not record: the run's own gauges win, and the import must not trip
+    // the registry's kind check.
     let dir = TempDir::new("statsold");
     generate(dir.path());
     let d = dir.path().to_str().unwrap();
@@ -543,13 +580,12 @@ fn analyze_trace_out_emits_nested_trace_matching_timings() {
     let events = astra_obs::trace::parse_chrome_trace(&text).expect("valid Chrome trace JSON");
     assert!(!events.is_empty(), "trace recorded no events");
 
-    // The span tree nests: shard work under the pipeline stages, parse
-    // stages under the parse root.
+    // The span tree nests: the batch passes under the analysis stage,
+    // parse stages under the parse root.
     for path in [
         "pipeline.analyze",
-        "pipeline.analyze/pipeline.consume",
-        "pipeline.analyze/pipeline.consume/consume.shard",
-        "pipeline.analyze/pipeline.coalesce",
+        "pipeline.analyze/coalesce",
+        "pipeline.analyze/spatial.compute",
     ] {
         assert!(
             events.iter().any(|e| e.path == path),
@@ -619,7 +655,7 @@ fn trace_subcommand_prints_flame_table() {
         assert!(text.contains(column), "missing column {column}: {text}");
     }
     assert!(
-        text.contains("pipeline.analyze/pipeline.consume"),
+        text.contains("pipeline.analyze/coalesce"),
         "nested paths render in the table: {text}"
     );
 
@@ -656,6 +692,35 @@ fn stats_check_gates_on_thresholds() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("threshold check passed"), "{text}");
+    assert!(
+        !text.contains("no data"),
+        "every stage rule must see data: {text}"
+    );
+
+    // A stage rule whose stage did not run fails instead of reading 0.
+    let gone = dir.join("gone.json");
+    std::fs::write(
+        &gone,
+        "{\"rule\":\"stage_p99_ms\",\"stage\":\"pipeline.consume\",\"max\":120000}\n",
+    )
+    .unwrap();
+    let out = Command::new(bin())
+        .args([
+            "stats",
+            dir.path().to_str().unwrap(),
+            "--racks",
+            "1",
+            "--check",
+            gone.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "a rule that saw nothing must fail");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("FAIL  stage_p99_ms[pipeline.consume]  no data"),
+        "{text}"
+    );
 
     // An injected breach flips the exit code and names the rule.
     let tight = dir.join("tight.json");
@@ -731,4 +796,81 @@ fn bad_arguments_are_rejected() {
         let out = Command::new(bin()).args(args).output().expect("spawn");
         assert!(!out.status.success(), "astra-mem {args:?} should fail");
     }
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_a_usage_error() {
+    // Refused while parsing, before any directory is read.
+    let dir = TempDir::new("flags");
+    let d = dir.path().to_str().unwrap();
+    for (args, flag) in [
+        (&["analyze", d, "--shards", "2"][..], "--shards"),
+        (&["report", d, "--degraded"][..], "--degraded"),
+        (&["generate", "--out", d, "--resume", "ck"][..], "--resume"),
+    ] {
+        let out = Command::new(bin()).args(args).output().expect("spawn");
+        assert!(!out.status.success(), "astra-mem {args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{} does not take {flag}", args[0])),
+            "{err}"
+        );
+        assert!(err.contains("USAGE"), "{err}");
+    }
+    assert!(!dir.path().exists(), "a refused generate writes nothing");
+    // The global flags work on every command.
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let metrics = dir.join("m.json");
+    run(&["profiles", "--metrics-out", metrics.to_str().unwrap()]);
+    assert!(metrics.exists());
+}
+
+#[test]
+fn stats_counts_each_run_once_after_report_exports_into_the_dataset() {
+    // `report --metrics-out DIR/metrics.jsonl` replaces the generation
+    // file with the report run's metrics (generation's folded in). A
+    // later `stats` must count its own parse and coalesce work once, not
+    // add the report run's on top, while generation's and report's own
+    // figures still arrive.
+    let dir = TempDir::new("statsonce");
+    let d = dir.path().to_str().unwrap();
+    run(&["generate", "--racks", "1", "--seed", "42", "--out", d]);
+    let fresh = Command::new(bin())
+        .args(["stats", d])
+        .output()
+        .expect("spawn");
+    assert!(fresh.status.success());
+    let fresh = String::from_utf8_lossy(&fresh.stdout).into_owned();
+    let metrics = dir.join("metrics.jsonl");
+    run(&["report", d, "--metrics-out", metrics.to_str().unwrap()]);
+    let out = Command::new(bin())
+        .args(["stats", d])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = |text: &str, start: &str| -> String {
+        text.lines()
+            .find(|l| l.trim_start().starts_with(start))
+            .unwrap_or_else(|| panic!("no {start:?} line in:\n{text}"))
+            .split_whitespace()
+            .take(3)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    // `ce  <lines ok>  <skipped>` and `<errors> errors -> <faults>`.
+    assert_eq!(line(&text, "ce "), line(&fresh, "ce "));
+    let errors = |text: &str| -> String {
+        text.lines()
+            .find(|l| l.contains(" errors -> "))
+            .unwrap_or_else(|| panic!("no coalesce summary in:\n{text}"))
+            .trim()
+            .split(" (")
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(errors(&text), errors(&fresh));
+    assert!(text.contains("kernel-buffer loss"), "{text}");
+    assert!(text.contains("window samples summed"), "{text}");
 }

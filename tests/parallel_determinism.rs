@@ -106,9 +106,9 @@ fn predict_replay_identical_across_worker_counts() {
 #[test]
 fn batch_engine_identical_across_worker_counts() {
     let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // `Analysis::run` now drives the incremental engine's sharded consume
-    // (`stream::run_batch`); contiguous shards + exact merge must make it
-    // indistinguishable from the sequential pass.
+    // `Analysis::run` is `coalesce()` plus `SpatialCounts::compute`, both
+    // parallel past their thresholds at two racks: the whole analysis
+    // must be indistinguishable from the sequential pass.
     let ds = dataset(46);
     let base = with_workers(1, || Analysis::run(ds.system, ds.sim.ce_log.clone()));
     assert!(!base.faults.is_empty());
@@ -162,14 +162,19 @@ fn span_paths_nest_identically_across_worker_counts() {
     let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Worker threads inherit the caller's span path, so the set of
     // `time.*` paths must not depend on the worker count — the same
-    // tree, whether a shard ran on the caller or on a worker. Each run
-    // installs a unique root so its paths are separable in the global
-    // registry (other tests in this binary record spans concurrently).
+    // tree, whether a shard ran on the caller or on a worker. Loading a
+    // text directory runs `parse.shard` spans on `par_map` workers (each
+    // chunk above 64 KiB is split across them). Each run installs a
+    // unique root so its paths are separable in the global registry
+    // (other tests in this binary record spans concurrently).
     let ds = dataset(48);
+    let dir = TempDirGuard::new("spandet");
+    ds.write_logs(&dir.0).unwrap();
     let paths_at = |workers: usize, root: &str| -> Vec<String> {
         with_workers(workers, || {
             let _root = astra_obs::inherit_path(Some(root));
-            Analysis::run(ds.system, ds.sim.ce_log.clone());
+            let input = AnalysisInput::from_dir(&dir.0).expect("load");
+            Analysis::run(ds.system, input.records);
         });
         let prefix = format!("time.{root}/");
         astra_obs::global()
@@ -180,16 +185,16 @@ fn span_paths_nest_identically_across_worker_counts() {
             .collect()
     };
     let base = paths_at(1, "spandet_w1");
-    assert!(
-        base.iter()
-            .any(|p| p == "pipeline.analyze/pipeline.consume/consume.shard"),
-        "shard spans must nest under the pipeline even sequentially: {base:?}"
-    );
-    assert!(
-        base.iter()
-            .any(|p| p == "pipeline.analyze/pipeline.coalesce"),
-        "{base:?}"
-    );
+    for path in [
+        "pipeline.parse/parse.ce/parse.shard",
+        "pipeline.analyze/coalesce",
+        "pipeline.analyze/spatial.compute",
+    ] {
+        assert!(
+            base.iter().any(|p| p == path),
+            "{path} must nest under the pipeline even sequentially: {base:?}"
+        );
+    }
     for workers in [2, 4] {
         let par = paths_at(workers, &format!("spandet_w{workers}"));
         assert_eq!(
@@ -200,12 +205,10 @@ fn span_paths_nest_identically_across_worker_counts() {
     // The regression this pins: a worker starting from an empty span
     // stack would record its shard span at the root.
     let snap = astra_obs::global().snapshot();
-    for rootless in ["time.consume.shard", "time.parse.shard"] {
-        assert!(
-            snap.get(rootless).is_none(),
-            "found rootless worker span {rootless}"
-        );
-    }
+    assert!(
+        snap.get("time.parse.shard").is_none(),
+        "found rootless worker span time.parse.shard"
+    );
 }
 
 /// Removes its temp dir on drop so a failing assertion does not leak it.

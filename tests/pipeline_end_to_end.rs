@@ -1,5 +1,5 @@
 //! Integration: the full pipeline across crates — simulate a machine,
-//! serialize its logs to the published text formats, parse them back, and
+//! write its logs in the published text formats, parse them back, and
 //! run the complete analysis, checking cross-crate invariants the unit
 //! tests cannot see.
 
@@ -16,8 +16,11 @@ fn dataset() -> Dataset {
 #[test]
 fn text_pipeline_reaches_identical_analysis() {
     let ds = dataset();
-    let (ce, het, inv) = ds.to_text();
-    let via_text = AnalysisInput::from_text(&ce, &het, &inv).unwrap();
+    let dir = std::env::temp_dir().join(format!("astra-e2e-text-{}", std::process::id()));
+    ds.write_logs(&dir).unwrap();
+    let via_text = AnalysisInput::from_dir(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let via_text = via_text.unwrap();
 
     let a = Analysis::run(ds.system, via_text.records);
     let b = Analysis::run(ds.system, ds.sim.ce_log);

@@ -11,12 +11,13 @@
 //! `generate` simulates a machine and writes the text logs (`ce.log`,
 //! `het.log`, `inventory.log`, plus a `sensors.log` excerpt). The other
 //! commands ingest a log directory — from `generate` or, with the same
-//! formats, from a real site — and run the analysis at increasing levels
-//! of detail: `analyze` prints the coalescing summary, `stream-analyze`
-//! prints the identical summary via the single-pass incremental engine
-//! (bounded memory, checkpoint/resume), `report` renders every
-//! table/figure of the paper, `triage` prints the operational outputs
-//! (exclude list, retirement, replacement candidates).
+//! formats, from a real site — reading only the logs their output uses,
+//! and run the analysis at increasing levels of detail: `analyze` prints
+//! the coalescing summary, `stream-analyze` prints the identical summary
+//! via the single-pass incremental engine (bounded memory,
+//! checkpoint/resume), `report` renders every table/figure of the paper,
+//! `triage` prints the operational outputs (exclude list, retirement,
+//! replacement candidates).
 //!
 //! The binary in `src/bin/astra-mem.rs` is a thin shim over [`main`];
 //! keeping the implementation in the library makes every command path
@@ -38,7 +39,7 @@ use astra_platform::PlatformProfile;
 
 use crate::experiments as exp;
 use crate::mitigation::{self, ProactivePolicy, RetirementPolicy};
-use crate::pipeline::{load_manifest, Analysis, AnalysisInput, Dataset, LoadError};
+use crate::pipeline::{load_manifest, Analysis, AnalysisInput, Dataset, LoadError, Log};
 use crate::reliability;
 use crate::stream::{self, Analyzer as _, StreamError, StreamOptions};
 use crate::tempcorr::TempCorrConfig;
@@ -82,7 +83,9 @@ COMMANDS:
     analyze         parse a log directory and print the fault summary
     stream-analyze  same summary via the single-pass incremental engine:
                     memory bounded by analyzer state, with optional
-                    checkpoint/resume (output is byte-identical to analyze)
+                    checkpoint/resume (output is byte-identical to analyze);
+                    with --checkpoint it also saves the state the run ends
+                    in, so a later --resume reads only what was appended
     shard-analyze   run the analysis as supervised worker subprocesses, one
                     per contiguous rack range, and merge their serialized
                     snapshots — stdout byte-identical to analyze at any
@@ -111,7 +114,8 @@ COMMANDS:
     predict         replay the CE stream through online UE predictors; score
                     precision/recall/lead time against simulator ground truth
                     (re-derived from the directory's manifest — profile, racks,
-                    seed — or from --racks/--seed for legacy directories).
+                    seed — or from --racks/--seed for legacy directories; with
+                    neither a manifest nor --seed it refuses to guess).
                     With --train/--eval: fit a logistic predictor on each
                     --train directory, score it on every --eval directory, and
                     print the cross-platform transfer matrix
@@ -127,6 +131,12 @@ COMMANDS:
                     the flame table: per-path invocation counts, total vs
                     self time, and peak/net memory when the byte-counting
                     allocator is measuring
+
+LOGS (each command reads only the logs its output uses, and strict or
+lenient ingest covers exactly those):
+    analyze, triage, stream-analyze, shard-analyze, serve    ce.log
+    predict                                                  ce.log, het.log
+    report, stats, fsck           ce.log, het.log, inventory.log, sensors.log
 
 OPTIONS (a flag the command does not read is a usage error;
 --metrics-out and --trace-out work on every command):
@@ -161,8 +171,9 @@ OPTIONS (a flag the command does not read is a usage error;
     --degraded            (shard-analyze) when a shard exhausts its retries,
                           emit the merged survivors with a missing-racks
                           banner and exit 3 instead of aborting
-    --checkpoint FILE     (stream-analyze) where to write checkpoints
-    --checkpoint-every N  (stream-analyze) checkpoint every N events;
+    --checkpoint FILE     (stream-analyze) where to write checkpoints, the
+                          last at the end of the run
+    --checkpoint-every N  (stream-analyze) checkpoint every N CE records;
                           (serve) checkpoint every site every N seconds
     --listen ADDR         (serve) bind address (default 127.0.0.1:7433;
                           port 0 picks an ephemeral port — the bound
@@ -170,7 +181,7 @@ OPTIONS (a flag the command does not read is a usage error;
     --poll-ms N           (serve) how often to re-probe dry logs for new
                           records (default 200)
     --resume FILE         (stream-analyze) resume from a checkpoint
-    --stop-after N        (stream-analyze) checkpoint and stop after N events
+    --stop-after N        (stream-analyze) checkpoint and stop after N CE records
 ";
 
 /// Whether `command` reads `flag`: a flag it does not read is a usage
@@ -828,18 +839,21 @@ fn resolve_for_dir(args: &Args, dir: &Path) -> Result<Resolved, String> {
     }
 }
 
-/// The dataset directory, its resolved provenance, and its parsed logs.
-fn load(args: &Args) -> Result<(PathBuf, Resolved, AnalysisInput), String> {
-    load_with(args, &args.ingest())
+/// The dataset directory, its resolved provenance, and the `logs` its
+/// command uses, parsed.
+fn load(args: &Args, logs: &[Log]) -> Result<(PathBuf, Resolved, AnalysisInput), String> {
+    load_with(args, &args.ingest(), logs)
 }
 
 fn load_with(
     args: &Args,
     opts: &IngestOptions,
+    logs: &[Log],
 ) -> Result<(PathBuf, Resolved, AnalysisInput), String> {
     let dir = require_dir(args)?;
     let resolved = resolve_for_dir(args, &dir)?;
-    let input = AnalysisInput::from_dir_with(&dir, opts).map_err(|e| load_error_hint(&dir, &e))?;
+    let input =
+        AnalysisInput::from_dir_with(&dir, opts, logs).map_err(|e| load_error_hint(&dir, &e))?;
     if !input.quarantine.is_empty() {
         eprintln!(
             "note: quarantined {} lines {}",
@@ -851,7 +865,7 @@ fn load_with(
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let (dir, resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args, &[Log::Ce])?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
     let body = crate::serve::analysis_body(
@@ -878,14 +892,14 @@ fn cmd_stream_analyze(args: &Args) -> Result<(), String> {
     };
     let report = stream::stream_analyze(&dir, system, &opts).map_err(|e| match &e {
         StreamError::Load(le) => load_error_hint(&dir, le),
-        StreamError::Checkpoint { .. } => e.to_string(),
+        StreamError::Checkpoint { .. } | StreamError::Version { .. } => e.to_string(),
     })?;
     // `--stop-after` writes a checkpoint and ends the run early; nothing
     // is printed so that a later resumed run's stdout alone is the full
     // analyze output.
     let Some(report) = report else {
         eprintln!(
-            "stopped after {} events; checkpoint written",
+            "stopped after {} CE records; checkpoint written",
             args.stop_after.unwrap_or(0)
         );
         return Ok(());
@@ -1041,7 +1055,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let (dir, resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args, &Log::ALL)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
     // The telemetry model is functional: reconstruct it from the recorded
@@ -1158,7 +1172,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_triage(args: &Args) -> Result<(), String> {
-    let (dir, resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args, &[Log::Ce])?;
     let analysis = Analysis::run(resolved.system, input.records);
 
     println!("node exclusion curve:");
@@ -1251,7 +1265,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     // A health report must diagnose unhealthy datasets, so `stats` is
     // lenient with an unbounded budget unless the user tightens it.
     let opts = IngestOptions::lenient(Some(args.max_bad_frac.unwrap_or(1.0)));
-    let (dir, resolved, input) = load_with(args, &opts)?;
+    let (dir, resolved, input) = load_with(args, &opts, &Log::ALL)?;
     let system = resolved.system;
     let analysis = Analysis::run(system, input.records);
     import_dir_metrics(&dir);
@@ -1589,15 +1603,25 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     if !args.train_dirs.is_empty() || !args.eval_dirs.is_empty() {
         return cmd_predict_transfer(args);
     }
-    let (dir, resolved, input) = load(args)?;
+    let (dir, resolved, input) = load(args, &[Log::Ce, Log::Het])?;
     let system = resolved.system;
 
     // Ground truth is not persisted by `generate`; re-derive it from the
     // deterministic simulation under the manifest's recorded profile,
     // scale, and seed (the same reconstruct-from-seed pattern `report`
-    // uses for telemetry). On legacy manifest-less directories the flags
-    // must match generate's; a mismatch shows up as a CE-count
-    // disagreement.
+    // uses for telemetry). Without either a manifest or --seed there is
+    // nothing to re-derive it from, and scoring against a guessed seed's
+    // truth would print confident nonsense. On legacy manifest-less
+    // directories the flags must match generate's; a mismatch shows up
+    // as a CE-count disagreement.
+    if !resolved.seed_known {
+        return Err(format!(
+            "predict scores alerts against ground truth re-simulated from the dataset's seed, \
+             but {} has no manifest.txt and no --seed was given\n\
+             hint: pass --seed S, the seed the logs were generated with",
+            dir.display()
+        ));
+    }
     eprintln!(
         "re-simulating {} racks of profile {} (seed {}) for ground truth...",
         system.racks, resolved.profile.name, resolved.seed
@@ -1704,7 +1728,7 @@ fn cmd_predict_transfer(args: &Args) -> Result<(), String> {
                 Manifest::path_in(dir).display()
             )
         })?;
-        let input = AnalysisInput::from_dir_with(dir, &args.ingest())
+        let input = AnalysisInput::from_dir_with(dir, &args.ingest(), &[Log::Ce, Log::Het])
             .map_err(|e| load_error_hint(dir, &e))?;
         if !input.quarantine.is_empty() {
             eprintln!(

@@ -320,8 +320,27 @@ impl std::error::Error for LoadError {
     }
 }
 
+/// The four logs of a dataset directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Log {
+    /// `ce.log`: correctable errors.
+    Ce,
+    /// `het.log`: hardware-event-tracker records.
+    Het,
+    /// `inventory.log`: component replacements.
+    Inventory,
+    /// `sensors.log`: the environmental excerpt (optional).
+    Sensors,
+}
+
+impl Log {
+    /// Every log, in load order.
+    pub const ALL: [Log; 4] = [Log::Ce, Log::Het, Log::Inventory, Log::Sensors];
+}
+
 /// Parsed analysis input: what the extraction step recovers from text.
-#[derive(Debug, Clone)]
+/// A log the load was not asked for stays empty.
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisInput {
     /// CE records.
     pub records: Vec<CeRecord>,
@@ -332,23 +351,26 @@ pub struct AnalysisInput {
     /// Environmental sensor records (the dataset excerpt; may be empty
     /// for inputs without a `sensors.log`).
     pub sensors: Vec<SensorRecord>,
-    /// What was quarantined across all logs, by reason (empty unless a
-    /// lenient [`AnalysisInput::from_dir_with`] load tolerated bad lines).
+    /// What was quarantined across the loaded logs, by reason (empty
+    /// unless a lenient [`AnalysisInput::from_dir_with`] load tolerated
+    /// bad lines).
     pub quarantine: Quarantine,
 }
 
 impl AnalysisInput {
-    /// Read the logs from a directory written by [`Dataset::write_logs`],
-    /// under the default (strict) ingest policy: any quarantined line
-    /// aborts the load with [`LoadError::Corrupt`].
+    /// Read all four logs from a directory written by
+    /// [`Dataset::write_logs`], under the default (strict) ingest policy:
+    /// any quarantined line aborts the load with [`LoadError::Corrupt`].
     pub fn from_dir(dir: &Path) -> Result<Self, LoadError> {
-        Self::from_dir_with(dir, &IngestOptions::default())
+        Self::from_dir_with(dir, &IngestOptions::default(), &Log::ALL)
     }
 
-    /// As [`AnalysisInput::from_dir`] with an explicit ingest policy.
+    /// Read the `logs` a command uses, under an explicit ingest policy;
+    /// the others are not opened, so they may be absent or damaged.
     /// `sensors.log` is optional (real extractions may ship telemetry
-    /// separately); the other three are required, and a missing required
-    /// log reports [`LoadError::MissingLog`] rather than a bare I/O error.
+    /// separately); the other three are required when asked for, and a
+    /// missing one reports [`LoadError::MissingLog`] rather than a bare
+    /// I/O error.
     ///
     /// Each file's format is auto-detected by magic bytes
     /// ([`binfmt::parse_file_auto`]): text logs stream through the
@@ -359,78 +381,89 @@ impl AnalysisInput {
     /// error budget land in [`AnalysisInput::quarantine`]; over budget
     /// (or any quarantined unit under the strict default) the load fails
     /// with [`LoadError::Corrupt`] carrying the typed report.
-    pub fn from_dir_with(dir: &Path, opts: &IngestOptions) -> Result<Self, LoadError> {
+    pub fn from_dir_with(
+        dir: &Path,
+        opts: &IngestOptions,
+        logs: &[Log],
+    ) -> Result<Self, LoadError> {
         let _span = astra_obs::span("pipeline.parse");
-        fn stream<T: Send>(
-            dir: &Path,
-            name: &'static str,
-            format: LineFormat<T>,
-            bin: BinFormat<T>,
-            opts: &IngestOptions,
-            stage: &str,
-        ) -> Result<Option<(logio::ParsedLog<T>, Quarantine)>, LoadError> {
-            let path = dir.join(name);
-            match binfmt::parse_file_auto(&path, format, bin, opts, stage) {
-                Ok(parsed) => Ok(Some(parsed)),
-                Err(IngestError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-                Err(IngestError::Io(e)) => Err(LoadError::Unreadable {
-                    name,
-                    path,
-                    source: e,
-                }),
-                Err(IngestError::Corrupt {
-                    quarantine,
-                    lines_ok,
-                }) => Err(LoadError::Corrupt {
-                    name,
-                    path,
-                    quarantine: Box::new(quarantine),
-                    lines_ok,
-                }),
+        let mut input = AnalysisInput::default();
+        let q = &mut input.quarantine;
+        for log in logs {
+            match log {
+                Log::Ce => {
+                    input.records = load_log(dir, "ce.log", ce::FORMAT, binfmt::CE, opts, true, q)?
+                }
+                Log::Het => {
+                    input.hets = load_log(dir, "het.log", het::FORMAT, binfmt::HET, opts, true, q)?
+                }
+                Log::Inventory => {
+                    input.replacements = load_log(
+                        dir,
+                        "inventory.log",
+                        inventory::FORMAT,
+                        binfmt::INVENTORY,
+                        opts,
+                        true,
+                        q,
+                    )?
+                }
+                Log::Sensors => {
+                    input.sensors = load_log(
+                        dir,
+                        "sensors.log",
+                        sensor::FORMAT,
+                        binfmt::SENSOR,
+                        opts,
+                        false,
+                        q,
+                    )?
+                }
             }
         }
-        let require = |name: &'static str| LoadError::MissingLog {
+        Ok(input)
+    }
+}
+
+/// Load one log, adding what it quarantined to `quarantine`. Its parse
+/// stage is named after the file (`ce.log` is `parse.ce`). An absent
+/// optional log loads as no records.
+fn load_log<T: Send>(
+    dir: &Path,
+    name: &'static str,
+    format: LineFormat<T>,
+    bin: BinFormat<T>,
+    opts: &IngestOptions,
+    required: bool,
+    quarantine: &mut Quarantine,
+) -> Result<Vec<T>, LoadError> {
+    let path = dir.join(name);
+    let stage = name.trim_end_matches(".log");
+    match binfmt::parse_file_auto(&path, format, bin, opts, stage) {
+        Ok((parsed, q)) => {
+            quarantine.merge(&q);
+            Ok(parsed.records)
+        }
+        Err(IngestError::Io(e)) if e.kind() == io::ErrorKind::NotFound && !required => {
+            Ok(Vec::new())
+        }
+        Err(IngestError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+            Err(LoadError::MissingLog { name, path })
+        }
+        Err(IngestError::Io(e)) => Err(LoadError::Unreadable {
             name,
-            path: dir.join(name),
-        };
-        let (ces, ce_q) = stream(dir, "ce.log", ce::FORMAT, binfmt::CE, opts, "ce")?
-            .ok_or_else(|| require("ce.log"))?;
-        let (hets, het_q) = stream(dir, "het.log", het::FORMAT, binfmt::HET, opts, "het")?
-            .ok_or_else(|| require("het.log"))?;
-        let (invs, inv_q) = stream(
-            dir,
-            "inventory.log",
-            inventory::FORMAT,
-            binfmt::INVENTORY,
-            opts,
-            "inventory",
-        )?
-        .ok_or_else(|| require("inventory.log"))?;
-        let (sensors, sensor_q) = stream(
-            dir,
-            "sensors.log",
-            sensor::FORMAT,
-            binfmt::SENSOR,
-            opts,
-            "sensors",
-        )?
-        .unwrap_or((
-            logio::ParsedLog {
-                records: Vec::new(),
-            },
-            Quarantine::default(),
-        ));
-        let mut quarantine = ce_q;
-        quarantine.merge(&het_q);
-        quarantine.merge(&inv_q);
-        quarantine.merge(&sensor_q);
-        Ok(AnalysisInput {
-            records: ces.records,
-            hets: hets.records,
-            replacements: invs.records,
-            sensors: sensors.records,
+            path,
+            source: e,
+        }),
+        Err(IngestError::Corrupt {
             quarantine,
-        })
+            lines_ok,
+        }) => Err(LoadError::Corrupt {
+            name,
+            path,
+            quarantine: Box::new(quarantine),
+            lines_ok,
+        }),
     }
 }
 
@@ -645,6 +678,11 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {:?}", other.map(|i| i.records.len())),
         }
+        // A load that does not ask for inventory.log never opens it.
+        let input =
+            AnalysisInput::from_dir_with(&guard.0, &IngestOptions::default(), &[Log::Ce]).unwrap();
+        assert_eq!(input.records, ds.sim.ce_log);
+        assert!(input.replacements.is_empty() && input.hets.is_empty());
     }
 
     #[test]
@@ -659,7 +697,9 @@ mod tests {
             .unwrap();
         writeln!(f, "sshd[1]: accepted publickey for root").unwrap();
         drop(f);
-        let input = AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(None)).unwrap();
+        let input =
+            AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(None), &Log::ALL)
+                .unwrap();
         assert_eq!(input.records.len(), ds.sim.ce_log.len());
         assert_eq!(input.records, ds.sim.ce_log);
         assert_eq!(input.quarantine.total(), 1);
@@ -679,7 +719,8 @@ mod tests {
             writeln!(f, "this is not a {name} record").unwrap();
         }
         let input =
-            AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(Some(1.0))).unwrap();
+            AnalysisInput::from_dir_with(&guard.0, &IngestOptions::lenient(Some(1.0)), &Log::ALL)
+                .unwrap();
         assert_eq!(input.quarantine.total(), 2);
         assert_eq!(input.records, ds.sim.ce_log);
         assert_eq!(input.hets, ds.sim.het_log);

@@ -11,7 +11,7 @@
 //! | `analysis` | text | byte-identical to `astra-mem analyze` stdout |
 //! | `spatial`  | text | error/fault tables along every machine axis |
 //! | `alerts`   | JSON | online UE-risk alerts with feature evidence |
-//! | `quarantine` | JSON | per-reason quarantine counts |
+//! | `quarantine` | JSON | per-reason quarantine counts of `ce.log` |
 //!
 //! The `analysis` byte-identity is the serving contract: once a site's
 //! logs are fully consumed, `GET /site/<name>/analysis` returns exactly
@@ -70,9 +70,10 @@ impl SiteSource for EngineSource {
     fn snapshot(&self) -> SiteSnapshot {
         let report = self.engine.report();
         let quarantine = self.engine.quarantine();
+        let consumed = self.engine.consumed();
         SiteSnapshot {
-            events: self.engine.position(),
-            consumed: self.engine.consumed(),
+            events: consumed[0],
+            consumed,
             quarantined: quarantine.total(),
             bytes_read: self.engine.bytes_read() as u64,
             faults: report.total_faults(),
@@ -98,7 +99,7 @@ impl SiteSource for EngineSource {
                 View {
                     name: "quarantine",
                     content_type: "application/json",
-                    body: quarantine_body(&quarantine),
+                    body: quarantine_body(quarantine),
                 },
             ],
         }

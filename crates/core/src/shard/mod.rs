@@ -13,18 +13,18 @@
 //!   half-open shards (a total, disjoint, order-preserving cover —
 //!   property-tested in `tests/shard_partition.rs`);
 //! * the worker (`astra-mem` re-invoked in the hidden `shard-worker`
-//!   mode, entry point [`run_worker`]) streams the full event sequence
-//!   but consumes only its racks' events, then serializes its analyzer
-//!   state with the checkpoint container (per-section CRCs, atomic
-//!   `.tmp` + rename);
+//!   mode, entry point [`run_worker`]) streams all of `ce.log` but
+//!   consumes only its racks' CEs, then serializes its analyzer state
+//!   with the checkpoint container (per-section CRCs, atomic `.tmp` +
+//!   rename);
 //! * the supervisor ([`supervise`]) drives every shard through a small
 //!   state machine — spawn → deadline → retry/backoff → degrade — and
 //!   merges the surviving snapshots left-to-right.
 //!
-//! Merge exactness: every event names one node, every node lives in one
+//! Merge exactness: every CE names one node, every node lives in one
 //! rack, and every rack lands in exactly one shard, so the per-shard
 //! coalesce footprint lists are disjoint and stay in file order, the
-//! spatial/HET integer counts add exactly, and predict state is
+//! spatial integer counts add exactly, and predict state is
 //! rank-disjoint by construction. The merged snapshot — and therefore
 //! the `shard-analyze` stdout — is byte-identical to single-process
 //! `analyze` at any shard count (`tests/shard_supervisor.rs` enforces
@@ -103,7 +103,7 @@ pub struct WorkerConfig {
     pub stream: StreamOptions,
 }
 
-/// Worker entry point: stream every event, consume the rack slice,
+/// Worker entry point: stream `ce.log`, consume the rack slice,
 /// serialize the analyzer state. stdout stays silent — the snapshot
 /// file is the only product, so the supervisor's stdout can be
 /// byte-identical to `analyze`.
@@ -135,14 +135,13 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
 }
 
 /// Serialize a worker's analyzer state. A snapshot is merged, never
-/// resumed from, so its positions stay at byte 0.
+/// resumed from, so its position stays at byte 0.
 fn write_snapshot(analyzer: &StreamAnalyzer, cfg: &WorkerConfig) -> Result<(), String> {
-    checkpoint::write(
-        &cfg.snapshot_out,
-        analyzer,
-        &ResumePoint::replay(analyzer.counts),
-    )
-    .map_err(|e| e.to_string())
+    let resume = ResumePoint {
+        consumed: analyzer.coalesce.ces,
+        ..ResumePoint::default()
+    };
+    checkpoint::write(&cfg.snapshot_out, analyzer, &resume).map_err(|e| e.to_string())
 }
 
 /// Act out an armed shard fault at the trip point.
@@ -634,9 +633,9 @@ mod tests {
         for (lo, hi) in partition_racks(system.racks, 2) {
             merged = Analyzer::merge(merged, consume_range(lo, hi));
         }
-        assert_eq!(merged.counts, whole.counts);
         let a = merged.snapshot();
         let b = whole.snapshot();
+        assert_eq!(a.ces, b.ces);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.fig4.render(), b.fig4.render());
         assert_eq!(a.fig5.render(), b.fig5.render());

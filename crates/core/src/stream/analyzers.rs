@@ -1,26 +1,27 @@
-//! The five analysis layers as incremental [`Analyzer`]s, plus the
-//! composite the engine drives.
+//! The analysis layers as incremental [`Analyzer`]s, plus the composite
+//! the engine drives.
 //!
-//! Each analyzer is a fold with an explicit state type; what bounds the
-//! engine's memory is exactly the sum of these states:
+//! Each analyzer is a fold with an explicit state type. The engine
+//! drives three, over CE events, and what bounds its memory is exactly
+//! the sum of their states:
 //!
 //! * [`CoalesceAnalyzer`] — per-`(node, slot, rank)` footprint lists
 //!   (32 B per CE instead of the 48 B record, and no record vector);
 //! * [`SpatialAnalyzer`] — fixed-shape count tables;
-//! * [`HetAnalyzer`] — per-(kind, day) counters;
-//! * [`TempCorrAnalyzer`] — per-(sensor, month) running means and
-//!   per-month CE counts;
 //! * [`PredictAnalyzer`] — per-rank feature state and fired flags,
 //!   mirroring `astra_predict::replay` record for record.
 //!
+//! Two more fold the logs the engine does not read, and no command
+//! drives them: [`HetAnalyzer`] (per-(kind, day) counters) and
+//! [`TempCorrAnalyzer`] (per-(sensor, month) running means and per-month
+//! CE counts).
+//!
 //! Merge semantics: coalesce appends footprints in shard order and
-//! spatial/het/tempcorr counts add exactly, so those merges are
-//! bit-exact for contiguous shards at any worker count. The tempcorr
-//! *sum* is an `f64`, so its merge is last-ulp-sensitive to shard
-//! boundaries — it is exact only for the shipped paths, which never
-//! shard it (the engine consumes sequentially). Predict state cannot
-//! merge mid-rank at all, so [`PredictAnalyzer::merge`] insists on
-//! rank-disjoint shards.
+//! spatial/het counts add exactly, so those merges are bit-exact for
+//! contiguous shards at any worker count. The tempcorr *sum* is an
+//! `f64`, so its merge is last-ulp-sensitive to shard boundaries.
+//! Predict state cannot merge mid-rank at all, so
+//! [`PredictAnalyzer::merge`] insists on rank-disjoint shards.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -133,13 +134,13 @@ impl Analyzer for SpatialAnalyzer {
 #[derive(Default)]
 pub struct HetAnalyzer {
     /// `(kind index in HetKind::ALL, day index)` → events.
-    pub(crate) daily: BTreeMap<(u8, i64), u64>,
-    pub(crate) total: u64,
-    pub(crate) memory_dues: u64,
+    daily: BTreeMap<(u8, i64), u64>,
+    total: u64,
+    memory_dues: u64,
 }
 
-/// Position of a kind in [`HetKind::ALL`] (dense, checkpoint-stable).
-pub(crate) fn het_kind_index(kind: HetKind) -> u8 {
+/// Position of a kind in [`HetKind::ALL`] (dense).
+fn het_kind_index(kind: HetKind) -> u8 {
     HetKind::ALL
         .iter()
         .position(|k| *k == kind)
@@ -208,9 +209,9 @@ pub struct HetReport {
 #[derive(Default)]
 pub struct TempCorrAnalyzer {
     /// `(sensor index, month index)` → (sum of readings, sample count).
-    pub(crate) sensor_months: BTreeMap<(u8, i64), (f64, u64)>,
+    sensor_months: BTreeMap<(u8, i64), (f64, u64)>,
     /// Month index → CE count.
-    pub(crate) monthly_ces: BTreeMap<i64, u64>,
+    monthly_ces: BTreeMap<i64, u64>,
 }
 
 impl TempCorrAnalyzer {
@@ -244,8 +245,7 @@ impl Analyzer for TempCorrAnalyzer {
 
     fn merge(mut a: Self, b: Self) -> Self {
         // f64 sum: exact only when shards do not split a (sensor, month)
-        // cell, last-ulp-sensitive otherwise — see the module docs. No
-        // shipped path shards this analyzer.
+        // cell, last-ulp-sensitive otherwise — see the module docs.
         for (key, (sum, n)) in b.sensor_months {
             let slot = a.sensor_months.entry(key).or_insert((0.0, 0));
             slot.0 += sum;
@@ -292,8 +292,7 @@ pub(crate) struct RankTrack {
     pub(crate) fired: Vec<bool>,
 }
 
-/// Streaming prediction: replays the CE substream of the merged event
-/// stream through the predictors exactly as `astra_predict::replay` does
+/// Streaming prediction: replays the CE events through the predictors exactly as `astra_predict::replay` does
 /// — including the detail that once every predictor has fired for a
 /// rank, that rank's feature state stops updating (replay `break`s out
 /// of the substream), which keeps checkpointed state byte-identical to
@@ -388,18 +387,14 @@ impl Analyzer for PredictAnalyzer {
     }
 }
 
-/// Every analysis layer behind one [`Analyzer`]: what
+/// The CE analysis layers behind one [`Analyzer`]: what
 /// [`stream_analyze`](super::stream_analyze) drives and what checkpoints
 /// serialize.
 pub struct StreamAnalyzer {
     pub(crate) system: SystemConfig,
     pub(crate) coalesce: CoalesceAnalyzer,
     pub(crate) spatial: SpatialAnalyzer,
-    pub(crate) het: HetAnalyzer,
-    pub(crate) tempcorr: TempCorrAnalyzer,
     pub(crate) predict: PredictAnalyzer,
-    /// Events consumed per source (indices follow `EventSource`).
-    pub(crate) counts: [u64; 4],
 }
 
 impl StreamAnalyzer {
@@ -409,10 +404,7 @@ impl StreamAnalyzer {
             system,
             coalesce: CoalesceAnalyzer::new(coalesce),
             spatial: SpatialAnalyzer::new(system),
-            het: HetAnalyzer::new(),
-            tempcorr: TempCorrAnalyzer::new(),
             predict: PredictAnalyzer::new(predict, default_predictors()),
-            counts: [0; 4],
         }
     }
 
@@ -428,13 +420,9 @@ impl StreamAnalyzer {
         let coalesce = self.coalesce.ces as usize * size_of::<CeFootprint>()
             + self.coalesce.groups.len() * (size_of::<GroupKey>() + size_of::<Vec<CeFootprint>>());
         let spatial = spatial_bytes(&self.spatial.counts);
-        let het = self.het.daily.len() * (size_of::<(u8, i64)>() + size_of::<u64>());
-        let tempcorr = self.tempcorr.sensor_months.len()
-            * (size_of::<(u8, i64)>() + size_of::<(f64, u64)>())
-            + self.tempcorr.monthly_ces.len() * (2 * size_of::<u64>());
         let predict = self.predict.ranks.len() * (size_of::<FeatureState>() + 512)
             + self.predict.alerts.len() * size_of::<Alert>();
-        coalesce + spatial + het + tempcorr + predict
+        coalesce + spatial + predict
     }
 }
 
@@ -465,25 +453,15 @@ impl Analyzer for StreamAnalyzer {
     fn consume(&mut self, ev: &MemEvent) {
         self.coalesce.consume(ev);
         self.spatial.consume(ev);
-        self.het.consume(ev);
-        self.tempcorr.consume(ev);
         self.predict.consume(ev);
-        self.counts[ev.source().index()] += 1;
     }
 
     fn merge(a: Self, b: Self) -> Self {
-        let mut counts = a.counts;
-        for (x, y) in counts.iter_mut().zip(b.counts) {
-            *x += y;
-        }
         StreamAnalyzer {
             system: a.system,
             coalesce: Analyzer::merge(a.coalesce, b.coalesce),
             spatial: Analyzer::merge(a.spatial, b.spatial),
-            het: Analyzer::merge(a.het, b.het),
-            tempcorr: Analyzer::merge(a.tempcorr, b.tempcorr),
             predict: Analyzer::merge(a.predict, b.predict),
-            counts,
         }
     }
 
@@ -510,22 +488,15 @@ impl Analyzer for StreamAnalyzer {
             astra_util::time::study_span(),
         );
         let fig5 = fig5::compute_from_parts(&self.system, &spatial);
-        let (sensor_months, monthly_ces) = self.tempcorr.snapshot();
 
         StreamReport {
             system: self.system,
-            ces: self.counts[0],
-            hets: self.counts[1],
-            inventories: self.counts[2],
-            sensor_readings: self.counts[3],
+            ces: self.coalesce.ces,
             skipped: 0,
             faults,
             spatial,
             fig4,
             fig5,
-            het: self.het.snapshot(),
-            sensor_months,
-            monthly_ces,
             alerts: self.predict.snapshot(),
         }
     }
@@ -538,13 +509,7 @@ pub struct StreamReport {
     pub system: SystemConfig,
     /// CE events consumed.
     pub ces: u64,
-    /// HET events consumed.
-    pub hets: u64,
-    /// Inventory (replacement) events consumed.
-    pub inventories: u64,
-    /// Sensor readings consumed.
-    pub sensor_readings: u64,
-    /// Unparseable lines skipped across all logs.
+    /// Unparseable `ce.log` lines skipped.
     pub skipped: u64,
     /// Coalesced faults (identical to the batch analyzer's).
     pub faults: Vec<ObservedFault>,
@@ -554,12 +519,6 @@ pub struct StreamReport {
     pub fig4: Fig4,
     /// Fig 5 — per-node concentration.
     pub fig5: Fig5,
-    /// HET aggregation.
-    pub het: HetReport,
-    /// Per-(sensor, month) mean readings.
-    pub sensor_months: Vec<SensorMonth>,
-    /// Per-month CE counts.
-    pub monthly_ces: Vec<(i64, u64)>,
     /// Online UE-risk alerts (identical to `astra_predict::replay`'s).
     pub alerts: Vec<Alert>,
 }

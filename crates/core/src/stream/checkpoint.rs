@@ -2,21 +2,21 @@
 //!
 //! A checkpoint is a line-oriented UTF-8 snapshot of the full
 //! [`StreamAnalyzer`] state plus the resume point: the number of parsed
-//! records consumed from each log, and each log's [`LogPosition`]. A
-//! position is the byte offset of the text chunk or binary block that
-//! holds the log's next unconsumed record (or the log's end when every
-//! record read was consumed), the reader state at that offset (text:
-//! lines seen and the ordering check's running maximum; binary: records
-//! decoded, whether anything was quarantined, whether the reader had
-//! stopped), the records parsed and the quarantine tally with its
-//! samples before it, and a CRC-32 of the up to 4 KiB before it.
-//! Resuming seeks each log to its offset and drops only the consumed
-//! records of that one chunk: at most one 8 MiB text chunk or one
-//! 65,536-record block is read again per log. Chunk parsing is
-//! deterministic from any chunk start, so a resumed `stream-analyze`
-//! produces output identical to an uninterrupted one (the golden
-//! equivalence test enforces this). A log shorter than its offset, or
-//! with other bytes before it, is refused rather than silently mixed.
+//! `ce.log` records consumed, and the log's [`LogPosition`]. A position
+//! is the byte offset of the text chunk or binary block that holds the
+//! log's next unconsumed record (or the log's end when every record read
+//! was consumed), the reader state at that offset (text: lines seen and
+//! the ordering check's running maximum; binary: records decoded,
+//! whether anything was quarantined, whether the reader had stopped),
+//! the records parsed and the quarantine tally with its samples before
+//! it, and a CRC-32 of the up to 4 KiB before it. Resuming seeks to the
+//! offset and drops only the consumed records of that one chunk: at most
+//! one 8 MiB text chunk or one 65,536-record block is read again. Chunk
+//! parsing is deterministic from any chunk start, so a resumed
+//! `stream-analyze` produces output identical to an uninterrupted one
+//! (the golden equivalence test enforces this). A log shorter than its
+//! offset, or with other bytes before it, is refused rather than
+//! silently mixed.
 //!
 //! Format notes:
 //!
@@ -28,15 +28,15 @@
 //!   and mixing them silently would corrupt results. What is guarded is
 //!   the machine shape (`racks`), which changes the meaning of every
 //!   node id;
-//! * every section (meta, coalesce, spatial, het, temp, predict) ends
-//!   with a `crc NAME HEX` line — the CRC-32 of the section's lines — so
-//!   a torn or bit-flipped checkpoint is detected as *which section* is
-//!   damaged, not silently resumed from. Positions live in `meta`: one
-//!   `log` line per log, then `quarantined` and `sample` lines for a
+//! * every section (meta, coalesce, spatial, predict) ends with a
+//!   `crc NAME HEX` line — the CRC-32 of the section's lines — so a torn
+//!   or bit-flipped checkpoint is detected as *which section* is
+//!   damaged, not silently resumed from. The position lives in `meta`:
+//!   one `log ce` line, then `quarantined` and `sample` lines for a
 //!   tally that is not empty (a sample's text travels as hex);
-//! * a v2 checkpoint (no positions) is still read: its logs resume from
-//!   byte-0 positions, which replays each log and drops the consumed
-//!   records. Only v3 is written;
+//! * an older version is refused with [`StreamError::Version`]: v2 had
+//!   no positions, and v2 and v3 carried the HET and temperature folds
+//!   and a position for each of the four logs;
 //! * writes go to a `.tmp` sibling then rename, so a crash mid-write
 //!   never leaves a truncated checkpoint under the configured name; a
 //!   failed write removes its orphaned `.tmp`. On resume, [`read`]
@@ -64,22 +64,23 @@ use std::path::{Path, PathBuf};
 use astra_logs::binfmt::BinPoint;
 use astra_logs::io::TextPoint;
 use astra_logs::quarantine::QuarantinedLine;
-use astra_logs::{HetKind, QuarantineReason};
+use astra_logs::QuarantineReason;
 use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector, PredictConfig};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
 use astra_util::{crc32_update, Minute};
 
 use super::analyzers::{RankTrack, StreamAnalyzer};
-use super::{EventSource, LogPosition, ReadPoint, ResumePoint, StreamError};
+use super::{LogPosition, ReadPoint, ResumePoint, StreamError};
 use crate::coalesce::CoalesceConfig;
 use crate::spatial::SpatialCounts;
 
 /// First line of every checkpoint written. v2 added the per-section CRC
-/// lines, v3 the per-log positions.
-const HEADER: &str = "astra-stream-checkpoint v3";
+/// lines, v3 the per-log positions, v4 dropped the logs and folds that
+/// only `report` uses.
+pub(crate) const HEADER: &str = "astra-stream-checkpoint v4";
 
-/// First line of a v2 checkpoint, which still resumes (from byte 0).
-const HEADER_V2: &str = "astra-stream-checkpoint v2";
+/// What every version's first line starts with.
+const HEADER_STEM: &str = "astra-stream-checkpoint v";
 
 /// Size of the one buffer a checkpoint passes through, each way.
 const BUF_BYTES: usize = 64 * 1024;
@@ -326,10 +327,8 @@ fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, resume: &ResumePoint) -> 
     });
 
     s.bytes(b"racks ").u64(analyzer.system.racks.into()).nl();
-    s.bytes(b"consumed ").words(&resume.consumed).nl();
-    for (src, pos) in EventSource::ALL.into_iter().zip(&resume.logs) {
-        render_position(&mut s, src.name(), pos);
-    }
+    s.bytes(b"consumed ").u64(resume.consumed).nl();
+    render_position(&mut s, &resume.log);
     s.seal("meta");
 
     // Coalesce: every footprint, grouped, groups in key order.
@@ -356,37 +355,6 @@ fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, resume: &ResumePoint) -> 
 
     render_spatial(&mut s, &analyzer.spatial.counts);
     s.seal("spatial");
-
-    let het = &analyzer.het;
-    s.bytes(b"het.totals ")
-        .words(&[het.total, het.memory_dues])
-        .nl();
-    for (&(kind, day), &n) in &het.daily {
-        s.bytes(b"het ")
-            .u64(kind.into())
-            .sp()
-            .i64(day)
-            .sp()
-            .u64(n)
-            .nl();
-    }
-    s.seal("het");
-
-    for (&(sensor, month), &(sum, n)) in &analyzer.tempcorr.sensor_months {
-        s.bytes(b"temp.sensor ")
-            .u64(sensor.into())
-            .sp()
-            .i64(month)
-            .sp()
-            .f64(sum)
-            .sp()
-            .u64(n)
-            .nl();
-    }
-    for (&month, &n) in &analyzer.tempcorr.monthly_ces {
-        s.bytes(b"temp.ce ").i64(month).sp().u64(n).nl();
-    }
-    s.seal("temp");
 
     for (&(node, slot, rank), track) in &analyzer.predict.ranks {
         let mut mask = 0u64;
@@ -464,9 +432,13 @@ fn render<W: Write>(out: W, analyzer: &StreamAnalyzer, resume: &ResumePoint) -> 
     s.finish()
 }
 
-/// One log's `log` line, then its nonzero tally and samples.
-fn render_position<W: Write>(s: &mut Sink<W>, name: &str, pos: &LogPosition) {
-    let name = name.as_bytes();
+/// The name `ce.log` goes by in the `log`, `quarantined` and `sample`
+/// lines.
+const LOG_NAME: &[u8] = b"ce";
+
+/// The `log ce` line, then its nonzero tally and samples.
+fn render_position<W: Write>(s: &mut Sink<W>, pos: &LogPosition) {
+    let name = LOG_NAME;
     s.bytes(b"log ").bytes(name);
     match pos.point {
         ReadPoint::Text(_) => s.bytes(b" text "),
@@ -567,16 +539,15 @@ fn render_spatial<W: Write>(s: &mut Sink<W>, c: &SpatialCounts) {
     }
 }
 
-/// Deserialize a checkpoint into a restored analyzer plus the per-source
-/// resume point (byte-0 positions for a v2 file), salvaging when
-/// necessary. `system` must be the one the checkpointed run used; the
-/// machine shape is verified.
+/// Deserialize a checkpoint into a restored analyzer plus the resume
+/// point, salvaging when necessary. `system` must be the one the
+/// checkpointed run used; the machine shape is verified.
 ///
 /// Salvage: both `path` and a leftover `path.tmp` sibling (a write the
 /// process died during, or after, without completing the rename) are
 /// candidates. Each is validated in full — header, per-section CRCs, end
-/// marker — and the *freshest intact* snapshot (largest consumed-record
-/// sum) wins. Resuming from an older-but-intact checkpoint is always
+/// marker — and the *freshest intact* snapshot (most consumed records)
+/// wins. Resuming from an older-but-intact checkpoint is always
 /// sound (replay is deterministic); resuming from a torn one never is,
 /// so a damaged candidate is only an error when no intact one exists.
 /// Any salvage decision (torn file skipped, or `.tmp` outrunning the
@@ -604,7 +575,7 @@ pub(crate) fn read(
     match (primary, secondary) {
         (Ok(p), Ok(s)) => {
             // Both intact: freshest wins; ties keep the configured file.
-            if s.1.consumed.iter().sum::<u64>() > p.1.consumed.iter().sum::<u64>() {
+            if s.1.consumed > p.1.consumed {
                 salvaged(&tmp, s, "newer than the configured file")
             } else {
                 Ok(p)
@@ -774,13 +745,15 @@ fn dec_lanes(tok: &[u8]) -> Option<Vec<(u16, u64, u16)>> {
         .collect()
 }
 
-/// The [`EventSource`] index a log token names.
-fn log_index(tok: Option<&[u8]>) -> Option<usize> {
-    let tok = tok?;
-    EventSource::ALL
-        .into_iter()
-        .find(|src| src.name().as_bytes() == tok)
-        .map(EventSource::index)
+/// Whether a first line is the header of another checkpoint version.
+fn is_other_version(line: &[u8]) -> bool {
+    line.strip_prefix(HEADER_STEM.as_bytes())
+        .is_some_and(|v| !v.is_empty() && v.iter().all(u8::is_ascii_digit))
+}
+
+/// Whether a log token names `ce.log`, the one log a checkpoint tracks.
+fn is_ce_log(tok: Option<&[u8]>) -> bool {
+    tok == Some(LOG_NAME)
 }
 
 fn quarantine_reason(tok: Option<&[u8]>) -> Option<QuarantineReason> {
@@ -855,9 +828,9 @@ fn parse_lines<R: BufRead>(
 ) -> Result<(StreamAnalyzer, ResumePoint), StreamError> {
     let mut analyzer =
         StreamAnalyzer::new(*system, CoalesceConfig::default(), PredictConfig::default());
-    let mut consumed: Option<[u64; 4]> = None;
+    let mut consumed: Option<u64> = None;
     let mut resume = ResumePoint::default();
-    let mut positioned = [false; 4];
+    let mut positioned = false;
     let mut saw_racks = false;
     let mut saw_end = false;
     // CRC-32 of the current section's lines so far, and whether it has
@@ -868,16 +841,21 @@ fn parse_lines<R: BufRead>(
     let bad = |no: usize, detail: String| cerr(path, format!("line {no}: {detail}"));
     let io_err = |e: io::Error| cerr(path, format!("unreadable: {e}"));
 
-    let v2 = match lines.next().map_err(io_err)? {
-        Some((_, line)) if line == HEADER.as_bytes() => false,
-        Some((_, line)) if line == HEADER_V2.as_bytes() => true,
+    match lines.next().map_err(io_err)? {
+        Some((_, line)) if line == HEADER.as_bytes() => {}
+        Some((_, line)) if is_other_version(line) => {
+            return Err(StreamError::Version {
+                path: path.to_path_buf(),
+                header: String::from_utf8_lossy(line).into_owned(),
+            })
+        }
         _ => {
             return Err(cerr(
                 path,
                 format!("not a checkpoint (expected {HEADER:?})"),
             ))
         }
-    };
+    }
 
     while let Some((no, line)) = lines.next().map_err(io_err)? {
         let mut toks = Toks(line);
@@ -931,36 +909,32 @@ fn parse_lines<R: BufRead>(
                 saw_racks = true;
             }
             b"consumed" => {
-                consumed = Some([
+                consumed = Some(
                     toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing ce".into()))?,
-                    toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing het".into()))?,
-                    toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing inventory".into()))?,
-                    toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing sensors".into()))?,
-                ]);
+                        .ok_or_else(|| bad(no, "bad or missing consumed count".into()))?,
+                );
             }
             b"log" => {
-                let src =
-                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
-                parse_position(&mut toks, &mut resume.logs[src])
-                    .map_err(|detail| bad(no, detail))?;
-                positioned[src] = true;
+                if !is_ce_log(toks.next()) {
+                    return Err(bad(no, "bad or missing log".into()));
+                }
+                parse_position(&mut toks, &mut resume.log).map_err(|detail| bad(no, detail))?;
+                positioned = true;
             }
             b"quarantined" => {
-                let src =
-                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
+                if !is_ce_log(toks.next()) {
+                    return Err(bad(no, "bad or missing log".into()));
+                }
                 let reason = quarantine_reason(toks.next())
                     .ok_or_else(|| bad(no, "bad or missing reason".into()))?;
-                resume.logs[src].quarantine.counts[reason.index()] = toks
+                resume.log.quarantine.counts[reason.index()] = toks
                     .u64()
                     .ok_or_else(|| bad(no, "bad or missing count".into()))?;
             }
             b"sample" => {
-                let src =
-                    log_index(toks.next()).ok_or_else(|| bad(no, "bad or missing log".into()))?;
+                if !is_ce_log(toks.next()) {
+                    return Err(bad(no, "bad or missing log".into()));
+                }
                 let reason = quarantine_reason(toks.next())
                     .ok_or_else(|| bad(no, "bad or missing reason".into()))?;
                 let line_no = toks
@@ -970,7 +944,7 @@ fn parse_lines<R: BufRead>(
                     .next()
                     .and_then(hex_text)
                     .ok_or_else(|| bad(no, "bad or missing sample text".into()))?;
-                resume.logs[src].quarantine.keep_sample(QuarantinedLine {
+                resume.log.quarantine.keep_sample(QuarantinedLine {
                     line_no,
                     reason,
                     snippet,
@@ -1034,53 +1008,6 @@ fn parse_lines<R: BufRead>(
                     });
                 }
                 analyzer.coalesce.groups.insert(key, feet);
-            }
-            b"het.totals" => {
-                analyzer.het.total = toks
-                    .u64()
-                    .ok_or_else(|| bad(no, "bad or missing total".into()))?;
-                analyzer.het.memory_dues = toks
-                    .u64()
-                    .ok_or_else(|| bad(no, "bad or missing memory dues".into()))?;
-            }
-            b"het" => {
-                let kind = toks
-                    .u64()
-                    .ok_or_else(|| bad(no, "bad or missing kind index".into()))?
-                    as u8;
-                if usize::from(kind) >= HetKind::ALL.len() {
-                    return Err(bad(no, format!("unknown HET kind index {kind}")));
-                }
-                let day = toks.i64().ok_or_else(|| bad(no, "bad day".into()))?;
-                analyzer.het.daily.insert(
-                    (kind, day),
-                    toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing count".into()))?,
-                );
-            }
-            b"temp.sensor" => {
-                let sensor = toks
-                    .u64()
-                    .ok_or_else(|| bad(no, "bad or missing sensor index".into()))?
-                    as u8;
-                let month = toks.i64().ok_or_else(|| bad(no, "bad month".into()))?;
-                let sum = toks.f64().ok_or_else(|| bad(no, "bad sum".into()))?;
-                analyzer.tempcorr.sensor_months.insert(
-                    (sensor, month),
-                    (
-                        sum,
-                        toks.u64()
-                            .ok_or_else(|| bad(no, "bad or missing sample count".into()))?,
-                    ),
-                );
-            }
-            b"temp.ce" => {
-                let month = toks.i64().ok_or_else(|| bad(no, "bad month".into()))?;
-                analyzer.tempcorr.monthly_ces.insert(
-                    month,
-                    toks.u64()
-                        .ok_or_else(|| bad(no, "bad or missing count".into()))?,
-                );
             }
             b"predict.rank" => {
                 let key = (
@@ -1254,25 +1181,19 @@ fn parse_lines<R: BufRead>(
     if !saw_end {
         return Err(cerr(path, "truncated checkpoint (no end marker)"));
     }
-    let consumed = consumed.ok_or_else(|| cerr(path, "missing consumed counts"))?;
-    for src in EventSource::ALL {
-        let i = src.index();
-        if !v2 && !positioned[i] {
-            return Err(cerr(path, format!("missing position of {}", src.name())));
-        }
-        if resume.logs[i].parsed > consumed[i] {
-            return Err(cerr(
-                path,
-                format!(
-                    "position of {} follows {} parsed records, more than the {} consumed",
-                    src.name(),
-                    resume.logs[i].parsed,
-                    consumed[i]
-                ),
-            ));
-        }
+    let consumed = consumed.ok_or_else(|| cerr(path, "missing consumed count"))?;
+    if !positioned {
+        return Err(cerr(path, "missing position of ce"));
     }
-    analyzer.counts = consumed;
+    if resume.log.parsed > consumed {
+        return Err(cerr(
+            path,
+            format!(
+                "position of ce follows {} parsed records, more than the {consumed} consumed",
+                resume.log.parsed
+            ),
+        ));
+    }
     resume.consumed = consumed;
     Ok((analyzer, resume))
 }
@@ -1386,40 +1307,33 @@ mod tests {
         let mut body = String::new();
         let w = &mut body;
         let _ = writeln!(w, "racks {}", analyzer.system.racks);
-        let consumed = &resume.consumed;
-        let _ = writeln!(
-            w,
-            "consumed {} {} {} {}",
-            consumed[0], consumed[1], consumed[2], consumed[3]
-        );
-        for (src, pos) in EventSource::ALL.into_iter().zip(&resume.logs) {
-            let name = src.name();
-            let (offset, parsed, crc) = (pos.point.offset(), pos.parsed, pos.tail_crc);
-            let _ = match pos.point {
-                ReadPoint::Text(p) => writeln!(
-                    w,
-                    "log {name} text {offset} {parsed} {crc:08x} {} {}",
-                    p.lines,
-                    p.max_key.map_or("-".to_string(), |k| k.to_string())
-                ),
-                ReadPoint::Bin(p) => writeln!(
-                    w,
-                    "log {name} bin {offset} {parsed} {crc:08x} {} {} {}",
-                    p.decoded,
-                    u8::from(p.dirty),
-                    u8::from(p.ended)
-                ),
-            };
-            for reason in QuarantineReason::ALL {
-                let n = pos.quarantine.count(reason);
-                if n > 0 {
-                    let _ = writeln!(w, "quarantined {name} {reason} {n}");
-                }
-                for q in pos.quarantine.samples.iter().filter(|q| q.reason == reason) {
-                    let hex: String = q.snippet.bytes().map(|b| format!("{b:02x}")).collect();
-                    let hex = if hex.is_empty() { "-".into() } else { hex };
-                    let _ = writeln!(w, "sample {name} {reason} {} {hex}", q.line_no);
-                }
+        let _ = writeln!(w, "consumed {}", resume.consumed);
+        let pos = &resume.log;
+        let (offset, parsed, crc) = (pos.point.offset(), pos.parsed, pos.tail_crc);
+        let _ = match pos.point {
+            ReadPoint::Text(p) => writeln!(
+                w,
+                "log ce text {offset} {parsed} {crc:08x} {} {}",
+                p.lines,
+                p.max_key.map_or("-".to_string(), |k| k.to_string())
+            ),
+            ReadPoint::Bin(p) => writeln!(
+                w,
+                "log ce bin {offset} {parsed} {crc:08x} {} {} {}",
+                p.decoded,
+                u8::from(p.dirty),
+                u8::from(p.ended)
+            ),
+        };
+        for reason in QuarantineReason::ALL {
+            let n = pos.quarantine.count(reason);
+            if n > 0 {
+                let _ = writeln!(w, "quarantined ce {reason} {n}");
+            }
+            for q in pos.quarantine.samples.iter().filter(|q| q.reason == reason) {
+                let hex: String = q.snippet.bytes().map(|b| format!("{b:02x}")).collect();
+                let hex = if hex.is_empty() { "-".into() } else { hex };
+                let _ = writeln!(w, "sample ce {reason} {} {hex}", q.line_no);
             }
         }
         seal_section(&mut out, "meta", std::mem::take(&mut body));
@@ -1481,26 +1395,6 @@ mod tests {
             );
         }
         seal_section(&mut out, "spatial", std::mem::take(&mut body));
-
-        let w = &mut body;
-        let _ = writeln!(
-            w,
-            "het.totals {} {}",
-            analyzer.het.total, analyzer.het.memory_dues
-        );
-        for (&(kind, day), &n) in &analyzer.het.daily {
-            let _ = writeln!(w, "het {kind} {day} {n}");
-        }
-        seal_section(&mut out, "het", std::mem::take(&mut body));
-
-        let w = &mut body;
-        for (&(sensor, month), &(sum, n)) in &analyzer.tempcorr.sensor_months {
-            let _ = writeln!(w, "temp.sensor {sensor} {month} {} {n}", hex(sum));
-        }
-        for (&month, &n) in &analyzer.tempcorr.monthly_ces {
-            let _ = writeln!(w, "temp.ce {month} {n}");
-        }
-        seal_section(&mut out, "temp", std::mem::take(&mut body));
 
         let w = &mut body;
         for (&(node, slot, rank), track) in &analyzer.predict.ranks {
@@ -1565,15 +1459,25 @@ mod tests {
         out
     }
 
-    /// A checkpoint of `analyzer` at byte-0 positions.
-    fn replay_bytes(analyzer: &StreamAnalyzer) -> Vec<u8> {
-        render_bytes(analyzer, &ResumePoint::replay(analyzer.counts))
+    /// A resume point at byte 0 after `consumed` records (what a shard
+    /// worker's snapshot saves).
+    fn at_start(consumed: u64) -> ResumePoint {
+        ResumePoint {
+            consumed,
+            log: LogPosition::default(),
+        }
     }
 
-    /// A resume point with every kind of position: a text log inside a
-    /// chunk with a tally and samples (one empty, one multi-byte), a
-    /// dirty binary log, one at byte 0 and a binary log that had ended.
-    fn positioned(consumed: [u64; 4]) -> ResumePoint {
+    /// A checkpoint of `analyzer` at a byte-0 position.
+    fn start_bytes(analyzer: &StreamAnalyzer) -> Vec<u8> {
+        render_bytes(analyzer, &at_start(analyzer.coalesce.ces))
+    }
+
+    /// Resume points with every kind of position, in that order: a text
+    /// log inside a chunk with a tally and samples (one empty, one
+    /// multi-byte), a dirty binary log, byte 0, and a binary log that had
+    /// ended.
+    fn positioned(consumed: u64) -> [ResumePoint; 4] {
         // Noted out of reason order: samples are kept grouped by reason,
         // the order a checkpoint writes and parses them in.
         let mut quarantine = astra_logs::Quarantine::default();
@@ -1587,42 +1491,40 @@ mod tests {
         quarantine.note(40, QuarantineReason::OutOfOrder, b"x");
         let mut dirty = astra_logs::Quarantine::default();
         dirty.note(1_234, QuarantineReason::BlockCrc, b"block crc mismatch");
-        ResumePoint {
-            consumed,
-            logs: [
-                LogPosition {
-                    point: ReadPoint::Text(TextPoint {
-                        offset: 7_294_894,
-                        lines: 123_456,
-                        max_key: Some(-27_123_456),
-                    }),
-                    parsed: consumed[0] / 2,
-                    quarantine,
-                    tail_crc: 0xdead_beef,
-                },
-                LogPosition {
-                    point: ReadPoint::Bin(BinPoint {
-                        offset: 1_234,
-                        decoded: 65_536,
-                        dirty: true,
-                        ended: false,
-                    }),
-                    parsed: consumed[1],
-                    quarantine: dirty,
-                    tail_crc: 7,
-                },
-                LogPosition::default(),
-                LogPosition {
-                    point: ReadPoint::Bin(BinPoint {
-                        offset: 24,
-                        decoded: 0,
-                        dirty: true,
-                        ended: true,
-                    }),
-                    ..LogPosition::default()
-                },
-            ],
-        }
+        [
+            LogPosition {
+                point: ReadPoint::Text(TextPoint {
+                    offset: 7_294_894,
+                    lines: 123_456,
+                    max_key: Some(-27_123_456),
+                }),
+                parsed: consumed / 2,
+                quarantine,
+                tail_crc: 0xdead_beef,
+            },
+            LogPosition {
+                point: ReadPoint::Bin(BinPoint {
+                    offset: 1_234,
+                    decoded: 65_536,
+                    dirty: true,
+                    ended: false,
+                }),
+                parsed: consumed,
+                quarantine: dirty,
+                tail_crc: 7,
+            },
+            LogPosition::default(),
+            LogPosition {
+                point: ReadPoint::Bin(BinPoint {
+                    offset: 24,
+                    decoded: 0,
+                    dirty: true,
+                    ended: true,
+                }),
+                ..LogPosition::default()
+            },
+        ]
+        .map(|log| ResumePoint { consumed, log })
     }
 
     fn parse(
@@ -1643,9 +1545,8 @@ mod tests {
         }
     }
 
-    /// Fold a dataset's events into a fresh analyzer: CEs (at most
-    /// `max_ces`), HETs and sensor readings, keeping only those on racks
-    /// `racks` as a shard worker does.
+    /// Fold a dataset's CEs (at most `max_ces`) into a fresh analyzer,
+    /// keeping only those on racks `racks` as a shard worker does.
     fn fold(ds: &Dataset, racks: std::ops::Range<u32>, max_ces: usize) -> StreamAnalyzer {
         let mut a = StreamAnalyzer::new(
             ds.system,
@@ -1665,22 +1566,6 @@ mod tests {
                 seq: i as u64,
                 rec: *rec,
             });
-        }
-        for (i, rec) in ds.sim.het_log.iter().enumerate() {
-            if keep(rec.node) {
-                a.consume(&MemEvent::Het {
-                    seq: i as u64,
-                    rec: *rec,
-                });
-            }
-        }
-        for (i, rec) in ds.sensor_excerpt().iter().enumerate() {
-            if keep(rec.node) {
-                a.consume(&MemEvent::Sensor {
-                    seq: i as u64,
-                    rec: *rec,
-                });
-            }
         }
         a
     }
@@ -1707,11 +1592,10 @@ mod tests {
         let (full, _) = analyzer_with_state();
         let (shard, _) = small_shard_state();
         assert!(shard.coalesce.ces > 0 && !shard.predict.ranks.is_empty());
-        for (what, analyzer, resume) in [
-            ("empty", &empty, ResumePoint::default()),
-            ("1 rack", &full, positioned(full.counts)),
-            ("rack 1 of 2", &shard, positioned([u64::MAX, 0, 7, 1 << 40])),
-        ] {
+        let cases = std::iter::once(("empty", &empty, ResumePoint::default()))
+            .chain(positioned(full.coalesce.ces).map(|r| ("1 rack", &full, r)))
+            .chain(positioned(u64::MAX).map(|r| ("rack 1 of 2", &shard, r)));
+        for (what, analyzer, resume) in cases {
             let streamed = render_bytes(analyzer, &resume);
             let oracle = render_fmt(analyzer, &resume);
             assert!(
@@ -1724,42 +1608,34 @@ mod tests {
     #[test]
     fn render_parse_render_is_identity() {
         let (analyzer, system) = analyzer_with_state();
-        let resume = positioned(analyzer.counts);
-        let bytes = render_bytes(&analyzer, &resume);
-        let (restored, resume2) = parse(&bytes, &system).unwrap();
-        assert_eq!(resume2, resume);
-        // Byte-identical reserialization covers every serialized field.
-        assert!(render_bytes(&restored, &resume2) == bytes);
+        for resume in positioned(analyzer.coalesce.ces) {
+            let bytes = render_bytes(&analyzer, &resume);
+            let (restored, resume2) = parse(&bytes, &system).unwrap();
+            assert_eq!(resume2, resume);
+            // Byte-identical reserialization covers every serialized field.
+            assert!(render_bytes(&restored, &resume2) == bytes);
+        }
     }
 
     #[test]
-    fn a_v2_checkpoint_resumes_from_byte_0() {
+    fn v2_and_v3_checkpoints_are_refused() {
         let (analyzer, system) = analyzer_with_state();
-        let v3 = String::from_utf8(replay_bytes(&analyzer)).unwrap();
-        // The v2 bytes: the same sections without the `log` lines, so
-        // `meta` gets the CRC of its two remaining lines.
-        let mut v2 = String::new();
-        let mut meta = String::new();
-        for line in v3.lines() {
-            if line == HEADER {
-                v2.push_str(HEADER_V2);
-                v2.push('\n');
-            } else if line.starts_with("racks ") || line.starts_with("consumed ") {
-                meta.push_str(line);
-                meta.push('\n');
-            } else if line.starts_with("crc meta ") {
-                v2.push_str(&meta);
-                let crc = astra_util::crc32(meta.as_bytes());
-                let _ = writeln!(v2, "crc meta {crc:08x}");
-            } else if !line.starts_with("log ") {
-                v2.push_str(line);
-                v2.push('\n');
+        let v4 = String::from_utf8(start_bytes(&analyzer)).unwrap();
+        // An older file is refused by its header, whatever follows it,
+        // with an error naming the version it was written as.
+        for old in ["astra-stream-checkpoint v2", "astra-stream-checkpoint v3"] {
+            let bytes = v4.replacen(HEADER, old, 1);
+            match parse(bytes.as_bytes(), &system) {
+                Err(e @ StreamError::Version { .. }) => {
+                    let msg = e.to_string();
+                    assert!(msg.contains(old) && msg.contains("test"), "{msg}");
+                }
+                Err(e) => panic!("{old}: not a version error: {e}"),
+                Ok(_) => panic!("{old} was accepted"),
             }
         }
-        let (_, resume) = parse(v2.as_bytes(), &system).unwrap();
-        assert_eq!(resume, ResumePoint::replay(analyzer.counts));
-        // v3 must carry a position for every log.
-        let cut = v3.replace("log sensors text 0 0 00000000 0 -\n", "");
+        // v4 must carry the position of ce.log.
+        let cut = v4.replace("log ce text 0 0 00000000 0 -\n", "");
         let crc = |t: &str| {
             let meta: String = t
                 .lines()
@@ -1770,39 +1646,36 @@ mod tests {
             astra_util::crc32(meta.as_bytes())
         };
         let resealed = cut.replacen(
-            &format!("crc meta {:08x}", crc(&v3)),
+            &format!("crc meta {:08x}", crc(&v4)),
             &format!("crc meta {:08x}", crc(&cut)),
             1,
         );
         match parse(resealed.as_bytes(), &system) {
             Err(StreamError::Checkpoint { detail, .. }) => {
-                assert!(detail.contains("position of sensors"), "{detail}")
+                assert!(detail.contains("position of ce"), "{detail}")
             }
             Err(e) => panic!("untyped error {e}"),
-            Ok(_) => panic!("a v3 checkpoint without a sensors position was accepted"),
+            Ok(_) => panic!("a checkpoint without a ce position was accepted"),
         }
     }
 
     #[test]
     fn restored_analyzer_produces_identical_report() {
         let (analyzer, system) = analyzer_with_state();
-        let bytes = replay_bytes(&analyzer);
+        let bytes = start_bytes(&analyzer);
         let (restored, _) = parse(&bytes, &system).unwrap();
         let a = analyzer.snapshot();
         let b = restored.snapshot();
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.spatial, b.spatial);
-        assert_eq!(a.het, b.het);
         assert_eq!(a.alerts, b.alerts);
-        assert_eq!(a.sensor_months, b.sensor_months);
-        assert_eq!(a.monthly_ces, b.monthly_ces);
         assert_eq!(a.ces, b.ces);
     }
 
     #[test]
     fn rack_mismatch_names_both_shapes() {
         let (analyzer, _) = analyzer_with_state();
-        let bytes = replay_bytes(&analyzer);
+        let bytes = start_bytes(&analyzer);
         let err = match parse(&bytes, &SystemConfig::scaled(2)) {
             Err(e) => e,
             Ok(_) => panic!("rack mismatch accepted"),
@@ -1818,7 +1691,7 @@ mod tests {
     #[test]
     fn section_crc_mismatch_is_detected_and_named() {
         let (analyzer, system) = analyzer_with_state();
-        let text = String::from_utf8(replay_bytes(&analyzer)).unwrap();
+        let text = String::from_utf8(start_bytes(&analyzer)).unwrap();
         // Corrupt one digit inside the coalesce section without touching
         // line structure: the stored CRC no longer matches.
         let victim = text
@@ -1845,7 +1718,8 @@ mod tests {
     #[test]
     fn truncation_anywhere_is_a_typed_error() {
         let (analyzer, system) = small_shard_state();
-        let bytes = render_bytes(&analyzer, &positioned(analyzer.counts));
+        let [resume, ..] = positioned(analyzer.coalesce.ces);
+        let bytes = render_bytes(&analyzer, &resume);
         let len = bytes.len();
         // Every section boundary (the end of each line around a CRC
         // trailer), a sweep of offsets, and the file's last bytes.
@@ -1868,8 +1742,8 @@ mod tests {
             }
         }
         // Only the final newline missing: every line is still whole.
-        let (_, resume) = parse(&bytes[..len - 1], &system).unwrap();
-        assert_eq!(resume, positioned(analyzer.counts));
+        let (_, parsed) = parse(&bytes[..len - 1], &system).unwrap();
+        assert_eq!(parsed, resume);
     }
 
     struct TempDirGuard(PathBuf);
@@ -1897,7 +1771,7 @@ mod tests {
     #[test]
     fn damaged_footprint_count_is_a_typed_error_and_salvage_takes_the_tmp() {
         let (analyzer, system) = small_shard_state();
-        let text = String::from_utf8(replay_bytes(&analyzer)).unwrap();
+        let text = String::from_utf8(start_bytes(&analyzer)).unwrap();
         let group = text
             .lines()
             .find(|l| l.starts_with("group "))
@@ -1918,7 +1792,7 @@ mod tests {
         // An intact `.tmp` sibling is then the one to resume.
         std::fs::write(path.with_extension("txt.tmp"), &text).unwrap();
         let (_, resume) = read(&path, &system).unwrap();
-        assert_eq!(resume.consumed, analyzer.counts);
+        assert_eq!(resume.consumed, analyzer.coalesce.ces);
     }
 
     #[test]
@@ -1937,12 +1811,7 @@ mod tests {
             }
         }
         let (analyzer, _) = small_shard_state();
-        let err = render(
-            Full(BUF_BYTES),
-            &analyzer,
-            &ResumePoint::replay(analyzer.counts),
-        )
-        .unwrap_err();
+        let err = render(Full(BUF_BYTES), &analyzer, &at_start(analyzer.coalesce.ces)).unwrap_err();
         assert_eq!(err.to_string(), "device full");
     }
 
@@ -1951,18 +1820,13 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-torn");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &ResumePoint::replay(analyzer.counts)).unwrap();
+        let ces = analyzer.coalesce.ces;
+        write(&path, &analyzer, &at_start(ces)).unwrap();
         // A crash mid-write leaves a truncated next snapshot in `.tmp`.
-        let next = render_bytes(
-            &analyzer,
-            &ResumePoint::replay([analyzer.counts[0] + 500, 0, 0, 0]),
-        );
+        let next = render_bytes(&analyzer, &at_start(ces + 500));
         std::fs::write(path.with_extension("txt.tmp"), &next[..next.len() / 2]).unwrap();
         let (_, resume) = read(&path, &system).unwrap();
-        assert_eq!(
-            resume.consumed, analyzer.counts,
-            "must resume the intact file"
-        );
+        assert_eq!(resume.consumed, ces, "must resume the intact file");
     }
 
     #[test]
@@ -1970,14 +1834,13 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-fresh");
         let path = guard.0.join("ck.txt");
-        write(&path, &analyzer, &ResumePoint::replay(analyzer.counts)).unwrap();
+        write(&path, &analyzer, &at_start(analyzer.coalesce.ces)).unwrap();
         // The rename never happened, but the `.tmp` snapshot is complete
         // and strictly further along: it is the one to resume.
-        let mut newer = analyzer.counts;
-        newer[0] += 500;
+        let newer = analyzer.coalesce.ces + 500;
         std::fs::write(
             path.with_extension("txt.tmp"),
-            render_bytes(&analyzer, &ResumePoint::replay(newer)),
+            render_bytes(&analyzer, &at_start(newer)),
         )
         .unwrap();
         let (_, resume) = read(&path, &system).unwrap();
@@ -1989,11 +1852,11 @@ mod tests {
         let (analyzer, system) = analyzer_with_state();
         let guard = TempDirGuard::new("ckpt-damaged");
         let path = guard.0.join("ck.txt");
-        let bytes = replay_bytes(&analyzer);
+        let bytes = start_bytes(&analyzer);
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         std::fs::write(path.with_extension("txt.tmp"), &bytes).unwrap();
         let (_, resume) = read(&path, &system).unwrap();
-        assert_eq!(resume.consumed, analyzer.counts);
+        assert_eq!(resume.consumed, analyzer.coalesce.ces);
         // Both torn: the primary's error surfaces.
         std::fs::write(path.with_extension("txt.tmp"), &bytes[..10]).unwrap();
         assert!(read(&path, &system).is_err());
@@ -2004,7 +1867,7 @@ mod tests {
         let system = SystemConfig::scaled(1);
         assert!(parse(b"not a checkpoint\n", &system).is_err());
         let (analyzer, _) = analyzer_with_state();
-        let bytes = replay_bytes(&analyzer);
+        let bytes = start_bytes(&analyzer);
         assert!(parse(&bytes[..bytes.len() - 10], &system).is_err());
         // A file in the binlog container, even one wrapping intact
         // checkpoint text, is a typed checkpoint error, not a panic.

@@ -1,5 +1,5 @@
 //! One tenant of the serve daemon: a resumable, tail-mode analysis
-//! engine over a single log directory.
+//! engine over a single log directory's `ce.log`.
 //!
 //! [`SiteEngine`] packages the pieces `stream_analyze` wires together for
 //! a one-shot run — [`EventStream`], [`StreamAnalyzer`], checkpoint
@@ -8,27 +8,23 @@
 //! * [`SiteEngine::open`] resumes from the configured checkpoint when one
 //!   (or a salvageable `.tmp` sibling) exists, otherwise starts fresh;
 //! * [`SiteEngine::poll`] consumes every event currently available in
-//!   the growing logs (tail mode: a torn final record is held back, not
+//!   the growing log (tail mode: a torn final record is held back, not
 //!   quarantined) and returns how many it folded in;
-//! * [`SiteEngine::checkpoint`] writes the analyzer state and each log's
+//! * [`SiteEngine::checkpoint`] writes the analyzer state and the log's
 //!   position atomically, so a restart seeks instead of replaying;
 //! * [`SiteEngine::report`] snapshots the analyzer into the same
 //!   [`StreamReport`] `stream-analyze` produces — once the logs are
 //!   fully consumed, analysis output is byte-identical to the batch
 //!   path's.
 //!
-//! Cross-source ordering note: while tailing, the k-way merge pops among
-//! the heads that are currently available, so the global interleaving is
-//! best-effort. Every analyzer folds per-source state (CE events into
-//! coalesce/spatial/predict, HET into its own table, and so on) with
-//! FIFO order preserved within each source, so the converged report is
-//! identical to a batch run regardless of when data arrived.
+//! Only `ce.log` is read, so the site's other logs may be absent or
+//! damaged without touching the engine; its quarantine, byte and
+//! consumed counts are `ce.log`'s.
 //!
-//! Probe rule: within one poll, a log that comes up dry is not read again
-//! until the poll ends (the stream returns `None`); the next poll probes
-//! every log afresh. A poll therefore costs one probe — one `read`
-//! returning 0 — per dry log, however many records the other logs hold,
-//! and a record appended to a dry log mid-poll is folded by the next.
+//! Probe rule: within one poll, once the log comes up dry it is not read
+//! again until the next poll. A poll therefore costs one probe — one
+//! `read` returning 0 — and a record appended after it is folded by the
+//! next poll.
 //!
 //! Newline rule: a text line is ingested once its `\n` lands, in this
 //! engine's life or, after a checkpoint and restart, the next one. There
@@ -55,8 +51,6 @@ pub struct SiteEngine {
     opts: StreamOptions,
     analyzer: StreamAnalyzer,
     source: EventStream,
-    /// Absolute stream position (events consumed, resumed ones included).
-    position: u64,
     /// Whether this engine started from a checkpoint.
     resumed: bool,
     checkpoints_written: u64,
@@ -89,23 +83,21 @@ impl SiteEngine {
             opts: opts.clone(),
             analyzer,
             source,
-            position: point.consumed.iter().sum(),
             resumed: resume.is_some(),
             checkpoints_written: 0,
         })
     }
 
-    /// Consume every event currently available in the logs; returns how
-    /// many were folded in. Each log is read until it comes up dry once,
-    /// so a record appended to a log after that waits for the next poll.
-    /// `Ok(0)` means the logs are dry for now — the next poll re-probes
-    /// them. A strict-mode quarantine (or a blown lenient budget) aborts
+    /// Consume every event currently available in `ce.log`; returns how
+    /// many were folded in. The log is read until it comes up dry once,
+    /// so a record appended after that waits for the next poll. `Ok(0)`
+    /// means the log is dry for now — the next poll re-probes it. A
+    /// strict-mode quarantine (or a blown lenient budget) aborts
     /// with the same errors `stream_analyze` raises.
     pub fn poll(&mut self) -> Result<u64, StreamError> {
         let mut n = 0u64;
         while let Some(ev) = self.source.next_event()? {
             self.analyzer.consume(&ev);
-            self.position += 1;
             n += 1;
         }
         Ok(n)
@@ -131,15 +123,10 @@ impl SiteEngine {
         report
     }
 
-    /// Parsed records consumed per source (the checkpoint resume point).
-    pub fn consumed(&self) -> [u64; 4] {
-        self.source.consumed()
-    }
-
-    /// Absolute stream position: total events consumed, including those
-    /// replay-skipped by a checkpoint resume.
-    pub fn position(&self) -> u64 {
-        self.position
+    /// Parsed records consumed per log read, resumed ones included: the
+    /// engine reads `ce.log` alone, so this is its CE count.
+    pub fn consumed(&self) -> [u64; 1] {
+        [self.source.consumed()]
     }
 
     /// Whether this engine resumed from a checkpoint.
@@ -152,13 +139,13 @@ impl SiteEngine {
         self.checkpoints_written
     }
 
-    /// Merged per-reason quarantine report across the site's logs.
-    pub fn quarantine(&self) -> Quarantine {
+    /// Per-reason quarantine report of the site's `ce.log`.
+    pub fn quarantine(&self) -> &Quarantine {
         self.source.quarantine()
     }
 
-    /// Log bytes read so far by this engine (after a resume, from the
-    /// checkpoint's positions on).
+    /// `ce.log` bytes read so far by this engine (after a resume, from
+    /// the checkpoint's position on).
     pub fn bytes_read(&self) -> usize {
         self.source.bytes_read()
     }

@@ -644,8 +644,10 @@ pub struct BinPoint {
     /// Something before `offset` was quarantined, which turns that check
     /// off.
     pub dirty: bool,
-    /// The reader had stopped for good (end of file, a bad header, or
-    /// lost framing): nothing after `offset` is read.
+    /// The reader had stopped for good (a bad header, lost framing, or
+    /// a file ending short of its declared count): nothing after
+    /// `offset` is read. A clean end on a block boundary is not one:
+    /// blocks appended later are read.
     pub ended: bool,
 }
 
@@ -882,10 +884,12 @@ where
         let mut lenb = [0u8; 4];
         let n = self.read_fill(&mut lenb)?;
         if n == 0 {
-            // Clean EOF on a block boundary: cross-check the header's
-            // declared count against what actually decoded.
-            self.done = true;
+            // EOF on a block boundary: cross-check the header's declared
+            // count against what actually decoded. When it holds, the
+            // reader has not stopped for good: a reader resumed from
+            // here reads whatever blocks a writer appends.
             if !self.dirty && self.decoded != self.declared {
+                self.done = true;
                 quarantine.note(
                     block_off,
                     QuarantineReason::TruncatedBlock,
@@ -1609,7 +1613,9 @@ mod tests {
             let mut head = BinReader::new(&data[..], CE);
             drain(&mut head, blocks, &mut got, &mut got_q);
             let point = head.point();
-            assert_eq!(point.ended, blocks == 4);
+            // Even at the clean end: a resumed reader would read what a
+            // writer appends.
+            assert!(!point.ended);
             let mut tail = BinReader::new(&data[point.offset as usize..], CE)
                 .starting_at(point, &data[..HEADER_LEN])
                 .unwrap();

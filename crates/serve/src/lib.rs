@@ -71,9 +71,9 @@ pub struct View {
 pub struct SiteSnapshot {
     /// Events folded into the analysis so far (resumed ones included).
     pub events: u64,
-    /// Parsed records consumed per source stream.
-    pub consumed: [u64; 4],
-    /// Records quarantined across the site's logs.
+    /// Parsed records consumed per log the site reads (one).
+    pub consumed: [u64; 1],
+    /// Records quarantined across the logs the site reads.
     pub quarantined: u64,
     /// Log bytes read so far.
     pub bytes_read: u64,
@@ -520,14 +520,11 @@ fn site_summary_json(name: &str, p: &Published) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"site\":\"{}\",\"generation\":{},\"events\":{},\"consumed\":[{},{},{},{}],\"quarantined\":{},\"bytes_read\":{},\"faults\":{},\"alerts\":{},\"checkpoints\":{},\"resumed\":{},\"error\":{error}}}",
+        "{{\"site\":\"{}\",\"generation\":{},\"events\":{},\"consumed\":[{}],\"quarantined\":{},\"bytes_read\":{},\"faults\":{},\"alerts\":{},\"checkpoints\":{},\"resumed\":{},\"error\":{error}}}",
         escape_json(name),
         p.generation,
         s.events,
-        s.consumed[0],
-        s.consumed[1],
-        s.consumed[2],
-        s.consumed[3],
+        s.consumed.map(|n| n.to_string()).join(","),
         s.quarantined,
         s.bytes_read,
         s.faults,
@@ -617,7 +614,7 @@ mod tests {
         fn snapshot(&self) -> SiteSnapshot {
             SiteSnapshot {
                 events: self.events,
-                consumed: [self.events, 0, 0, 0],
+                consumed: [self.events],
                 checkpoints: self.checkpoints,
                 views: vec![View {
                     name: "analysis",

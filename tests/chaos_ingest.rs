@@ -4,8 +4,9 @@
 //! no less — at any worker count; strict mode must refuse the corrupted
 //! dataset with a typed report; and a checkpoint write torn mid-flight
 //! must be detected and salvage-resumed with identical stdout. A lenient
-//! run stopped before, inside or after the quarantined lines of any log
-//! resumes to the uninterrupted run's stdout and quarantine tally.
+//! `stream-analyze` stopped before, inside or after the quarantined
+//! lines of `ce.log` (the one log it reads) resumes to the uninterrupted
+//! run's stdout and quarantine tally.
 //!
 //! Subprocesses, not in-process calls, because stdout is the contract
 //! under test and the metric registry is process-global. The chaos
@@ -18,9 +19,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use astra_core::stream::{EventStream, ResumePoint};
 use astra_logs::io::ChunkReader;
-use astra_logs::{ce, chaos, het, inventory, sensor, IngestOptions, LineFormat};
+use astra_logs::{ce, chaos, LineFormat};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_astra-mem")
@@ -415,34 +415,13 @@ fn lenient_resume_keeps_the_quarantine_tally() {
     let whole_tally = quarantine_metrics(&whole_metrics);
     assert!(!whole_tally.is_empty());
 
-    // Per log: just before its first quarantined line, between its first
-    // and last, and just after its last.
-    let at = [
-        quarantined_at(&corrupt.join("ce.log"), ce::FORMAT),
-        quarantined_at(&corrupt.join("het.log"), het::FORMAT),
-        quarantined_at(&corrupt.join("inventory.log"), inventory::FORMAT),
-        quarantined_at(&corrupt.join("sensors.log"), sensor::FORMAT),
-    ];
-    let targets = at.map(|lines| match (lines.first(), lines.last()) {
-        (Some(&first), Some(&last)) => vec![first.max(1), (first + last) / 2 + 1, last + 1],
-        _ => Vec::new(),
-    });
-    assert!(targets.iter().filter(|t| !t.is_empty()).count() >= 3);
-    let mut stream = EventStream::open_with(
-        &corrupt,
-        &ResumePoint::default(),
-        IngestOptions::lenient(Some(0.5)),
-    )
-    .unwrap();
-    let (mut position, mut stops) = (0u64, Vec::new());
-    while let Some(ev) = stream.next_event().unwrap() {
-        position += 1;
-        let src = ev.source().index();
-        if targets[src].contains(&stream.consumed()[src]) {
-            stops.push(position);
-        }
-    }
-    stops.sort_unstable();
+    // Just before ce.log's first quarantined line, between its first and
+    // last, and just after its last. `--stop-after` counts CE records.
+    let at = quarantined_at(&corrupt.join("ce.log"), ce::FORMAT);
+    let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+        panic!("the fixture must damage ce.log");
+    };
+    let mut stops = vec![first.max(1), (first + last) / 2 + 1, last + 1];
     stops.dedup();
 
     let mut stored_tally = None;
@@ -523,4 +502,73 @@ fn lenient_resume_keeps_the_quarantine_tally() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty());
+}
+
+/// Strict ingest covers exactly the logs a command reads: a garbage
+/// line at the end of `het.log`, `inventory.log` and `sensors.log`
+/// changes nothing for the commands that read `ce.log` alone, while
+/// `report` (every log) and `fsck` (the whole directory) still fail,
+/// naming the damage.
+#[test]
+fn damage_outside_ce_log_fails_only_the_commands_that_read_it() {
+    let tmp = TempDir::new("contract");
+    let clean = tmp.join("clean");
+    stdout_of(
+        &[
+            "generate",
+            "--racks",
+            "2",
+            "--seed",
+            "42",
+            "--out",
+            clean.to_str().unwrap(),
+        ],
+        &[],
+    );
+    let damaged = tmp.join("damaged");
+    copy_dir(&clean, &damaged);
+    for name in ["het.log", "inventory.log", "sensors.log"] {
+        let mut log = std::fs::read(damaged.join(name)).unwrap();
+        log.extend_from_slice(b"sshd[1]: accepted publickey for root\n");
+        std::fs::write(damaged.join(name), log).unwrap();
+    }
+
+    let commands: [&[&str]; 4] = [
+        &["analyze"],
+        &["triage"],
+        &["stream-analyze"],
+        &["shard-analyze", "--shards", "2"],
+    ];
+    for command in commands {
+        let on = |dir: &Path| {
+            let mut args = vec![command[0], dir.to_str().unwrap()];
+            args.extend(&command[1..]);
+            stdout_of(&args, &[])
+        };
+        let want = on(&clean);
+        assert!(!want.is_empty(), "{command:?}");
+        assert!(
+            on(&damaged) == want,
+            "{command:?}: damage outside ce.log changed the output"
+        );
+    }
+
+    let report = run(&["report", damaged.to_str().unwrap()], &[]);
+    assert!(!report.status.success(), "report must refuse the damage");
+    assert!(report.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert!(
+        stderr.contains("log het.log corrupt"),
+        "report must name the damaged log: {stderr}"
+    );
+
+    let fsck = run(&["fsck", damaged.to_str().unwrap()], &[]);
+    assert!(!fsck.status.success(), "fsck must report the damage");
+    let stdout = String::from_utf8_lossy(&fsck.stdout);
+    for name in ["het.log", "inventory.log", "sensors.log"] {
+        assert!(
+            stdout.contains(&format!("{name}: quarantined 1 ")),
+            "fsck must name {name}: {stdout}"
+        );
+    }
 }

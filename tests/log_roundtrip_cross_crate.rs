@@ -1,7 +1,7 @@
 //! Integration: log formats across crates — mixed logs, corruption, and
 //! property-based roundtrips at the integration boundary.
 
-use astra_core::pipeline::{AnalysisInput, Dataset};
+use astra_core::pipeline::{AnalysisInput, Dataset, Log};
 use astra_logs::{
     ce, het, inventory, io as logio, sensor, CeRecord, HetRecord, IngestOptions, LineFormat,
     Quarantine, ReplacementRecord, SensorRecord,
@@ -99,7 +99,7 @@ fn analysis_input_counts_skips_across_logs() {
             .unwrap();
         writeln!(f, "broken {name}").unwrap();
     }
-    let input = AnalysisInput::from_dir_with(&dir, &IngestOptions::lenient(Some(1.0)));
+    let input = AnalysisInput::from_dir_with(&dir, &IngestOptions::lenient(Some(1.0)), &Log::ALL);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(input.unwrap().quarantine.total(), 3);
 }

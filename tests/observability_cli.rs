@@ -125,6 +125,79 @@ fn analyze_exports_nonzero_parse_throughput() {
 }
 
 #[test]
+fn analyze_and_stream_analyze_read_ce_log_alone() {
+    let dir = TempDir::new("ce-only");
+    generate(dir.path());
+    let d = dir.path().to_str().unwrap();
+    let metrics = dir.join("analyze.json");
+    run(&[
+        "analyze",
+        d,
+        "--racks",
+        "1",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        jsonl.contains("\"name\":\"time.pipeline.parse/parse.ce\""),
+        "{jsonl}"
+    );
+    for other in ["parse.het", "parse.inventory", "parse.sensors"] {
+        assert!(!jsonl.contains(other), "analyze parsed {other}: {jsonl}");
+    }
+    let ces = metric_value(&jsonl, "parse.ce.lines_ok").expect("parse.ce.lines_ok");
+
+    let metrics = dir.join("stream.json");
+    run(&[
+        "stream-analyze",
+        d,
+        "--racks",
+        "1",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    let ce_bytes = std::fs::metadata(dir.join("ce.log")).unwrap().len();
+    assert_eq!(
+        metric_value(&jsonl, "stream.bytes_read"),
+        Some(ce_bytes as f64),
+        "stream-analyze must read ce.log's bytes and no other log's"
+    );
+    assert_eq!(metric_value(&jsonl, "stream.events"), Some(ces));
+}
+
+#[test]
+fn predict_refuses_to_score_against_a_guessed_seed() {
+    let dir = TempDir::new("predict-seed");
+    generate(dir.path());
+    let d = dir.path().to_str().unwrap();
+    let predict = |extra: &[&str]| {
+        let mut args = vec!["predict", d, "--racks", "1"];
+        args.extend(extra);
+        Command::new(bin()).args(&args).output().expect("spawn")
+    };
+    let with_manifest = predict(&[]);
+    assert!(with_manifest.status.success());
+
+    // Without manifest.txt nothing says which seed made the logs: the
+    // ground truth would be a guess, so predict refuses.
+    std::fs::remove_file(dir.join("manifest.txt")).unwrap();
+    let guessed = predict(&[]);
+    assert!(!guessed.status.success(), "predict scored a guessed seed");
+    assert!(guessed.stdout.is_empty(), "nothing may reach stdout");
+    let stderr = String::from_utf8_lossy(&guessed.stderr);
+    assert!(
+        stderr.contains("--seed") && stderr.contains("manifest.txt"),
+        "{stderr}"
+    );
+    // The seed the logs were generated with restores the manifest run.
+    let seeded = predict(&["--seed", "7"]);
+    assert!(seeded.status.success());
+    assert_eq!(seeded.stdout, with_manifest.stdout);
+}
+
+#[test]
 fn corrupt_lines_surface_in_skip_counters() {
     let dir = TempDir::new("corrupt");
     generate(dir.path());

@@ -2,22 +2,23 @@
 //! stream-analyze` must print byte-for-byte what `astra-mem analyze`
 //! prints — including when the streaming run is split in half by a
 //! mid-stream checkpoint and resumed in a second process, at every
-//! chunk and block boundary of the logs. A resume against logs that no
-//! longer hold what the checkpoint consumed must fail, naming the log.
+//! chunk and block boundary of `ce.log`, the one log it reads. A resume
+//! against a `ce.log` that no longer holds what the checkpoint consumed
+//! must fail, naming it; one that only grew reads just the new bytes.
 //!
 //! Subprocesses, not in-process calls, because stdout is the contract
 //! under test and the metric registry is process-global. Only the resume
-//! points are found in-process, by reading the logs as the engine does.
+//! points and the grown logs are made in-process.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use astra_core::stream::{EventStream, ResumePoint};
-use astra_logs::binfmt::{self, BinFormat, BinReader};
+use astra_core::pipeline::Dataset;
+use astra_logs::binfmt::{self, BinReader, LogFormat};
 use astra_logs::io::{ChunkReader, STREAM_CHUNK_BYTES};
-use astra_logs::{ce, het, inventory, sensor, IngestOptions, LineFormat};
+use astra_logs::{ce, CeRecord};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_astra-mem")
@@ -166,6 +167,24 @@ fn periodic_checkpoints_do_not_change_the_output() {
     ]);
     assert_eq!(checkpointed, plain);
     assert!(ck.exists(), "cadence run should leave a checkpoint behind");
+
+    // The checkpoint left behind holds the state the run ended in, past
+    // the last multiple of 50000: resuming it reads no log byte and
+    // prints the full output.
+    let metrics = tmp.join("m.json");
+    let resumed = stdout_of(&[
+        "stream-analyze",
+        logs,
+        "--racks",
+        "1",
+        "--resume",
+        ck.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let batch = stdout_of(&["analyze", logs, "--racks", "1"]);
+    assert_eq!(resumed, batch);
+    assert_eq!(counter(&metrics, "stream.bytes_read"), 0);
 }
 
 #[test]
@@ -190,27 +209,18 @@ fn stop_without_checkpoint_path_is_an_error() {
     assert!(stderr.contains("--checkpoint"), "stderr: {stderr}");
 }
 
-/// The four logs in stream order, as the checkpoint's `log` lines name
-/// them, with their file names.
-const LOGS: [(&str, &str); 4] = [
-    ("ce", "ce.log"),
-    ("het", "het.log"),
-    ("inventory", "inventory.log"),
-    ("sensors", "sensors.log"),
-];
-
-/// Records before each chunk (text) or block (binary) of a log after its
-/// first, and the log's record count: where a resumed reader lands.
-fn chunk_starts<T: Send>(path: &Path, line: LineFormat<T>, bin: BinFormat<T>) -> (Vec<u64>, u64) {
+/// Records before each chunk (text) or block (binary) of `ce.log` after
+/// its first, and the log's record count: where a resumed reader lands.
+fn chunk_starts(path: &Path) -> (Vec<u64>, u64) {
     let file = File::open(path).unwrap();
     let mut sizes = Vec::new();
     if binfmt::file_is_binlog(path).unwrap() {
-        let mut reader = BinReader::new(file, bin);
+        let mut reader = BinReader::new(file, binfmt::CE);
         while let Some(chunk) = reader.next_chunk().unwrap() {
             sizes.push(chunk.records.len() as u64);
         }
     } else {
-        let mut reader = ChunkReader::new(file, line, STREAM_CHUNK_BYTES);
+        let mut reader = ChunkReader::new(file, ce::FORMAT, STREAM_CHUNK_BYTES);
         while let Some(chunk) = reader.next_chunk().unwrap() {
             sizes.push(chunk.records.len() as u64);
         }
@@ -226,43 +236,17 @@ fn chunk_starts<T: Send>(path: &Path, line: LineFormat<T>, bin: BinFormat<T>) ->
     (starts[..starts.len().saturating_sub(1)].to_vec(), total)
 }
 
-/// The stream positions at which log `i` has consumed exactly each of
-/// `targets[i]` records, plus the position where `ce.log` runs out and
-/// the stream's length.
-fn stream_positions(
-    dir: &Path,
-    targets: &[Vec<u64>; 4],
-    ingest: IngestOptions,
-) -> (Vec<u64>, u64, u64) {
-    let mut stream = EventStream::open_with(dir, &ResumePoint::default(), ingest).unwrap();
-    let (mut at, mut ce_end) = (0u64, 0u64);
-    let mut positions = Vec::new();
-    while let Some(ev) = stream.next_event().unwrap() {
-        at += 1;
-        let src = ev.source().index();
-        let consumed = stream.consumed()[src];
-        if targets[src].contains(&consumed) {
-            positions.push(at);
-        }
-        if src == 0 {
-            ce_end = at;
-        }
-    }
-    (positions, ce_end, at)
-}
-
-/// Each log's saved offset, from the checkpoint's `log` lines.
-fn saved_offsets(ck: &Path) -> [u64; 4] {
+/// `ce.log`'s saved offset, from the checkpoint's one `log` line.
+fn saved_offset(ck: &Path) -> u64 {
     let text = std::fs::read_to_string(ck).unwrap();
-    let mut offsets = [None; 4];
-    for line in text.lines() {
-        let toks: Vec<&str> = line.split(' ').collect();
-        if toks[0] == "log" {
-            let i = LOGS.iter().position(|(name, _)| *name == toks[1]).unwrap();
-            offsets[i] = Some(toks[3].parse().unwrap());
-        }
-    }
-    offsets.map(|o| o.expect("a position for every log"))
+    let logs: Vec<Vec<&str>> = text
+        .lines()
+        .filter(|l| l.starts_with("log "))
+        .map(|l| l.split(' ').collect())
+        .collect();
+    assert_eq!(logs.len(), 1, "one position, ce.log's: {logs:?}");
+    assert_eq!(logs[0][1], "ce");
+    logs[0][3].parse().unwrap()
 }
 
 /// A counter's value in a `--metrics-out` file.
@@ -282,10 +266,10 @@ fn counter(metrics: &Path, name: &str) -> u64 {
 }
 
 /// Stop and resume a 1-rack dataset in `format` at each chunk (text) or
-/// block (binary) boundary of every log, one record either side of each,
-/// each log's last record, and inside and past `ce.log`. Every resume
-/// must print what `analyze` prints and read no byte before the saved
-/// offsets.
+/// block (binary) boundary of `ce.log`, one record either side of each,
+/// in the middle, at its last record, at its end and past it (where the
+/// run finishes and leaves its end checkpoint). Every resume must print
+/// what `analyze` prints and read no byte before the saved offset.
 fn resume_at_every_boundary(format: &str) {
     let tmp = TempDir::new(&format!("boundaries-{format}"));
     let dir = tmp.join("logs");
@@ -303,27 +287,14 @@ fn resume_at_every_boundary(format: &str) {
     let dir_str = dir.to_str().unwrap();
     let batch = stdout_of(&["analyze", dir_str, "--racks", "1"]);
 
-    let bounds = [
-        chunk_starts(&dir.join("ce.log"), ce::FORMAT, binfmt::CE),
-        chunk_starts(&dir.join("het.log"), het::FORMAT, binfmt::HET),
-        chunk_starts(
-            &dir.join("inventory.log"),
-            inventory::FORMAT,
-            binfmt::INVENTORY,
-        ),
-        chunk_starts(&dir.join("sensors.log"), sensor::FORMAT, binfmt::SENSOR),
-    ];
-    assert!(bounds[0].0.len() >= 2, "ce.log must span several chunks");
-    let targets = bounds.map(|(starts, total)| {
-        let mut t: Vec<u64> = starts.iter().flat_map(|&b| [b - 1, b, b + 1]).collect();
-        t.extend([total - 1, total]);
-        t
-    });
-    let (mut stops, ce_end, len) = stream_positions(&dir, &targets, IngestOptions::default());
-    stops.extend([ce_end / 2, (ce_end + len) / 2]);
+    let (starts, total) = chunk_starts(&dir.join("ce.log"));
+    assert!(starts.len() >= 2, "ce.log must span several chunks");
+    let mut stops: Vec<u64> = starts.iter().flat_map(|&b| [b - 1, b, b + 1]).collect();
+    stops.extend([total / 2, total - 1, total, total + 1]);
     stops.sort_unstable();
     stops.dedup();
-    assert!(stops.len() >= 20, "only {} resume points", stops.len());
+    assert!(stops.len() >= 10, "only {} resume points", stops.len());
+    let ce_len = std::fs::metadata(dir.join("ce.log")).unwrap().len();
 
     let check = |i: usize, stop: u64| {
         // Write at one worker count, resume at the other.
@@ -335,7 +306,7 @@ fn resume_at_every_boundary(format: &str) {
         let ck = tmp.join(&format!("ck-{i}"));
         let metrics = tmp.join(&format!("m-{i}.json"));
         let ck_str = ck.to_str().unwrap();
-        let stop = stop.to_string();
+        let stop_str = stop.to_string();
         let head = stdout_with(
             &[
                 "stream-analyze",
@@ -343,13 +314,18 @@ fn resume_at_every_boundary(format: &str) {
                 "--racks",
                 "1",
                 "--stop-after",
-                &stop,
+                &stop_str,
                 "--checkpoint",
                 ck_str,
             ],
             &[("ASTRA_WORKERS", write_w)],
         );
-        assert!(head.is_empty());
+        // A stop past the last record is never reached: the run finishes.
+        if stop > total {
+            assert!(head == batch, "{format}: a run past its stop differs");
+        } else {
+            assert!(head.is_empty());
+        }
         let resumed = stdout_with(
             &[
                 "stream-analyze",
@@ -365,19 +341,15 @@ fn resume_at_every_boundary(format: &str) {
         );
         assert!(
             resumed == batch,
-            "{format}: resuming after {stop} events differs from analyze"
+            "{format}: resuming after {stop} records differs from analyze"
         );
-        let offsets = saved_offsets(&ck);
-        let rest: u64 = LOGS
-            .iter()
-            .zip(offsets)
-            .map(|((_, file), offset)| std::fs::metadata(dir.join(file)).unwrap().len() - offset)
-            .sum();
+        let offset = saved_offset(&ck);
         let read = counter(&metrics, "stream.bytes_read");
         assert!(
-            read <= rest,
-            "{format}: resuming after {stop} events read {read} bytes, more than the {rest} \
-             after the saved offsets {offsets:?}"
+            read <= ce_len - offset,
+            "{format}: resuming after {stop} records read {read} bytes, more than the {} \
+             after the saved offset {offset}",
+            ce_len - offset
         );
     };
     // Two at a time: each pair of runs is independent.
@@ -403,27 +375,119 @@ fn binary_resumes_at_every_block_boundary() {
     resume_at_every_boundary("binary");
 }
 
-/// A text dataset and a checkpoint written inside its second `ce.log`
-/// chunk; returns the checkpoint and `ce.log`'s saved offset.
-fn checkpointed(tmp: &TempDir, logs: &Path) -> (PathBuf, u64) {
+/// `records` as `ce.log` bytes in `format`, without a binary header:
+/// what a writer appends.
+fn encode(format: LogFormat, records: &[CeRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    match format {
+        LogFormat::Text => {
+            astra_logs::io::write_lines_with(&mut out, records, |r, buf| r.to_line_into(buf))
+                .unwrap();
+        }
+        LogFormat::Binary => {
+            binfmt::write_records(&mut out, binfmt::CE, records).unwrap();
+            out.drain(..binfmt::HEADER_LEN);
+        }
+    }
+    out
+}
+
+/// A whole `ce.log` in `format` holding `blocks`, which declare `count`
+/// records.
+fn ce_log(format: LogFormat, count: usize, blocks: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    if format == LogFormat::Binary {
+        out.extend(binfmt::header_bytes(binfmt::KIND_CE, count as u64));
+    }
+    for b in blocks {
+        out.extend_from_slice(b);
+    }
+    out
+}
+
+/// A finished run with `--checkpoint` leaves its end state behind; after
+/// `ce.log` grows, `--resume` reads only the appended bytes and prints
+/// `analyze` of the grown directory. A binary writer appends whole
+/// blocks and updates the header's record count, which the resumed
+/// reader validates again.
+fn an_end_checkpoint_resumes_a_grown_log(format: LogFormat) {
+    let tmp = TempDir::new(&format!("grown-{format:?}"));
+    let dir = tmp.join("logs");
+    let ds = Dataset::generate(1, 42);
+    ds.write_logs_as(&dir, format).unwrap();
+    let ces = &ds.sim.ce_log;
+    let cut = ces.len() * 3 / 4;
+    let (head, tail) = (encode(format, &ces[..cut]), encode(format, &ces[cut..]));
+    let ce_path = dir.join("ce.log");
+    std::fs::write(&ce_path, ce_log(format, cut, &[&head])).unwrap();
+
+    let dir_str = dir.to_str().unwrap();
     let ck = tmp.join("ck.txt");
+    let first = stdout_of(&[
+        "stream-analyze",
+        dir_str,
+        "--racks",
+        "1",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+    ]);
+    assert_eq!(first, stdout_of(&["analyze", dir_str, "--racks", "1"]));
+
+    std::fs::write(&ce_path, ce_log(format, ces.len(), &[&head, &tail])).unwrap();
+    let metrics = tmp.join("m.json");
+    let resumed = stdout_of(&[
+        "stream-analyze",
+        dir_str,
+        "--racks",
+        "1",
+        "--resume",
+        ck.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let batch = stdout_of(&["analyze", dir_str, "--racks", "1"]);
+    assert!(
+        resumed == batch,
+        "{format:?}: resuming the grown log differs from analyze"
+    );
+    assert_eq!(
+        counter(&metrics, "stream.bytes_read"),
+        tail.len() as u64,
+        "{format:?}: the resume must read exactly the appended bytes"
+    );
+}
+
+#[test]
+fn an_end_checkpoint_resumes_a_grown_text_log() {
+    an_end_checkpoint_resumes_a_grown_log(LogFormat::Text);
+}
+
+#[test]
+fn an_end_checkpoint_resumes_a_grown_binary_log() {
+    an_end_checkpoint_resumes_a_grown_log(LogFormat::Binary);
+}
+
+/// A text dataset and a checkpoint written after `stop` records; returns
+/// the checkpoint and `ce.log`'s saved offset.
+fn checkpointed(tmp: &TempDir, logs: &Path, stop: u64) -> (PathBuf, u64) {
+    let ck = tmp.join(&format!("ck-{stop}.txt"));
     stdout_of(&[
         "stream-analyze",
         logs.to_str().unwrap(),
         "--racks",
         "1",
         "--stop-after",
-        "100000",
+        &stop.to_string(),
         "--checkpoint",
         ck.to_str().unwrap(),
     ]);
-    let offset = saved_offsets(&ck)[0];
-    assert!(offset > 0, "the stop must lie past ce.log's first chunk");
+    let offset = saved_offset(&ck);
     (ck, offset)
 }
 
-/// Resume `logs` from `ck`, expecting a refusal that names `log`.
-fn refused(logs: &Path, ck: &Path, log: &str, why: &str) {
+/// Resume `logs` from `ck`, expecting a refusal whose stderr holds
+/// `needle`.
+fn refused(logs: &Path, ck: &Path, needle: &str, why: &str) {
     let out = run(
         &[
             "stream-analyze",
@@ -439,23 +503,27 @@ fn refused(logs: &Path, ck: &Path, log: &str, why: &str) {
     assert!(!out.status.success(), "{why}: resume succeeded");
     assert!(out.stdout.is_empty(), "{why}: resume printed a report");
     assert!(
-        stderr.contains(&format!("log {log} changed since the checkpoint")),
-        "{why}: stderr must name {log}: {stderr}"
+        stderr.contains(needle),
+        "{why}: stderr must hold {needle:?}: {stderr}"
     );
 }
+
+const CE_CHANGED: &str = "log ce.log changed since the checkpoint";
 
 #[test]
 fn resume_refuses_changed_logs_but_follows_grown_ones() {
     let tmp = TempDir::new("changed");
     let logs = tmp.join("logs");
     generate(&logs);
-    let (ck, offset) = checkpointed(&tmp, &logs);
+    // Inside ce.log's second chunk.
+    let (ck, offset) = checkpointed(&tmp, &logs, 100_000);
+    assert!(offset > 0, "the stop must lie past ce.log's first chunk");
     let ce_log = logs.join("ce.log");
     let original = std::fs::read(&ce_log).unwrap();
 
     // Truncated before the saved offset.
     std::fs::write(&ce_log, &original[..offset as usize - 1]).unwrap();
-    refused(&logs, &ck, "ce.log", "truncated ce.log");
+    refused(&logs, &ck, CE_CHANGED, "truncated ce.log");
 
     // Rewritten before the offset, same length: one digit changed.
     let mut rewritten = original.clone();
@@ -464,7 +532,7 @@ fn resume_refuses_changed_logs_but_follows_grown_ones() {
         .unwrap();
     rewritten[at] = if rewritten[at] == b'0' { b'1' } else { b'0' };
     std::fs::write(&ce_log, &rewritten).unwrap();
-    refused(&logs, &ck, "ce.log", "rewritten ce.log");
+    refused(&logs, &ck, CE_CHANGED, "rewritten ce.log");
 
     // Replaced by another seed's log.
     let other = tmp.join("other");
@@ -478,7 +546,7 @@ fn resume_refuses_changed_logs_but_follows_grown_ones() {
         other.to_str().unwrap(),
     ]);
     std::fs::copy(other.join("ce.log"), &ce_log).unwrap();
-    refused(&logs, &ck, "ce.log", "replaced ce.log");
+    refused(&logs, &ck, CE_CHANGED, "replaced ce.log");
 
     // Only grown since the checkpoint: the resume folds the new records.
     let last = original[..original.len() - 1]
@@ -512,78 +580,43 @@ fn resume_refuses_changed_logs_but_follows_grown_ones() {
 
     // Emptied logs.
     std::fs::write(&ce_log, &original).unwrap();
-    for (_, file) in LOGS {
+    for file in ["ce.log", "het.log", "inventory.log", "sensors.log"] {
         std::fs::write(logs.join(file), b"").unwrap();
     }
-    refused(&logs, &ck, "ce.log", "emptied logs");
-}
+    refused(&logs, &ck, CE_CHANGED, "emptied logs");
 
-/// The checkpoint as a v2 writer would have left it: no `log` lines, and
-/// `meta`'s CRC over the two lines left.
-fn as_v2(ck: &Path) -> Vec<u8> {
-    let text = std::fs::read_to_string(ck).unwrap();
-    let mut out = String::new();
-    let mut meta = String::new();
-    for line in text.lines() {
-        if line == "astra-stream-checkpoint v3" {
-            out.push_str("astra-stream-checkpoint v2\n");
-        } else if line.starts_with("racks ") || line.starts_with("consumed ") {
-            meta.push_str(line);
-            meta.push('\n');
-        } else if line.starts_with("crc meta ") {
-            out.push_str(&meta);
-            out.push_str(&format!(
-                "crc meta {:08x}\n",
-                astra_util::crc32(meta.as_bytes())
-            ));
-        } else if !line.starts_with("log ") {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out.into_bytes()
-}
-
-#[test]
-fn a_v2_checkpoint_replays_from_byte_0() {
-    let tmp = TempDir::new("v2");
-    let logs = tmp.join("logs");
-    generate(&logs);
-    let (ck, _) = checkpointed(&tmp, &logs);
-    let v2 = tmp.join("v2.txt");
-    std::fs::write(&v2, as_v2(&ck)).unwrap();
-    let logs_str = logs.to_str().unwrap();
-    let metrics = tmp.join("m.json");
-    let batch = stdout_of(&["analyze", logs_str, "--racks", "1"]);
-    let resumed = stdout_of(&[
-        "stream-analyze",
-        logs_str,
-        "--racks",
-        "1",
-        "--resume",
-        v2.to_str().unwrap(),
-        "--metrics-out",
-        metrics.to_str().unwrap(),
-    ]);
-    assert_eq!(resumed, batch, "a v2 checkpoint must still resume");
-    let total: u64 = LOGS
-        .iter()
-        .map(|(_, file)| std::fs::metadata(logs.join(file)).unwrap().len())
-        .sum();
-    assert_eq!(
-        counter(&metrics, "stream.bytes_read"),
-        total,
-        "v2 replays every byte"
-    );
-
-    // A byte-0 position whose log ends before its consumed count fails
-    // at that log's end, naming it.
-    let ce_log = logs.join("ce.log");
-    let original = std::fs::read(&ce_log).unwrap();
-    let cut = original[..original.len() / 10]
+    // A position at byte 0 (a stop inside the first chunk) has no bytes
+    // before it to compare; a log that ends before the consumed count
+    // fails at its end, naming it.
+    std::fs::write(&ce_log, &original).unwrap();
+    let (early, offset) = checkpointed(&tmp, &logs, 1_000);
+    assert_eq!(offset, 0);
+    let cut = original[..original.len() / 1000]
         .iter()
         .rposition(|&b| b == b'\n')
         .unwrap();
     std::fs::write(&ce_log, &original[..=cut]).unwrap();
-    refused(&logs, &v2, "ce.log", "v2 resume of a cut ce.log");
+    refused(
+        &logs,
+        &early,
+        CE_CHANGED,
+        "ce.log cut inside its first chunk",
+    );
+}
+
+#[test]
+fn older_checkpoints_are_refused_naming_the_file_and_version() {
+    let tmp = TempDir::new("versions");
+    let logs = tmp.join("logs");
+    generate(&logs);
+    let (ck, _) = checkpointed(&tmp, &logs, 100_000);
+    let v4 = std::fs::read_to_string(&ck).unwrap();
+    assert!(v4.starts_with("astra-stream-checkpoint v4\n"));
+    for old in ["v2", "v3"] {
+        let header = format!("astra-stream-checkpoint {old}");
+        let path = tmp.join(&format!("{old}.txt"));
+        std::fs::write(&path, v4.replacen("astra-stream-checkpoint v4", &header, 1)).unwrap();
+        let needle = format!("checkpoint {}: written as {header}", path.display());
+        refused(&logs, &path, &needle, &format!("a {old} checkpoint"));
+    }
 }

@@ -16,8 +16,8 @@
 //! the coalescing summary, `stream-analyze` prints the identical summary
 //! via the single-pass incremental engine (bounded memory,
 //! checkpoint/resume), `report` renders every table/figure of the paper,
-//! `triage` prints the operational outputs (exclude list, retirement,
-//! replacement candidates).
+//! `triage` prints the operational outputs (the node exclusion curve and
+//! two page-retirement policies).
 //!
 //! The binary in `src/bin/astra-mem.rs` is a thin shim over [`main`];
 //! keeping the implementation in the library makes every command path
@@ -108,7 +108,7 @@ COMMANDS:
     report          render every table and figure of the paper (without a
                     manifest.txt or --seed, the figures drawn from the
                     telemetry model are skipped, each with a note)
-    triage          operational outputs: exclude list, retirement, replacements
+    triage          operational outputs: node exclusion curve, page retirement
     stats           pipeline health report: throughput, drop/skip rates, ratios
                     (ingests leniently so it can diagnose dirty datasets)
     predict         replay the CE stream through online UE predictors; score

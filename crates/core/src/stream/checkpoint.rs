@@ -67,6 +67,7 @@ use astra_logs::quarantine::QuarantinedLine;
 use astra_logs::QuarantineReason;
 use astra_predict::{Alert, DimmKey, FeatureState, FeatureStateDump, FeatureVector, PredictConfig};
 use astra_topology::{DimmSlot, NodeId, RankId, SystemConfig};
+use astra_util::ascii::{dec_i64, dec_u64, dec_uint, hex_u64};
 use astra_util::{crc32_update, Minute};
 
 use super::analyzers::{RankTrack, StreamAnalyzer};
@@ -679,7 +680,7 @@ impl Toks<'_> {
 
     /// An unsigned field of a narrower type; out of range is `None`.
     fn uint<T: TryFrom<u64>>(&mut self) -> Option<T> {
-        T::try_from(self.u64()?).ok()
+        dec_uint(self.next()?)
     }
 
     fn i64(&mut self) -> Option<i64> {
@@ -691,33 +692,8 @@ impl Toks<'_> {
     }
 }
 
-/// Decimal digits, with the optional leading `+` that `u64::from_str`
-/// takes too; overflow is `None`.
-fn dec_u64(tok: &[u8]) -> Option<u64> {
-    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
-    if digits.is_empty() {
-        return None;
-    }
-    digits.iter().try_fold(0u64, |acc, &b| {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        acc.checked_mul(10)?.checked_add(u64::from(d))
-    })
-}
-
-fn dec_i64(tok: &[u8]) -> Option<i64> {
-    match tok.strip_prefix(b"-") {
-        Some(digits) if !digits.starts_with(b"+") => 0i64.checked_sub_unsigned(dec_u64(digits)?),
-        Some(_) => None,
-        None => i64::try_from(dec_u64(tok)?).ok(),
-    }
-}
-
 fn hex_f64(tok: &[u8]) -> Option<f64> {
-    let bits = u64::from_str_radix(std::str::from_utf8(tok).ok()?, 16).ok()?;
-    Some(f64::from_bits(bits))
+    hex_u64(tok).map(f64::from_bits)
 }
 
 /// A comma-separated list, `-` for none.
@@ -725,9 +701,7 @@ fn dec_list<T: TryFrom<u64>>(tok: &[u8]) -> Option<Vec<T>> {
     if tok == b"-" {
         return Some(Vec::new());
     }
-    tok.split(|&b| b == b',')
-        .map(|item| T::try_from(dec_u64(item)?).ok())
-        .collect()
+    tok.split(|&b| b == b',').map(dec_uint).collect()
 }
 
 fn dec_lanes(tok: &[u8]) -> Option<Vec<(u16, u64, u16)>> {
@@ -737,9 +711,9 @@ fn dec_lanes(tok: &[u8]) -> Option<Vec<(u16, u64, u16)>> {
     tok.split(|&b| b == b',')
         .map(|item| {
             let mut parts = item.split(|&b| b == b':');
-            let lane = u16::try_from(dec_u64(parts.next()?)?).ok()?;
+            let lane = dec_uint(parts.next()?)?;
             let count = dec_u64(parts.next()?)?;
-            let mask = u16::try_from(dec_u64(parts.next()?)?).ok()?;
+            let mask = dec_uint(parts.next()?)?;
             parts.next().is_none().then_some((lane, count, mask))
         })
         .collect()

@@ -17,7 +17,7 @@
 //!   opaque labels, as the paper did).
 
 use astra_topology::{DimmSlot, NodeId, PhysAddr, RankId, SocketId};
-use astra_util::Minute;
+use astra_util::{ascii, Minute};
 
 use crate::kv;
 use crate::quarantine::{LineFormat, QuarantineReason};
@@ -89,53 +89,50 @@ impl CeRecord {
         .expect("write to String cannot fail");
     }
 
-    /// Parse a line produced by [`CeRecord::to_line`].
+    /// Parse a line produced by [`CeRecord::to_line`], in one pass over
+    /// its bytes.
     ///
     /// Returns `None` for lines that are not CE records or are corrupted.
     pub fn parse_line(line: &str) -> Option<Self> {
-        let (ts, node, source, tail) = kv::split_line(line)?;
-        if source != "kernel" {
-            return None;
-        }
+        let (ts, node, tail) = kv::split_line(line.as_bytes(), b"kernel")?;
         // Tail looks like: "EDAC MC0: CE slot=… rank=…".
-        let rest = tail.strip_prefix("EDAC MC")?;
-        let (mc, rest) = rest.split_once(": CE ")?;
-        let socket: u8 = mc.parse().ok()?;
-        if socket > 1 {
+        let (mc, rest) = ascii::lead_u64(tail.strip_prefix(b"EDAC MC")?)?;
+        let rest = rest.strip_prefix(b": CE ")?;
+        if mc > 1 {
             return None;
         }
-        let time = Minute::parse_rfc3339(ts)?;
-        let node = NodeId(kv::parse_node(node)?);
-        let slot = DimmSlot::from_letter(kv::field(rest, "slot")?.chars().next()?)?;
-        let rank: u8 = kv::field(rest, "rank")?.parse().ok()?;
+        let socket = SocketId(mc as u8);
+        let [slot, rank, bank, row, col, bit, addr, synd] = kv::fields(
+            rest,
+            &[
+                b"slot", b"rank", b"bank", b"row", b"col", b"bit", b"addr", b"synd",
+            ],
+        );
+        let slot = kv::parse_slot(slot?)?;
+        // Cross-check: the slot's socket must match the reporting MC.
+        if slot.socket() != socket {
+            return None;
+        }
+        let rank: u8 = ascii::dec_uint(rank?)?;
         if rank > 1 {
             return None;
         }
-        let bank: u16 = kv::field(rest, "bank")?.parse().ok()?;
-        let row = match kv::field(rest, "row")? {
-            "-" => None,
-            r => Some(r.parse().ok()?),
+        let row = match row? {
+            b"-" => None,
+            r => Some(ascii::dec_uint(r)?),
         };
-        let col: u16 = kv::field(rest, "col")?.parse().ok()?;
-        let bit_pos: u16 = kv::field(rest, "bit")?.parse().ok()?;
-        let addr = PhysAddr::parse_hex(kv::field(rest, "addr")?)?;
-        let synd = kv::field(rest, "synd")?;
-        let syndrome = u32::from_str_radix(synd.strip_prefix("0x")?, 16).ok()?;
-        // Cross-check: the slot's socket must match the reporting MC.
-        if slot.socket() != SocketId(socket) {
-            return None;
-        }
+        let syndrome = u32::try_from(ascii::hex_u64(synd?.strip_prefix(b"0x")?)?).ok()?;
         Some(CeRecord {
-            time,
-            node,
-            socket: SocketId(socket),
+            time: Minute::parse_rfc3339(ts)?,
+            node: NodeId(kv::parse_node(node)?),
+            socket,
             slot,
             rank: RankId(rank),
-            bank,
+            bank: ascii::dec_uint(bank?)?,
             row,
-            col,
-            bit_pos,
-            addr,
+            col: ascii::dec_uint(col?)?,
+            bit_pos: ascii::dec_uint(bit?)?,
+            addr: PhysAddr::parse_hex(addr?)?,
             syndrome,
         })
     }
@@ -259,6 +256,8 @@ mod tests {
             ("addr=0x000000abc0", "addr=bogus"),
             ("bit=133", "bit=xyz"),
             ("slot=E", "slot=Z"),
+            ("2019-", "10000-"),
+            ("2019-", "999999999999999999-"),
         ] {
             let bad = good.replace(from, to);
             assert_eq!(CeRecord::parse_line(&bad), None, "line: {bad}");
@@ -292,6 +291,49 @@ mod tests {
             ..sample()
         };
         assert_eq!(rec.decoded_bit(), 0b0_1000_0101);
+    }
+
+    /// Differential: the byte parser against the `str` parser it replaced,
+    /// on lines of each shape the writer emits and on every mutation
+    /// and structured variant of them (see `crate::oracle`).
+    #[test]
+    fn matches_the_oracle_on_a_mutation_corpus() {
+        let bases: Vec<String> = [
+            sample(),
+            CeRecord {
+                time: CalDate::new(2020, 2, 29).midnight().plus(23 * 60 + 59),
+                node: NodeId(2591),
+                socket: SocketId(1),
+                slot: DimmSlot::from_letter('P').unwrap(),
+                rank: RankId(0),
+                bank: 15,
+                row: Some(65535),
+                col: 127,
+                bit_pos: 4095,
+                addr: PhysAddr(0x1f_ffff_ffc0),
+                syndrome: 0xffff,
+            },
+            CeRecord {
+                time: CalDate::new(2019, 4, 30).midnight(),
+                slot: DimmSlot::from_letter('A').unwrap(),
+                addr: PhysAddr(0),
+                syndrome: 0,
+                ..sample()
+            },
+        ]
+        .iter()
+        .map(CeRecord::to_line)
+        .collect();
+        let (checked, refused) = crate::oracle::check_corpus(
+            &bases,
+            CeRecord::parse_line,
+            crate::oracle::parse_ce,
+            PartialEq::eq,
+        );
+        assert!(
+            checked > 100_000 && refused > 0,
+            "{checked} lines, {refused} refused"
+        );
     }
 
     proptest! {

@@ -63,8 +63,10 @@ impl HetKind {
     }
 
     /// Parse the token produced by [`HetKind::name`].
-    pub fn parse_name(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == s)
+    pub fn parse_name(s: impl AsRef<[u8]>) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name().as_bytes() == s.as_ref())
     }
 
     /// The severity the tracker assigns to this kind.
@@ -105,11 +107,11 @@ impl HetSeverity {
     }
 
     /// Parse the token produced by [`HetSeverity::name`].
-    pub fn parse_name(s: &str) -> Option<Self> {
-        match s {
-            "WARNING" => Some(HetSeverity::Warning),
-            "CRITICAL" => Some(HetSeverity::Critical),
-            "NON-RECOVERABLE" => Some(HetSeverity::NonRecoverable),
+    pub fn parse_name(s: impl AsRef<[u8]>) -> Option<Self> {
+        match s.as_ref() {
+            b"WARNING" => Some(HetSeverity::Warning),
+            b"CRITICAL" => Some(HetSeverity::Critical),
+            b"NON-RECOVERABLE" => Some(HetSeverity::NonRecoverable),
             _ => None,
         }
     }
@@ -157,25 +159,20 @@ impl HetRecord {
         }
     }
 
-    /// Parse a line produced by [`HetRecord::to_line`].
+    /// Parse a line produced by [`HetRecord::to_line`], in one pass over
+    /// its bytes.
     pub fn parse_line(line: &str) -> Option<Self> {
-        let (ts, node, source, tail) = kv::split_line(line)?;
-        if source != "HET" {
-            return None;
-        }
-        let time = Minute::parse_rfc3339(ts)?;
-        let node = NodeId(kv::parse_node(node)?);
-        let kind = HetKind::parse_name(kv::field(tail, "event")?)?;
-        let severity = HetSeverity::parse_name(kv::field(tail, "severity")?)?;
-        let slot = match kv::field(tail, "slot") {
-            Some(s) => Some(DimmSlot::from_letter(s.chars().next()?)?),
+        let (ts, node, tail) = kv::split_line(line.as_bytes(), b"HET")?;
+        let [event, severity, slot] = kv::fields(tail, &[b"event", b"severity", b"slot"]);
+        let slot = match slot {
+            Some(s) => Some(kv::parse_slot(s)?),
             None => None,
         };
         Some(HetRecord {
-            time,
-            node,
-            kind,
-            severity,
+            time: Minute::parse_rfc3339(ts)?,
+            node: NodeId(kv::parse_node(node)?),
+            kind: HetKind::parse_name(event?)?,
+            severity: HetSeverity::parse_name(severity?)?,
             slot,
         })
     }
@@ -278,6 +275,41 @@ mod tests {
         assert_eq!(
             HetRecord::classify_bad_line("kernel: unrelated chatter"),
             QuarantineReason::UnknownFormat
+        );
+    }
+
+    /// Differential against the `str` parser it replaced (see
+    /// `crate::oracle`).
+    #[test]
+    fn matches_the_oracle_on_a_mutation_corpus() {
+        let bases: Vec<String> = [
+            sample(),
+            HetRecord {
+                kind: HetKind::RedundancyLost,
+                severity: HetSeverity::Warning,
+                slot: None,
+                ..sample()
+            },
+            HetRecord {
+                time: CalDate::new(2019, 2, 28).midnight().plus(23 * 60 + 59),
+                kind: HetKind::UnrGoingHigh,
+                severity: HetSeverity::Critical,
+                slot: Some(DimmSlot::from_letter('P').unwrap()),
+                ..sample()
+            },
+        ]
+        .iter()
+        .map(HetRecord::to_line)
+        .collect();
+        let (checked, refused) = crate::oracle::check_corpus(
+            &bases,
+            HetRecord::parse_line,
+            crate::oracle::parse_het,
+            PartialEq::eq,
+        );
+        assert!(
+            checked > 50_000 && refused > 0,
+            "{checked} lines, {refused} refused"
         );
     }
 

@@ -6,7 +6,7 @@
 //! is the distilled event — date, node, and which component was swapped.
 
 use astra_topology::{DimmSlot, NodeId, SocketId};
-use astra_util::CalDate;
+use astra_util::{ascii, CalDate};
 
 use crate::kv;
 use crate::quarantine::{LineFormat, QuarantineReason};
@@ -74,39 +74,27 @@ impl ReplacementRecord {
         .expect("write to String cannot fail");
     }
 
-    /// Parse a line produced by [`ReplacementRecord::to_line`].
+    /// Parse a line produced by [`ReplacementRecord::to_line`], in one
+    /// pass over its bytes. A date that no calendar has (`2019-02-30`)
+    /// is `None`, like any other bad field.
     pub fn parse_line(line: &str) -> Option<Self> {
-        let (date_str, node, source, tail) = kv::split_line(line)?;
-        if source != "inventory" {
-            return None;
-        }
-        let mut dit = date_str.splitn(3, '-');
-        let year: i64 = dit.next()?.parse().ok()?;
-        let month: u32 = dit.next()?.parse().ok()?;
-        let day: u32 = dit.next()?.parse().ok()?;
-        if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
-            return None;
-        }
-        let date = CalDate::new(year, month, day);
-        let node = NodeId(kv::parse_node(node)?);
-        let component = match kv::field(tail, "component")? {
-            "processor" => {
-                let s: u8 = kv::field(tail, "socket")?.parse().ok()?;
+        let (date, node, tail) = kv::split_line(line.as_bytes(), b"inventory")?;
+        let [component, socket, slot] = kv::fields(tail, &[b"component", b"socket", b"slot"]);
+        let component = match component? {
+            b"processor" => {
+                let s: u8 = ascii::dec_uint(socket?)?;
                 if s > 1 {
                     return None;
                 }
                 Component::Processor(SocketId(s))
             }
-            "motherboard" => Component::Motherboard,
-            "dimm" => {
-                let slot = DimmSlot::from_letter(kv::field(tail, "slot")?.chars().next()?)?;
-                Component::Dimm(slot)
-            }
+            b"motherboard" => Component::Motherboard,
+            b"dimm" => Component::Dimm(kv::parse_slot(slot?)?),
             _ => return None,
         };
         Some(ReplacementRecord {
-            date,
-            node,
+            date: CalDate::parse(date)?,
+            node: NodeId(kv::parse_node(node)?),
             component,
         })
     }
@@ -194,6 +182,65 @@ mod tests {
             Component::Dimm(DimmSlot::from_letter('A').unwrap()).category(),
             "DIMMs"
         );
+    }
+
+    /// Differential against the `str` parser it replaced (see
+    /// `crate::oracle`). The dates sit at month ends, so that single
+    /// edits make days the month lacks.
+    #[test]
+    fn matches_the_oracle_on_a_mutation_corpus() {
+        let bases: Vec<String> = [
+            (CalDate::new(2019, 2, 28), Component::Processor(SocketId(1))),
+            (CalDate::new(2020, 2, 29), Component::Motherboard),
+            (
+                CalDate::new(2019, 4, 30),
+                Component::Dimm(DimmSlot::from_letter('J').unwrap()),
+            ),
+            (
+                CalDate::new(2019, 9, 17),
+                Component::Dimm(DimmSlot::from_letter('P').unwrap()),
+            ),
+        ]
+        .into_iter()
+        .map(|(date, component)| {
+            ReplacementRecord {
+                date,
+                node: NodeId(5),
+                component,
+            }
+            .to_line()
+        })
+        .collect();
+        let (checked, refused) = crate::oracle::check_corpus(
+            &bases,
+            ReplacementRecord::parse_line,
+            crate::oracle::parse_inventory,
+            PartialEq::eq,
+        );
+        assert!(
+            checked > 20_000 && refused > 0,
+            "{checked} lines, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn impossible_dates_are_refused() {
+        for date in [
+            "2019-02-29",
+            "2019-02-30",
+            "2019-04-31",
+            "2100-02-29",
+            "10000-01-01",
+        ] {
+            let line = format!("{date} node0001 inventory: component=motherboard");
+            assert_eq!(ReplacementRecord::parse_line(&line), None, "{line}");
+            assert_eq!(
+                ReplacementRecord::classify_bad_line(&line),
+                QuarantineReason::FieldOutOfRange
+            );
+        }
+        let leap = "2020-02-29 node0001 inventory: component=motherboard";
+        assert!(ReplacementRecord::parse_line(leap).is_some());
     }
 
     #[test]

@@ -210,7 +210,13 @@ where
     let mut records: Vec<T> = Vec::new();
     let mut quarantine = Quarantine::default();
     while let Some(chunk) = chunked.next_chunk()? {
-        records.extend(chunk.records);
+        // The first chunk's records move in whole, so a log that fits one
+        // chunk is never copied.
+        if records.is_empty() {
+            records = chunk.records;
+        } else {
+            records.extend(chunk.records);
+        }
         quarantine.merge(&chunk.quarantine);
         if opts.is_strict() && !quarantine.is_empty() {
             return Err(IngestError::Corrupt {
@@ -259,10 +265,11 @@ pub struct TextPoint {
 /// Each [`ChunkReader::next_chunk`] call yields one parsed chunk of
 /// roughly `chunk_bytes` input, cut at a line boundary, until the reader
 /// is exhausted. Pulling chunks one at a time (instead of draining the
-/// whole reader as [`parse_stream_chunked`] does) lets callers interleave
-/// several log files — the incremental analysis engine merges CE, HET,
-/// inventory, and sensor chunks this way — while keeping at most one
-/// chunk of text per source resident.
+/// whole reader as [`parse_stream_chunked`] does) lets a caller fold each
+/// chunk before it reads the next, and stop, checkpoint or tail a
+/// growing file in between: the incremental analysis engine (and with it
+/// the shard workers and the serve daemon) reads `ce.log` this way,
+/// keeping at most one chunk of text resident.
 ///
 /// Corruption handling:
 /// * a chunk that is entirely valid UTF-8 takes the fast path — shard

@@ -52,6 +52,8 @@ pub mod inventory;
 pub mod io;
 mod kv;
 pub mod manifest;
+#[cfg(test)]
+mod oracle;
 pub mod quarantine;
 pub mod sensor;
 

@@ -9,7 +9,7 @@
 //! applies the paper's validity filters rather than trusting the producer.
 
 use astra_topology::{NodeId, SensorId, SensorKind};
-use astra_util::Minute;
+use astra_util::{ascii, Minute};
 
 use crate::kv;
 use crate::quarantine::{LineFormat, QuarantineReason};
@@ -55,23 +55,19 @@ impl SensorRecord {
         .expect("write to String cannot fail");
     }
 
-    /// Parse a line produced by [`SensorRecord::to_line`].
+    /// Parse a line produced by [`SensorRecord::to_line`], in one pass
+    /// over its bytes.
     pub fn parse_line(line: &str) -> Option<Self> {
-        let (ts, node, source, tail) = kv::split_line(line)?;
-        if source != "BMC" {
-            return None;
-        }
-        let time = Minute::parse_rfc3339(ts)?;
-        let node = NodeId(kv::parse_node(node)?);
-        let sensor = SensorId::parse_name(kv::field(tail, "sensor")?)?;
-        let value = match kv::field(tail, "value")? {
-            "unreadable" => None,
-            v => Some(v.parse().ok()?),
+        let (ts, node, tail) = kv::split_line(line.as_bytes(), b"BMC")?;
+        let [sensor, value] = kv::fields(tail, &[b"sensor", b"value"]);
+        let value = match value? {
+            b"unreadable" => None,
+            v => Some(parse_value(v)?),
         };
         Some(SensorRecord {
-            time,
-            node,
-            sensor,
+            time: Minute::parse_rfc3339(ts)?,
+            node: NodeId(kv::parse_node(node)?),
+            sensor: SensorId::parse_name(sensor?)?,
             value,
         })
     }
@@ -101,6 +97,24 @@ impl SensorRecord {
         };
         plausible.then_some(v)
     }
+}
+
+/// A reading as `f64::from_str` reads it.
+///
+/// The writer's `D+.D` form takes a short cut with the same result: its
+/// digits (at most 15, so below 2^53) read as an integer are exact in an
+/// `f64`, so one correctly rounded division by ten gives the nearest
+/// `f64` to the decimal, which is what `from_str` returns too. Any other
+/// form goes through `from_str`.
+fn parse_value(v: &[u8]) -> Option<f64> {
+    if let [int @ .., b'.', frac @ b'0'..=b'9'] = v {
+        if int.len() <= 14 {
+            if let Some(n) = ascii::dec_u64(int) {
+                return Some((n * 10 + u64::from(frac - b'0')) as f64 / 10.0);
+            }
+        }
+    }
+    std::str::from_utf8(v).ok()?.parse().ok()
 }
 
 /// Ingest descriptor for `sensors.log`. The file is written node-major
@@ -196,6 +210,73 @@ mod tests {
             ..power
         };
         assert_eq!(power_ok.valid_value(), Some(320.0));
+    }
+
+    /// Records equal to the bit, so that NaN matches NaN and -0.0 does
+    /// not match 0.0.
+    fn same_bits(a: &SensorRecord, b: &SensorRecord) -> bool {
+        (a.time, a.node, a.sensor) == (b.time, b.node, b.sensor)
+            && a.value.map(f64::to_bits) == b.value.map(f64::to_bits)
+    }
+
+    /// Differential against the `str` parser it replaced (see
+    /// `crate::oracle`), on the writer's `D+.D` values and on forms only
+    /// `f64::from_str` reads.
+    #[test]
+    fn matches_the_oracle_on_a_mutation_corpus() {
+        let mut bases: Vec<String> = [
+            (6, Some(312.5)),
+            (0, Some(67.0)),
+            (5, None),
+            (2, Some(0.1)),
+            (1, Some(99_999_999_999_999.9)),
+        ]
+        .into_iter()
+        .map(|(sensor, value)| {
+            SensorRecord {
+                time: at(59),
+                node: NodeId(7),
+                sensor: SensorId::from_index(sensor).unwrap(),
+                value,
+            }
+            .to_line()
+        })
+        .collect();
+        let head = "2019-12-31T23:59:00 node2591 BMC: sensor=dimmg3 value=";
+        for v in [
+            "-3.5",
+            "12",
+            "1e3",
+            ".5",
+            "5.",
+            "NaN",
+            "inf",
+            "1234567890123456.7",
+        ] {
+            bases.push(format!("{head}{v}"));
+        }
+        let (checked, refused) = crate::oracle::check_corpus(
+            &bases,
+            SensorRecord::parse_line,
+            crate::oracle::parse_sensor,
+            same_bits,
+        );
+        assert!(
+            checked > 50_000 && refused > 0,
+            "{checked} lines, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn fast_path_values_equal_from_str() {
+        for n in (0u64..200_000).chain([999_999_999_999_999, 123_456_789_012_345]) {
+            let text = format!("{}.{}", n / 10, n % 10);
+            assert_eq!(
+                parse_value(text.as_bytes()).map(f64::to_bits),
+                text.parse::<f64>().ok().map(f64::to_bits),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -152,10 +152,12 @@ impl PhysAddr {
         format!("{:#012x}", self.0)
     }
 
-    /// Parse a `0x…` hex string.
-    pub fn parse_hex(s: &str) -> Option<Self> {
-        let digits = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X"))?;
-        u64::from_str_radix(digits, 16).ok().map(PhysAddr)
+    /// Parse a `0x…` hex string (`0X` too; the digits as
+    /// `u64::from_str_radix` reads them).
+    pub fn parse_hex(s: impl AsRef<[u8]>) -> Option<Self> {
+        let s = s.as_ref();
+        let digits = s.strip_prefix(b"0x").or_else(|| s.strip_prefix(b"0X"))?;
+        astra_util::ascii::hex_u64(digits).map(PhysAddr)
     }
 }
 
@@ -205,9 +207,14 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let a = PhysAddr(0x1234_ABCD);
-        assert_eq!(PhysAddr::parse_hex(&a.hex()), Some(a));
+        assert_eq!(PhysAddr::parse_hex(a.hex()), Some(a));
         assert_eq!(PhysAddr::parse_hex("garbage"), None);
         assert_eq!(PhysAddr::parse_hex("0xZZZ"), None);
+        // The digits follow `u64::from_str_radix`: either case, a `+`.
+        assert_eq!(PhysAddr::parse_hex("0X1f"), Some(PhysAddr(0x1f)));
+        assert_eq!(PhysAddr::parse_hex("0x+1F"), Some(PhysAddr(0x1f)));
+        assert_eq!(PhysAddr::parse_hex("0x"), None);
+        assert_eq!(PhysAddr::parse_hex("0x10000000000000000"), None);
     }
 
     #[test]

@@ -154,14 +154,15 @@ impl SensorId {
         }
     }
 
-    /// Parse the format produced by [`SensorId::name`].
-    pub fn parse_name(s: &str) -> Option<Self> {
-        match s {
-            "cpu0" => Some(SensorId(0)),
-            "cpu1" => Some(SensorId(1)),
-            "power" => Some(SensorId(6)),
-            _ => {
-                let g: u8 = s.strip_prefix("dimmg")?.parse().ok()?;
+    /// Parse the format produced by [`SensorId::name`] (the group
+    /// number as `u8::from_str` reads it).
+    pub fn parse_name(s: impl AsRef<[u8]>) -> Option<Self> {
+        match s.as_ref() {
+            b"cpu0" => Some(SensorId(0)),
+            b"cpu1" => Some(SensorId(1)),
+            b"power" => Some(SensorId(6)),
+            s => {
+                let g: u8 = astra_util::ascii::dec_uint(s.strip_prefix(b"dimmg")?)?;
                 (g < 4).then(|| SensorId(2 + g))
             }
         }
@@ -226,11 +227,15 @@ mod tests {
     fn sensor_indices_roundtrip() {
         for s in SensorId::all() {
             assert_eq!(SensorId::from_index(s.index() as u8), Some(s));
-            assert_eq!(SensorId::parse_name(&s.name()), Some(s));
+            assert_eq!(SensorId::parse_name(s.name()), Some(s));
         }
         assert_eq!(SensorId::from_index(7), None);
         assert_eq!(SensorId::parse_name("dimmg4"), None);
         assert_eq!(SensorId::parse_name("bogus"), None);
+        // The group number follows `u8::from_str`.
+        assert_eq!(SensorId::parse_name("dimmg+02"), SensorId::from_index(4));
+        assert_eq!(SensorId::parse_name("dimmg"), None);
+        assert_eq!(SensorId::parse_name("dimmg256"), None);
     }
 
     #[test]

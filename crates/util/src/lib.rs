@@ -20,10 +20,14 @@
 //!   writes.
 //! * [`codec`] — varint/zigzag/delta column codecs of the binary log
 //!   format.
+//! * [`ascii`] — numbers parsed straight from ASCII bytes, with exactly
+//!   `FromStr`'s rules, for the text log parsers and the checkpoint
+//!   reader.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ascii;
 pub mod codec;
 pub mod crc;
 pub mod dist;

@@ -3,12 +3,18 @@
 
 use astra_core::pipeline::{AnalysisInput, Dataset, Log};
 use astra_logs::{
-    ce, het, inventory, io as logio, sensor, CeRecord, HetRecord, IngestOptions, LineFormat,
-    Quarantine, ReplacementRecord, SensorRecord,
+    ce, het, inventory, io as logio, sensor, CeRecord, Component, HetKind, HetRecord, HetSeverity,
+    IngestOptions, LineFormat, Quarantine, ReplacementRecord, SensorRecord,
 };
 use astra_topology::{NodeId, SensorId};
 use astra_util::time::sensor_span;
 use proptest::prelude::*;
+
+/// The `str` parsers that the one-pass byte parsers replaced, kept by
+/// `astra-logs` as their test oracle; it takes the record types from
+/// the imports above.
+#[path = "../crates/logs/src/oracle.rs"]
+mod oracle;
 
 /// Parse `text` as one log of `format`, quarantining (not refusing)
 /// whatever does not parse.
@@ -87,6 +93,50 @@ fn truncated_log_degrades_gracefully() {
 }
 
 #[test]
+fn every_line_of_a_two_rack_dataset_parses_as_the_oracle_does() {
+    let ds = Dataset::generate(2, 5);
+    let dir = std::env::temp_dir().join(format!("astra-oracle-{}", std::process::id()));
+    ds.write_logs(&dir).unwrap();
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+    let (ce, het, inv, sensors) = (
+        read("ce.log"),
+        read("het.log"),
+        read("inventory.log"),
+        read("sensors.log"),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    fn check_all<T: std::fmt::Debug>(
+        text: &str,
+        format: LineFormat<T>,
+        oracle: fn(&str) -> Option<T>,
+        same: fn(&T, &T) -> bool,
+    ) -> usize {
+        for line in text.lines() {
+            assert!(!oracle::check_line(line, format.parse, oracle, same));
+        }
+        text.lines().count()
+    }
+    let sensor_bits = |a: &SensorRecord, b: &SensorRecord| {
+        (a.time, a.node, a.sensor) == (b.time, b.node, b.sensor)
+            && a.value.map(f64::to_bits) == b.value.map(f64::to_bits)
+    };
+    let counts = [
+        check_all(&ce, ce::FORMAT, oracle::parse_ce, PartialEq::eq),
+        check_all(&het, het::FORMAT, oracle::parse_het, PartialEq::eq),
+        check_all(
+            &inv,
+            inventory::FORMAT,
+            oracle::parse_inventory,
+            PartialEq::eq,
+        ),
+        check_all(&sensors, sensor::FORMAT, oracle::parse_sensor, sensor_bits),
+    ];
+    assert_eq!(counts[0], ds.sim.ce_log.len());
+    assert_eq!(counts[2], ds.replacements.len());
+    assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+}
+
+#[test]
 fn analysis_input_counts_skips_across_logs() {
     use std::io::Write as _;
     let ds = Dataset::generate(1, 11);
@@ -138,6 +188,7 @@ proptest! {
         ts in "2019-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:00",
         node in "node[0-9]{1,6}",
         tail in "[a-zA-Z0-9=: xX-]{0,60}",
+        date in "2019-0[1-9]-[23][0-9]",
     ) {
         // Lines that look like records but have corrupted fields.
         let line = format!("{ts} {node} kernel: EDAC MC0: CE {tail}");
@@ -146,5 +197,10 @@ proptest! {
         let _ = HetRecord::parse_line(&line);
         let line = format!("{ts} {node} BMC: {tail}");
         let _ = SensorRecord::parse_line(&line);
+        // Month ends, including days the month lacks (`2019-02-30`).
+        let line = format!("{date} {node} inventory: component=motherboard");
+        let _ = ReplacementRecord::parse_line(&line);
+        let line = format!("{date} {node} inventory: {tail}");
+        let _ = ReplacementRecord::parse_line(&line);
     }
 }

@@ -466,7 +466,12 @@ pub fn main(argv: impl IntoIterator<Item = String>) -> ExitCode {
         "analyze" => cmd_analyze(&args),
         "stream-analyze" => cmd_stream_analyze(&args),
         "shard-analyze" => cmd_shard_analyze(&args).map(|p| partial = p),
-        crate::shard::WORKER_COMMAND => cmd_shard_worker(&args),
+        crate::shard::WORKER_COMMAND => {
+            // The supervisor holds the write end of a worker's stdin: a
+            // worker must not outlive it.
+            on_stdin_eof(|| std::process::exit(1));
+            cmd_shard_worker(&args)
+        }
         "serve" => cmd_serve(&args),
         "report" => cmd_report(&args),
         "triage" => cmd_triage(&args),
@@ -574,13 +579,13 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
             name: &str,
             line: LineFormat<T>,
             bin: BinFormat<T>,
-            stage: &str,
             fill: impl Fn(&T, &mut String),
         ) -> Result<Option<usize>, String> {
             let path = self.dir.join(name);
             if !path.exists() {
                 return Ok(None);
             }
+            let stage = name.trim_end_matches(".log");
             let (parsed, quarantine) = binfmt::parse_file_auto(&path, line, bin, self.opts, stage)
                 .map_err(|e| format!("{name}: {e}"))?;
             if !quarantine.is_empty() {
@@ -615,35 +620,23 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         opts: &opts,
     };
     let mut seen = 0u32;
+    use astra_logs::{ce, het, inventory, sensor};
     let counts = [
-        cv.one(
-            "ce.log",
-            astra_logs::ce::FORMAT,
-            binfmt::CE,
-            "ce",
-            |r, buf| r.to_line_into(buf),
-        )?,
-        cv.one(
-            "het.log",
-            astra_logs::het::FORMAT,
-            binfmt::HET,
-            "het",
-            |r, buf| r.to_line_into(buf),
-        )?,
+        cv.one("ce.log", ce::FORMAT, binfmt::CE, |r, buf| {
+            r.to_line_into(buf)
+        })?,
+        cv.one("het.log", het::FORMAT, binfmt::HET, |r, buf| {
+            r.to_line_into(buf)
+        })?,
         cv.one(
             "inventory.log",
-            astra_logs::inventory::FORMAT,
+            inventory::FORMAT,
             binfmt::INVENTORY,
-            "inventory",
             |r, buf| r.to_line_into(buf),
         )?,
-        cv.one(
-            "sensors.log",
-            astra_logs::sensor::FORMAT,
-            binfmt::SENSOR,
-            "sensors",
-            |r, buf| r.to_line_into(buf),
-        )?,
+        cv.one("sensors.log", sensor::FORMAT, binfmt::SENSOR, |r, buf| {
+            r.to_line_into(buf)
+        })?,
     ];
     let mut total = 0usize;
     for n in counts.into_iter().flatten() {
@@ -992,6 +985,21 @@ fn cmd_shard_worker(args: &Args) -> Result<(), String> {
     })
 }
 
+/// Run `then` on a thread of its own once stdin reaches EOF (or fails
+/// to read): the service-manager idiom, where closing a process's stdin
+/// asks it to stop. Only the CLI process's own commands call this, never
+/// code that tests or the benchmark helper run in-process, whose stdin
+/// is not theirs to wait on.
+fn on_stdin_eof(then: impl FnOnce() + Send + 'static) {
+    std::thread::spawn(move || {
+        use std::io::Read as _;
+        let mut sink = [0u8; 4096];
+        let mut stdin = std::io::stdin();
+        while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+        then();
+    });
+}
+
 /// `serve DIR [DIR ...]`: run the multi-tenant analysis daemon until a
 /// client requests `/shutdown` or stdin reaches EOF (the service-manager
 /// idiom: closing the daemon's stdin asks it to wind down). Exit 0 means
@@ -1028,29 +1036,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // The one startup line on stdout, flushed, so wrappers (tests, CI,
     // service managers) can scrape the actual port even with `:0`.
     println!("listening on http://{}", server.addr());
-    use std::io::{Read as _, Write as _};
+    use std::io::Write as _;
     std::io::stdout().flush().ok();
     eprintln!(
         "serving {} site(s); stop with GET/POST /shutdown or by closing stdin",
         dirs.len()
     );
-    // Stdin watcher: consume until EOF, then ask the server to wind
-    // down. Lives here rather than in astra-serve so in-process servers
+    // Lives here rather than in astra-serve so in-process servers
     // (tests) never touch the process's stdin.
     let trigger = server.shutdown_trigger();
-    std::thread::spawn(move || {
-        let mut sink = [0u8; 4096];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        trigger.trigger();
-    });
+    on_stdin_eof(move || trigger.trigger());
     server.join();
     eprintln!("shutdown complete");
+    // As after any command's own work: `--metrics-out DIR/metrics.jsonl`
+    // then keeps the generation metrics beside the daemon's request
+    // timings, and a later `stats DIR` reads both.
+    for dir in &dirs {
+        import_dir_metrics(dir);
+    }
     Ok(())
 }
 
@@ -1455,81 +1458,44 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 /// quarantined (fsck semantics: a dirty filesystem is not exit 0).
 fn cmd_fsck(args: &Args) -> Result<(), String> {
     let dir = require_dir(args)?;
-    // Measure everything: unlimited budget so the scan never aborts.
-    let opts = IngestOptions::lenient(Some(1.0));
+    /// One log's quarantine, or `None` when the directory lacks it.
     fn scan<T: Send>(
         dir: &Path,
-        name: &str,
+        name: &'static str,
         format: LineFormat<T>,
         bin: BinFormat<T>,
-        opts: &IngestOptions,
-        stage: &str,
-    ) -> Result<Option<astra_logs::Quarantine>, String> {
+    ) -> Result<Option<(&'static str, astra_logs::Quarantine)>, String> {
         let path = dir.join(name);
         if !path.exists() {
             return Ok(None);
         }
+        let fail = |e: &dyn std::fmt::Display| format!("{name}: {e}");
         // Binary logs verify with a CRC sweep + header validation — no
-        // decode — so fsck runs at I/O speed on them.
-        if binfmt::file_is_binlog(&path).map_err(|e| format!("{name}: {e}"))? {
-            return binfmt::fsck_scan(&path, bin.kind)
-                .map(Some)
-                .map_err(|e| format!("{name}: {e}"));
-        }
-        match logio::parse_file_streaming(&path, format, opts, stage) {
-            Ok((_, quarantine)) => Ok(Some(quarantine)),
-            Err(e) => Err(format!("{name}: {e}")),
-        }
+        // decode — so fsck runs at I/O speed on them. Text logs are read
+        // with an unlimited budget, so the scan never aborts.
+        let quarantine = if binfmt::file_is_binlog(&path).map_err(|e| fail(&e))? {
+            binfmt::fsck_scan(&path, bin.kind).map_err(|e| fail(&e))?
+        } else {
+            let opts = IngestOptions::lenient(Some(1.0));
+            let stage = name.trim_end_matches(".log");
+            binfmt::parse_file_auto(&path, format, bin, &opts, stage)
+                .map_err(|e| fail(&e))?
+                .1
+        };
+        Ok(Some((name, quarantine)))
     }
     let mut total = astra_logs::Quarantine::default();
     let mut seen = 0u32;
-    for (name, report) in [
-        (
-            "ce.log",
-            scan(
-                &dir,
-                "ce.log",
-                astra_logs::ce::FORMAT,
-                binfmt::CE,
-                &opts,
-                "ce",
-            )?,
-        ),
-        (
-            "het.log",
-            scan(
-                &dir,
-                "het.log",
-                astra_logs::het::FORMAT,
-                binfmt::HET,
-                &opts,
-                "het",
-            )?,
-        ),
-        (
-            "inventory.log",
-            scan(
-                &dir,
-                "inventory.log",
-                astra_logs::inventory::FORMAT,
-                binfmt::INVENTORY,
-                &opts,
-                "inventory",
-            )?,
-        ),
-        (
-            "sensors.log",
-            scan(
-                &dir,
-                "sensors.log",
-                astra_logs::sensor::FORMAT,
-                binfmt::SENSOR,
-                &opts,
-                "sensors",
-            )?,
-        ),
-    ] {
-        let Some(quarantine) = report else { continue };
+    use astra_logs::{ce, het, inventory, sensor};
+    for (name, quarantine) in [
+        scan(&dir, "ce.log", ce::FORMAT, binfmt::CE)?,
+        scan(&dir, "het.log", het::FORMAT, binfmt::HET)?,
+        scan(&dir, "inventory.log", inventory::FORMAT, binfmt::INVENTORY)?,
+        scan(&dir, "sensors.log", sensor::FORMAT, binfmt::SENSOR)?,
+    ]
+    .into_iter()
+    .flatten()
+    {
         seen += 1;
         println!("{}", quarantine.report_line(name));
         let samples = quarantine.sample_lines();

@@ -16,7 +16,9 @@
 //!   mode, entry point [`run_worker`]) streams all of `ce.log` but
 //!   consumes only its racks' CEs, then serializes its analyzer state
 //!   with the checkpoint container (per-section CRCs, atomic `.tmp` +
-//!   rename);
+//!   rename). Its stdin is a pipe whose write end only the supervisor
+//!   holds, and the worker exits when it closes, so a supervisor that
+//!   dies, by any signal, takes its workers with it;
 //! * the supervisor ([`supervise`]) drives every shard through a small
 //!   state machine — spawn → deadline → retry/backoff → degrade — and
 //!   merges the surviving snapshots left-to-right.
@@ -495,7 +497,9 @@ fn record_attempt(index: usize, elapsed: Duration) {
 /// the contract) and stderr goes to the attempt's file, which is read
 /// only if the attempt fails: per-worker manifest notes repeated N times
 /// would bury the supervisor's own diagnostics, but a failure's reason
-/// should reach the operator.
+/// should reach the operator. Stdin is a pipe whose write end stays in
+/// the attempt's `Child` and closes when the supervisor does; the worker
+/// exits at its EOF.
 fn spawn_worker(
     exe: &Path,
     cfg: &SupervisorConfig,
@@ -516,7 +520,7 @@ fn spawn_worker(
         .arg("--snapshot-out")
         .arg(&slot.snapshot)
         .args(&cfg.worker_flags)
-        .stdin(Stdio::null())
+        .stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(stderr);
     cmd.spawn()

@@ -43,8 +43,8 @@ use std::fs::File;
 use std::io::{self, Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use astra_logs::binfmt::{self, BinPoint, BinReader};
-use astra_logs::io::{ChunkReader, IngestChunk, TextPoint, STREAM_CHUNK_BYTES};
+use astra_logs::binfmt;
+use astra_logs::io::LogReader;
 use astra_logs::{
     ce, CeRecord, HetRecord, IngestOptions, Quarantine, ReplacementRecord, SensorRecord,
 };
@@ -55,6 +55,7 @@ use crate::coalesce::CoalesceConfig;
 use crate::pipeline::LoadError;
 
 pub use analyzers::{StreamAnalyzer, StreamReport};
+pub use astra_logs::io::ReadPoint;
 
 /// One record an [`Analyzer`] folds.
 ///
@@ -120,40 +121,6 @@ pub trait Analyzer: Sized {
     fn snapshot(&self) -> Self::Report;
 }
 
-/// A reader's saved place in its log, by format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPoint {
-    /// A text log's [`ChunkReader::point`].
-    Text(TextPoint),
-    /// An `astra-binlog` file's [`BinReader::point`].
-    Bin(BinPoint),
-}
-
-impl Default for ReadPoint {
-    /// Byte 0, which is the start of a log in either format.
-    fn default() -> Self {
-        ReadPoint::Text(TextPoint::default())
-    }
-}
-
-impl ReadPoint {
-    /// File offset of the next chunk or block.
-    pub fn offset(&self) -> u64 {
-        match self {
-            ReadPoint::Text(p) => p.offset,
-            ReadPoint::Bin(p) => p.offset,
-        }
-    }
-
-    /// Whether this is a fresh start, whatever the log's format.
-    fn is_start(&self) -> bool {
-        match self {
-            ReadPoint::Text(p) => p.offset == 0,
-            ReadPoint::Bin(p) => p.offset == 0 && !p.ended,
-        }
-    }
-}
-
 /// The log's resume position: the reader's place at the chunk (text) or
 /// block (binary) that holds the next unconsumed record — or at the
 /// log's current end when every record read so far was consumed — with
@@ -188,38 +155,6 @@ pub struct ResumePoint {
     pub log: LogPosition,
 }
 
-/// The reader behind an [`EventStream`], picked by magic-byte sniffing
-/// at open: text logs stream through the chunked line parser,
-/// `astra-binlog` files through the CRC-framed block reader. Both yield
-/// [`IngestChunk`]s, so everything downstream is format-blind.
-enum SourceReader {
-    Text(ChunkReader<File, CeRecord>),
-    Bin(BinReader<File, CeRecord>),
-}
-
-impl SourceReader {
-    fn next_chunk(&mut self) -> io::Result<Option<IngestChunk<CeRecord>>> {
-        match self {
-            SourceReader::Text(r) => r.next_chunk(),
-            SourceReader::Bin(r) => r.next_chunk(),
-        }
-    }
-
-    fn bytes_consumed(&self) -> usize {
-        match self {
-            SourceReader::Text(r) => r.bytes_consumed(),
-            SourceReader::Bin(r) => r.bytes_consumed(),
-        }
-    }
-
-    fn point(&self) -> ReadPoint {
-        match self {
-            SourceReader::Text(r) => ReadPoint::Text(r.point()),
-            SourceReader::Bin(r) => ReadPoint::Bin(r.point()),
-        }
-    }
-}
-
 /// CRC-32 of the up to [`TAIL_CRC_BYTES`] of `file` before `offset`.
 fn tail_crc(file: &mut File, offset: u64) -> io::Result<u32> {
     let from = offset.saturating_sub(TAIL_CRC_BYTES);
@@ -240,7 +175,7 @@ fn tail_crc(file: &mut File, offset: u64) -> io::Result<u32> {
 /// and quarantine as the first read did.
 pub struct EventStream {
     path: PathBuf,
-    reader: Option<SourceReader>,
+    reader: Option<LogReader<CeRecord>>,
     buf: VecDeque<CeRecord>,
     /// Sequence number of the next record to pop (== records consumed).
     next_seq: u64,
@@ -306,7 +241,9 @@ impl EventStream {
     /// completes it, and [`EventStream::next_event`] returning `None`
     /// means the stream is dry, not finished. The call after `None`
     /// probes the log again, so a drain to `None` costs one probe (one
-    /// `read` returning 0).
+    /// `read` returning 0). A log shorter than the binlog magic at byte 0
+    /// has its format chosen once that many bytes are there
+    /// ([`LogReader`]).
     pub fn open_tailing(
         dir: &Path,
         resume: &ResumePoint,
@@ -316,8 +253,8 @@ impl EventStream {
     }
 
     /// A position past byte 0 is first checked against the file: long
-    /// enough, the same bytes before the offset, the same format, and
-    /// (binary) a header that still validates.
+    /// enough and the same bytes before the offset here, the same format
+    /// and (binary) a header that still validates in [`LogReader`].
     fn open_impl(
         dir: &Path,
         resume: &ResumePoint,
@@ -350,9 +287,7 @@ impl EventStream {
             }
             Err(e) => return Err(unreadable(e)),
         };
-        let is_bin = binfmt::file_is_binlog(&path).map_err(unreadable)?;
         let point = pos.point;
-        let mut header = Vec::with_capacity(binfmt::HEADER_LEN);
         if !point.is_start() {
             let offset = point.offset();
             let len = f.metadata().map_err(unreadable)?.len();
@@ -366,54 +301,12 @@ impl EventStream {
                     "the bytes before offset {offset} differ from the checkpoint's"
                 )));
             }
-            match (point, is_bin) {
-                (ReadPoint::Text(_), true) => {
-                    return Err(changed(
-                        "was text at the checkpoint, is astra-binlog now".into(),
-                    ))
-                }
-                (ReadPoint::Bin(_), false) => {
-                    return Err(changed(
-                        "was astra-binlog at the checkpoint, is text now".into(),
-                    ))
-                }
-                _ => {}
-            }
-            if is_bin {
-                f.seek(SeekFrom::Start(0)).map_err(unreadable)?;
-                (&mut f)
-                    .take(binfmt::HEADER_LEN as u64)
-                    .read_to_end(&mut header)
-                    .map_err(unreadable)?;
-            }
-            f.seek(SeekFrom::Start(offset)).map_err(unreadable)?;
         }
-        // At byte 0 either format's point is a fresh start.
-        let reader = match point {
-            ReadPoint::Bin(p) if is_bin => SourceReader::Bin(
-                BinReader::new(f, binfmt::CE)
-                    .starting_at(p, &header)
-                    .map_err(|e| changed(format!("header no longer valid: {e}")))?
-                    .with_retry(ingest.retry)
-                    .with_tail(tail),
-            ),
-            _ if is_bin => SourceReader::Bin(
-                BinReader::new(f, binfmt::CE)
-                    .with_retry(ingest.retry)
-                    .with_tail(tail),
-            ),
-            ReadPoint::Text(p) => SourceReader::Text(
-                ChunkReader::new(f, ce::FORMAT, STREAM_CHUNK_BYTES)
-                    .starting_at(p)
-                    .with_retry(ingest.retry)
-                    .with_tail(tail),
-            ),
-            ReadPoint::Bin(_) => SourceReader::Text(
-                ChunkReader::new(f, ce::FORMAT, STREAM_CHUNK_BYTES)
-                    .with_retry(ingest.retry)
-                    .with_tail(tail),
-            ),
-        };
+        let reader = LogReader::open(f, ce::FORMAT, binfmt::CE, ingest.retry, tail, point)
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::InvalidData => changed(e.to_string()),
+                _ => unreadable(e),
+            })?;
         let stream = EventStream {
             path,
             reader: Some(reader),
@@ -429,7 +322,7 @@ impl EventStream {
         };
         // A strict run stops at its first quarantined line, so a stored
         // tally that is not empty can only resume leniently.
-        if ingest.is_strict() && !stream.quarantine.is_empty() {
+        if ingest.refuses(stream.parsed, &stream.quarantine, false) {
             return Err(stream.corrupt());
         }
         Ok(stream)
@@ -473,7 +366,7 @@ impl EventStream {
                     }
                     self.parsed += chunk.records.len() as u64;
                     self.quarantine.merge(&chunk.quarantine);
-                    if self.ingest.is_strict() && !self.quarantine.is_empty() {
+                    if self.ingest.refuses(self.parsed, &self.quarantine, false) {
                         return Err(self.corrupt());
                     }
                     chunk.records.drain(..drop);
@@ -491,16 +384,12 @@ impl EventStream {
                             ),
                         });
                     }
-                    // Lenient budget is per file, checked at its EOF —
-                    // same rule as `parse_stream_chunked`. In tail mode
-                    // every dry point is the EOF as currently visible,
-                    // so the check runs there too, but the reader stays
-                    // open for whatever the writer appends next.
-                    let total = self.parsed + self.quarantine.total();
-                    if total > 0
-                        && self.quarantine.total() as f64 / total as f64
-                            > self.ingest.max_bad_frac()
-                    {
+                    // The lenient budget is checked at the log's end, as
+                    // the batch drain checks it. In tail mode every dry
+                    // point is the end as currently visible, so the check
+                    // runs there too, but the reader stays open for
+                    // whatever the writer appends next.
+                    if self.ingest.refuses(self.parsed, &self.quarantine, true) {
                         return Err(self.corrupt());
                     }
                     if self.tail {
@@ -576,7 +465,7 @@ impl EventStream {
     /// Log bytes read so far by this stream (a resumed stream counts
     /// from its position, not from byte 0).
     pub fn bytes_read(&self) -> usize {
-        self.bytes_done + self.reader.as_ref().map_or(0, SourceReader::bytes_consumed)
+        self.bytes_done + self.reader.as_ref().map_or(0, LogReader::bytes_consumed)
     }
 }
 
@@ -767,7 +656,7 @@ mod tests {
     pub(super) struct TempDirGuard(pub(super) PathBuf);
 
     impl TempDirGuard {
-        fn new(tag: &str) -> TempDirGuard {
+        pub(super) fn new(tag: &str) -> TempDirGuard {
             use std::sync::atomic::{AtomicU64, Ordering};
             static NEXT: AtomicU64 = AtomicU64::new(0);
             let dir = std::env::temp_dir().join(format!(

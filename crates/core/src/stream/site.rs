@@ -161,7 +161,8 @@ mod tests {
     use super::*;
     use crate::serve::report_analysis_body;
     use crate::stream::stream_analyze;
-    use crate::stream::tests::{append, written_dataset};
+    use crate::stream::tests::{append, written_dataset, TempDirGuard};
+    use astra_logs::binfmt::{LogFormat, HEADER_LEN};
 
     #[test]
     fn newline_less_last_line_is_ingested_once_its_newline_lands() {
@@ -205,5 +206,40 @@ mod tests {
             report_analysis_body(&engine.report()),
             report_analysis_body(&oneshot)
         );
+    }
+
+    #[test]
+    fn a_site_whose_log_starts_empty_reads_it_as_it_grows() {
+        // The site opens before its writer has put down a byte. Pieces
+        // cut inside the binlog magic, inside the header and inside the
+        // first block (or line), each polled as it lands: the format is
+        // chosen once the magic is there, and the result is analyze's.
+        let ds = crate::pipeline::Dataset::generate(1, 42);
+        for format in [LogFormat::Binary, LogFormat::Text] {
+            let guard = TempDirGuard::new("site-empty");
+            ds.write_logs_as(&guard.0, format).unwrap();
+            let ce = guard.0.join("ce.log");
+            let log = std::fs::read(&ce).unwrap();
+            std::fs::write(&ce, b"").unwrap();
+            let mut engine = SiteEngine::open(&guard.0, ds.system, &StreamOptions::default())
+                .unwrap_or_else(|e| panic!("{format:?}: {e}"));
+            let cuts = [0, 4, 16, HEADER_LEN + 40, log.len() / 2, log.len()];
+            for piece in cuts.windows(2) {
+                append(&ce, &log[piece[0]..piece[1]]);
+                engine
+                    .poll()
+                    .unwrap_or_else(|e| panic!("{format:?} at {}: {e}", piece[1]));
+            }
+            assert!(engine.quarantine().is_empty(), "{format:?}");
+            assert_eq!(engine.consumed()[0], ds.sim.ce_log.len() as u64);
+            let oneshot = stream_analyze(&guard.0, ds.system, &StreamOptions::default())
+                .unwrap()
+                .expect("no stop requested");
+            assert_eq!(
+                report_analysis_body(&engine.report()),
+                report_analysis_body(&oneshot),
+                "{format:?}"
+            );
+        }
     }
 }

@@ -39,14 +39,24 @@
 //! values. Sensor values are stored as raw `f64` bit patterns, so the
 //! parsed value round-trips exactly.
 //!
-//! ## Corruption handling
+//! ## Reading and corruption handling
+//!
+//! One function parses a block frame (length word, [`MAX_BLOCK_BYTES`]
+//! bound, payload, CRC trailer), and one walk over the header and frames
+//! serves [`BinReader`] and [`fsck_scan`], which peeks at each intact
+//! payload's record count instead of decoding it. In tail mode a header
+//! or frame cut short at EOF waits for the writer; otherwise it is
+//! `truncated-block`. Commands reach the block reader through
+//! [`crate::io::LogReader`], which sniffs the magic once.
+//!
 //!
 //! The binary read path speaks the same [`Quarantine`] taxonomy as the
 //! text readers, with binary-specific reasons: [`QuarantineReason::BadMagic`],
 //! [`QuarantineReason::BadVersion`], [`QuarantineReason::BlockCrc`], and
 //! [`QuarantineReason::TruncatedBlock`]. Sample positions are byte
-//! offsets rather than line numbers. Strict ingest aborts on the first
-//! quarantined unit; lenient ingest skips damaged blocks and checks the
+//! offsets rather than line numbers. The ingest policy is the text
+//! readers' ([`IngestOptions::refuses`]): strict aborts on the first
+//! quarantined unit; lenient skips damaged blocks and checks the
 //! `--max-bad-frac` budget at EOF, where a damaged block counts as one
 //! quarantined unit against the successfully decoded records.
 
@@ -63,7 +73,10 @@ use astra_util::{crc32, CalDate, Minute};
 use crate::ce::CeRecord;
 use crate::het::{HetKind, HetRecord, HetSeverity};
 use crate::inventory::{Component, ReplacementRecord};
-use crate::io::{parse_file_streaming, publish_quarantine, IngestChunk, IngestError, ParsedLog};
+use crate::io::{
+    publish_quarantine, read_fill, read_to_end, IngestChunk, IngestError, LogReader, ParsedLog,
+    ReadPoint,
+};
 use crate::quarantine::{IngestOptions, LineFormat, Quarantine, QuarantineReason, RetryPolicy};
 use crate::sensor::SensorRecord;
 
@@ -95,7 +108,7 @@ pub const MAX_BLOCK_BYTES: usize = 1 << 26;
 
 /// On-disk format choice, as selected by `generate --format` and
 /// `convert --to`. Readers never need this: every read path sniffs the
-/// magic bytes ([`file_is_binlog`]) and dispatches per file.
+/// magic bytes ([`crate::io::LogReader`]) and dispatches per file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LogFormat {
     /// The line-oriented text formats (the published-dataset shape).
@@ -234,33 +247,23 @@ fn take_bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> 
     Some(b)
 }
 
-fn read_u16s(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u16>> {
+/// `n` fixed-width values, each read by `read`.
+fn read_array<V>(
+    buf: &[u8],
+    pos: &mut usize,
+    n: usize,
+    read: impl Fn(&[u8], &mut usize) -> Option<V>,
+) -> Option<Vec<V>> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(read_u16_le(buf, pos)?);
-    }
-    Some(out)
-}
-
-fn read_u32s(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_u32_le(buf, pos)?);
-    }
-    Some(out)
-}
-
-fn read_u64s(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_u64_le(buf, pos)?);
+        out.push(read(buf, pos)?);
     }
     Some(out)
 }
 
 /// Read the varint record count that leads every log-kind payload,
 /// bounded by [`BLOCK_RECORDS`].
-fn read_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
+pub(crate) fn read_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
     let n = read_uvarint(buf, pos)?;
     (n <= BLOCK_RECORDS as u64).then_some(n as usize)
 }
@@ -310,9 +313,9 @@ fn decode_ce(buf: &[u8], out: &mut Vec<CeRecord>) -> Option<()> {
     let nodes = read_nodes(buf, &mut pos, n)?;
     let slots = take_bytes(buf, &mut pos, n)?;
     let ranks = take_bytes(buf, &mut pos, n)?;
-    let banks = read_u16s(buf, &mut pos, n)?;
-    let cols = read_u16s(buf, &mut pos, n)?;
-    let bits = read_u16s(buf, &mut pos, n)?;
+    let banks = read_array(buf, &mut pos, n, read_u16_le)?;
+    let cols = read_array(buf, &mut pos, n, read_u16_le)?;
+    let bits = read_array(buf, &mut pos, n, read_u16_le)?;
     let row_present = read_presence(buf, &mut pos, n)?;
     let mut rows: Vec<Option<u32>> = Vec::with_capacity(n);
     for &present in &row_present {
@@ -322,8 +325,8 @@ fn decode_ce(buf: &[u8], out: &mut Vec<CeRecord>) -> Option<()> {
             None
         });
     }
-    let addrs = read_u64s(buf, &mut pos, n)?;
-    let synds = read_u32s(buf, &mut pos, n)?;
+    let addrs = read_array(buf, &mut pos, n, read_u64_le)?;
+    let synds = read_array(buf, &mut pos, n, read_u32_le)?;
     for i in 0..n {
         let slot = DimmSlot::from_index(slots[i])?;
         if ranks[i] > 1 {
@@ -575,23 +578,21 @@ pub fn sniff_is_binlog(first: &[u8]) -> bool {
 /// Whether the file at `path` starts with the `astra-binlog` magic.
 /// Short and empty files are not binlogs (they take the text path).
 pub fn file_is_binlog(path: &Path) -> io::Result<bool> {
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < head.len() {
-        match f.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(sniff_is_binlog(&head[..filled]))
+    let mut head = [0u8; MAGIC.len()];
+    let n = read_fill(
+        &mut std::fs::File::open(path)?,
+        &mut head,
+        RetryPolicy::default(),
+    )?;
+    Ok(sniff_is_binlog(&head[..n]))
 }
 
 /// Validate a (possibly short) header read against `expected_kind`.
 /// Returns the declared record count.
-fn validate_header(hdr: &[u8], expected_kind: u8) -> Result<u64, (QuarantineReason, String)> {
+pub(crate) fn validate_header(
+    hdr: &[u8],
+    expected_kind: u8,
+) -> Result<u64, (QuarantineReason, String)> {
     if !sniff_is_binlog(hdr) {
         return Err((
             QuarantineReason::BadMagic,
@@ -632,6 +633,79 @@ fn validate_header(hdr: &[u8], expected_kind: u8) -> Result<u64, (QuarantineReas
     Ok(count)
 }
 
+/// Why the bytes at a block boundary are not one whole, intact frame.
+#[derive(Debug, Clone, Copy)]
+enum FrameFault {
+    /// The bytes end inside the frame, which is this long as far as is
+    /// known (4 bytes until its length word is whole).
+    Short(usize),
+    /// A length word beyond [`MAX_BLOCK_BYTES`]: the framing is lost.
+    Lost(usize),
+    /// The payload fails its CRC trailer. The frame itself is whole, so
+    /// the next one can be read.
+    Crc {
+        /// Stored trailer.
+        stored: u32,
+        /// CRC of the payload as read.
+        actual: u32,
+    },
+}
+
+impl FrameFault {
+    /// The quarantine reason and message of this fault, with `have`
+    /// bytes of the frame there.
+    fn describe(self, have: usize) -> (QuarantineReason, String) {
+        use QuarantineReason::{BlockCrc, TruncatedBlock};
+        match self {
+            FrameFault::Short(_) if have < 4 => (
+                TruncatedBlock,
+                format!("block length cut short at EOF ({have} of 4 bytes)"),
+            ),
+            FrameFault::Short(size) if have < size - 4 => (
+                TruncatedBlock,
+                format!(
+                    "block payload cut short at EOF ({} of {} bytes)",
+                    have - 4,
+                    size - 8
+                ),
+            ),
+            FrameFault::Short(size) => (
+                TruncatedBlock,
+                format!(
+                    "block crc trailer cut short at EOF ({} of 4 bytes)",
+                    have + 4 - size
+                ),
+            ),
+            FrameFault::Lost(len) => (BlockCrc, format!("implausible block length {len}")),
+            FrameFault::Crc { stored, actual } => (
+                BlockCrc,
+                format!("block crc mismatch: stored {stored:08x}, computed {actual:08x}"),
+            ),
+        }
+    }
+}
+
+/// Parse the block frame at the front of `buf`: a `u32` LE payload
+/// length, the payload, then its CRC-32. Returns the payload length of a
+/// whole frame whose trailer matches. Every reader of the framing parses
+/// it here: the block reader in both modes (and with it the chaos
+/// harness's block map), `fsck`'s sweep and [`read_blocks`].
+fn frame(buf: &[u8]) -> Result<usize, FrameFault> {
+    let mut pos = 0;
+    let len = read_u32_le(buf, &mut pos).ok_or(FrameFault::Short(4))? as usize;
+    if len > MAX_BLOCK_BYTES {
+        return Err(FrameFault::Lost(len));
+    }
+    let payload = buf.get(4..4 + len).ok_or(FrameFault::Short(len + 8))?;
+    let mut pos = 4 + len;
+    let stored = read_u32_le(buf, &mut pos).ok_or(FrameFault::Short(len + 8))?;
+    let actual = crc32(payload);
+    if actual != stored {
+        return Err(FrameFault::Crc { stored, actual });
+    }
+    Ok(len)
+}
+
 /// Where a [`BinReader`] stands in its file: enough for a new reader to
 /// carry on from there ([`BinReader::starting_at`]) instead of from
 /// byte 0.
@@ -651,36 +725,164 @@ pub struct BinPoint {
     pub ended: bool,
 }
 
-/// Streaming block reader over any `Read`: the binary peer of
-/// [`crate::io::ChunkReader`]. Each [`BinReader::next_chunk`] yields the
-/// records of one column block (with any corruption quarantined), until
-/// the reader is exhausted.
-///
-/// A block whose CRC trailer fails is skipped — the framing is intact,
-/// so subsequent blocks still parse. Truncation or an implausible length
-/// field loses the framing and ends the file.
-pub struct BinReader<R, T> {
+/// The walk over a binlog's header and block frames from a reader, which
+/// [`BinReader`] decodes and `fsck`'s sweep peeks at. The read modes
+/// differ in one thing: in tail mode a header or frame cut short at EOF
+/// is an append in progress, whose bytes wait in `stash` for the writer;
+/// otherwise it is `truncated-block` (or a bad header), and a clean end
+/// is checked against the header's declared count. A CRC-failed block is
+/// skipped, the framing being intact; truncation or an implausible
+/// length word loses the framing and ends the walk.
+struct Frames<R> {
     reader: R,
-    bin: BinFormat<T>,
+    kind: u8,
     retry: RetryPolicy,
+    tail: bool,
     header_done: bool,
     declared: u64,
+    /// Records in the blocks read so far.
     decoded: u64,
     /// File offset of the next byte to read.
     offset: u64,
-    /// File offset the reader started at (0 unless `starting_at`).
+    /// File offset the walk started at (0 unless `starting_at`).
     base: u64,
     blocks: u64,
     dirty: bool,
     done: bool,
-    /// Tail mode: the file may still be growing, so a frame cut short at
-    /// EOF is an append in progress, not corruption. The partial frame's
-    /// bytes wait in `stash` and the next call resumes from the same
-    /// logical offset once the writer has caught up.
-    tail: bool,
-    /// Bytes read from the file but not yet consumed into a complete
-    /// frame (tail mode only; always empty otherwise).
+    /// Bytes read but not yet walked past: part of the header or of one
+    /// frame.
     stash: Vec<u8>,
+}
+
+impl<R: Read> Frames<R> {
+    fn new(reader: R, kind: u8) -> Self {
+        Frames {
+            reader,
+            kind,
+            retry: RetryPolicy::default(),
+            tail: false,
+            header_done: false,
+            declared: 0,
+            decoded: 0,
+            offset: 0,
+            base: 0,
+            blocks: 0,
+            dirty: false,
+            done: false,
+            stash: Vec::new(),
+        }
+    }
+
+    /// Read on until the stash holds `need` bytes; whether it got there
+    /// (short only at the reader's end).
+    fn fill(&mut self, need: usize) -> io::Result<bool> {
+        let have = self.stash.len();
+        if have < need {
+            self.stash.resize(need, 0);
+            match read_fill(&mut self.reader, &mut self.stash[have..], self.retry) {
+                Ok(got) => {
+                    self.stash.truncate(have + got);
+                    self.offset += got as u64;
+                }
+                Err(e) => {
+                    self.stash.truncate(have);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(self.stash.len() >= need)
+    }
+
+    /// Walk past the header if need be and the next frame, handing the
+    /// payload of an intact one to `take`, which returns the records it
+    /// holds or why it cannot be read. Returns what the step quarantined
+    /// (nothing for a good block), or `None` at the end of the file; in
+    /// tail mode, at the end of what is there so far.
+    fn next(
+        &mut self,
+        take: impl FnOnce(&[u8]) -> Result<u64, String>,
+    ) -> io::Result<Option<Quarantine>> {
+        if self.done {
+            return Ok(None);
+        }
+        let mut quarantine = Quarantine::default();
+        if !self.header_done {
+            if !self.fill(HEADER_LEN)? && self.tail {
+                return Ok(None);
+            }
+            match validate_header(&self.stash, self.kind) {
+                Ok(count) => {
+                    self.declared = count;
+                    self.header_done = true;
+                    self.stash.clear();
+                }
+                Err((reason, msg)) => {
+                    quarantine.note(0, reason, msg.as_bytes());
+                    self.stash.clear();
+                    self.dirty = true;
+                    self.done = true;
+                    return Ok(Some(quarantine));
+                }
+            }
+        }
+        let at = self.offset - self.stash.len() as u64;
+        let mut walked = frame(&self.stash);
+        while let Err(FrameFault::Short(size)) = walked {
+            if !self.fill(size)? {
+                break;
+            }
+            walked = frame(&self.stash);
+        }
+        match walked {
+            Ok(len) => {
+                self.blocks += 1;
+                match take(&self.stash[4..4 + len]) {
+                    Ok(records) => self.decoded += records,
+                    Err(msg) => {
+                        quarantine.note(at, QuarantineReason::BlockCrc, msg.as_bytes());
+                        self.dirty = true;
+                    }
+                }
+            }
+            Err(FrameFault::Short(_)) if self.tail => return Ok(None),
+            Err(FrameFault::Short(_)) if self.stash.is_empty() => {
+                // A clean end on a block boundary. When the declared count
+                // decoded (or something was quarantined, which turns the
+                // check off), the walk has not stopped for good: a reader
+                // resumed here reads whatever blocks a writer appends.
+                if self.dirty || self.decoded == self.declared {
+                    return Ok(None);
+                }
+                let msg = format!(
+                    "file ends after {} of {} declared records",
+                    self.decoded, self.declared
+                );
+                quarantine.note(at, QuarantineReason::TruncatedBlock, msg.as_bytes());
+                self.done = true;
+            }
+            Err(fault) => {
+                let (reason, msg) = fault.describe(self.stash.len());
+                quarantine.note(at, reason, msg.as_bytes());
+                self.dirty = true;
+                match fault {
+                    FrameFault::Crc { .. } => self.blocks += 1,
+                    _ => self.done = true,
+                }
+            }
+        }
+        self.stash.clear();
+        Ok(Some(quarantine))
+    }
+}
+
+/// Streaming block reader over any `Read`: the binary peer of
+/// [`crate::io::ChunkReader`]. Each [`BinReader::next_chunk`] yields the
+/// records of one column block (with any corruption quarantined), until
+/// the reader is exhausted. Commands open logs through
+/// [`crate::io::LogReader`], which picks this reader for a binlog.
+pub struct BinReader<R, T> {
+    frames: Frames<R>,
+    bin: BinFormat<T>,
 }
 
 impl<R, T> BinReader<R, T>
@@ -691,25 +893,14 @@ where
     /// [`RetryPolicy`].
     pub fn new(reader: R, bin: BinFormat<T>) -> Self {
         BinReader {
-            reader,
+            frames: Frames::new(reader, bin.kind),
             bin,
-            retry: RetryPolicy::default(),
-            header_done: false,
-            declared: 0,
-            decoded: 0,
-            offset: 0,
-            base: 0,
-            blocks: 0,
-            dirty: false,
-            done: false,
-            tail: false,
-            stash: Vec::new(),
         }
     }
 
     /// Replace the transient-I/O retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.frames.retry = retry;
         self
     }
 
@@ -724,396 +915,82 @@ where
         if point.offset == 0 && !point.ended {
             return Ok(self);
         }
+        let f = &mut self.frames;
         if !point.ended {
-            self.declared = validate_header(header, self.bin.kind).map_err(|(_, msg)| msg)?;
+            f.declared = validate_header(header, f.kind).map_err(|(_, msg)| msg)?;
         }
-        self.header_done = true;
-        self.offset = point.offset;
-        self.base = point.offset;
-        self.decoded = point.decoded;
-        self.dirty = point.dirty;
-        self.done = point.ended;
+        f.header_done = true;
+        f.offset = point.offset;
+        f.base = point.offset;
+        f.decoded = point.decoded;
+        f.dirty = point.dirty;
+        f.done = point.ended;
         Ok(self)
     }
 
-    /// Enable or disable tail (growing-file) mode.
+    /// Set tail (growing-file) mode, for the reader's whole life: a
+    /// header or frame cut short at EOF waits for the writer instead of
+    /// being quarantined, and the header's declared count is not checked
+    /// (a growing file holds fewer records than its header promises until
+    /// the writer is done).
     pub fn with_tail(mut self, tail: bool) -> Self {
-        self.set_tail(tail);
+        self.frames.tail = tail;
         self
     }
 
-    /// Switch tail mode at runtime. Note the header's declared record
-    /// count is only cross-checked against what decoded in non-tail mode
-    /// — a growing file legitimately holds fewer records than its header
-    /// promises until the writer finishes.
-    pub fn set_tail(&mut self, tail: bool) {
-        self.tail = tail;
-    }
-
-    /// Fill as much of `buf` as the reader allows (short only at EOF),
-    /// applying the retry policy to transient errors.
-    fn read_fill(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            let mut attempt = 0u32;
-            let n = loop {
-                match self.reader.read(&mut buf[filled..]) {
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        if attempt >= self.retry.max_retries {
-                            return Err(e);
-                        }
-                        let backoff_ms = self.retry.backoff_base_ms << attempt;
-                        attempt += 1;
-                        astra_obs::global().counter("ingest.io_retries").add(1);
-                        if backoff_ms > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        }
-                    }
-                }
-            };
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        self.offset += filled as u64;
-        Ok(filled)
-    }
-
-    /// Record count declared by the file header (0 until the header has
-    /// been read) — the exact pre-sizing hint for readers.
-    pub fn declared(&self) -> u64 {
-        self.declared
-    }
-
-    /// Bytes this reader has consumed into frames so far (stashed bytes
-    /// of a frame still being assembled in tail mode don't count yet).
+    /// Bytes this reader has consumed into frames so far (the bytes of a
+    /// frame still being assembled in tail mode don't count yet).
     pub fn bytes_consumed(&self) -> usize {
-        (self.offset - self.base) as usize - self.stash.len()
+        let f = &self.frames;
+        (f.offset - f.base) as usize - f.stash.len()
     }
 
     /// Where the next block frame starts, with the decode state there.
     pub fn point(&self) -> BinPoint {
+        let f = &self.frames;
         BinPoint {
-            offset: self.offset - self.stash.len() as u64,
-            decoded: self.decoded,
-            dirty: self.dirty,
-            ended: self.done,
+            offset: f.offset - f.stash.len() as u64,
+            decoded: f.decoded,
+            dirty: f.dirty,
+            ended: f.done,
         }
     }
 
     /// Blocks fully framed (read through their CRC trailer) so far.
     pub fn blocks_read(&self) -> u64 {
-        self.blocks
+        self.frames.blocks
     }
 
-    /// Tail-mode buffered read: grow the stash to at least `need` bytes,
-    /// returning whether it got there. Stashed bytes stay put until a
-    /// whole frame is present, so a short read never loses position —
-    /// the re-read from the last known-good offset happens for free.
-    fn stash_fill(&mut self, need: usize) -> io::Result<bool> {
-        if self.stash.len() >= need {
-            return Ok(true);
-        }
-        let mut stash = std::mem::take(&mut self.stash);
-        let at = stash.len();
-        stash.resize(need, 0);
-        match self.read_fill(&mut stash[at..]) {
-            Ok(got) => {
-                stash.truncate(at + got);
-                let full = stash.len() >= need;
-                self.stash = stash;
-                Ok(full)
-            }
-            Err(e) => {
-                stash.truncate(at);
-                self.stash = stash;
-                Err(e)
-            }
-        }
-    }
-
-    /// Decode the next block, or `None` once the file is exhausted.
-    /// Damaged headers/blocks come back as chunks with empty records and
-    /// a populated quarantine, mirroring the text reader's behaviour.
+    /// Decode the next block, or `None` once the file is exhausted (in
+    /// tail mode: dry for now). Damaged headers/blocks come back as
+    /// chunks with empty records and a populated quarantine, mirroring
+    /// the text reader's behaviour.
     pub fn next_chunk(&mut self) -> io::Result<Option<IngestChunk<T>>> {
-        if self.done {
-            return Ok(None);
-        }
-        if self.tail {
-            return self.next_chunk_tail();
-        }
-        let mut quarantine = Quarantine::default();
-        let empty = |q: Quarantine| IngestChunk {
-            records: Vec::new(),
-            quarantine: q,
-        };
-        if !self.stash.is_empty() {
-            // Tail mode ended with a frame still incomplete: the file
-            // really does stop mid-block.
-            let block_off = self.offset - self.stash.len() as u64;
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("file ends inside a block ({} bytes)", self.stash.len()).as_bytes(),
-            );
-            self.stash.clear();
-            self.dirty = true;
-            self.done = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        if !self.header_done {
-            let mut hdr = [0u8; HEADER_LEN];
-            let n = self.read_fill(&mut hdr)?;
-            match validate_header(&hdr[..n], self.bin.kind) {
-                Ok(count) => {
-                    self.declared = count;
-                    self.header_done = true;
-                }
-                Err((reason, msg)) => {
-                    quarantine.note(0, reason, msg.as_bytes());
-                    self.dirty = true;
-                    self.done = true;
-                    return Ok(Some(empty(quarantine)));
-                }
-            }
-        }
-        let block_off = self.offset;
-        let mut lenb = [0u8; 4];
-        let n = self.read_fill(&mut lenb)?;
-        if n == 0 {
-            // EOF on a block boundary: cross-check the header's declared
-            // count against what actually decoded. When it holds, the
-            // reader has not stopped for good: a reader resumed from
-            // here reads whatever blocks a writer appends.
-            if !self.dirty && self.decoded != self.declared {
-                self.done = true;
-                quarantine.note(
-                    block_off,
-                    QuarantineReason::TruncatedBlock,
-                    format!(
-                        "file ends after {} of {} declared records",
-                        self.decoded, self.declared
-                    )
-                    .as_bytes(),
-                );
-                return Ok(Some(empty(quarantine)));
-            }
-            return Ok(None);
-        }
-        if n < 4 {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block length cut short at EOF ({n} of 4 bytes)").as_bytes(),
-            );
-            self.dirty = true;
-            self.done = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        let len = u32::from_le_bytes(lenb) as usize;
-        if len > MAX_BLOCK_BYTES {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("implausible block length {len}").as_bytes(),
-            );
-            self.dirty = true;
-            self.done = true; // framing lost
-            return Ok(Some(empty(quarantine)));
-        }
-        let mut payload = vec![0u8; len];
-        let n = self.read_fill(&mut payload)?;
-        if n < len {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block payload cut short at EOF ({n} of {len} bytes)").as_bytes(),
-            );
-            self.dirty = true;
-            self.done = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        let mut crcb = [0u8; 4];
-        let n = self.read_fill(&mut crcb)?;
-        if n < 4 {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block crc trailer cut short at EOF ({n} of 4 bytes)").as_bytes(),
-            );
-            self.dirty = true;
-            self.done = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        self.blocks += 1;
-        let stored = u32::from_le_bytes(crcb);
-        let actual = crc32(&payload);
-        if actual != stored {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("block crc mismatch: stored {stored:08x}, computed {actual:08x}")
-                    .as_bytes(),
-            );
-            self.dirty = true;
-            return Ok(Some(empty(quarantine))); // framing intact: keep going
-        }
+        let decode = self.bin.decode;
         let mut records = Vec::new();
-        if (self.bin.decode)(&payload, &mut records).is_none() {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("block payload fails to decode ({len} bytes)").as_bytes(),
-            );
-            self.dirty = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        self.decoded += records.len() as u64;
-        Ok(Some(IngestChunk {
-            records,
-            quarantine,
-        }))
-    }
-
-    /// Tail-mode [`BinReader::next_chunk`]: a frame cut short at EOF is
-    /// held in the stash and retried on the next call instead of being
-    /// quarantined as truncation — the writer may simply not have
-    /// finished the append. `Ok(None)` means "dry for now", not end of
-    /// file, and the declared-count cross-check is skipped (a growing
-    /// file holds fewer records than its header promises until the
-    /// writer is done).
-    fn next_chunk_tail(&mut self) -> io::Result<Option<IngestChunk<T>>> {
-        let mut quarantine = Quarantine::default();
-        let empty = |q: Quarantine| IngestChunk {
-            records: Vec::new(),
-            quarantine: q,
-        };
-        if !self.header_done {
-            if !self.stash_fill(HEADER_LEN)? {
-                return Ok(None); // header still being written
+        let quarantine = self.frames.next(|payload| {
+            if decode(payload, &mut records).is_some() {
+                return Ok(records.len() as u64);
             }
-            match validate_header(&self.stash[..HEADER_LEN], self.bin.kind) {
-                Ok(count) => {
-                    self.declared = count;
-                    self.header_done = true;
-                    self.stash.drain(..HEADER_LEN);
-                }
-                Err((reason, msg)) => {
-                    quarantine.note(0, reason, msg.as_bytes());
-                    self.dirty = true;
-                    self.done = true;
-                    return Ok(Some(empty(quarantine)));
-                }
-            }
-        }
-        // First byte of the frame being assembled (stashed bytes were
-        // read from the file but not yet consumed).
-        let block_off = self.offset - self.stash.len() as u64;
-        if !self.stash_fill(4)? {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.stash[..4].try_into().unwrap()) as usize;
-        if len > MAX_BLOCK_BYTES {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("implausible block length {len}").as_bytes(),
-            );
-            self.dirty = true;
-            self.done = true; // framing lost
-            return Ok(Some(empty(quarantine)));
-        }
-        let frame = 4 + len + 4;
-        if !self.stash_fill(frame)? {
-            return Ok(None); // payload or crc trailer still being written
-        }
-        self.blocks += 1;
-        let payload = &self.stash[4..4 + len];
-        let stored = u32::from_le_bytes(self.stash[4 + len..frame].try_into().unwrap());
-        let actual = crc32(payload);
-        if actual != stored {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("block crc mismatch: stored {stored:08x}, computed {actual:08x}")
-                    .as_bytes(),
-            );
-            self.dirty = true;
-            self.stash.drain(..frame);
-            return Ok(Some(empty(quarantine))); // framing intact: keep going
-        }
-        let mut records = Vec::new();
-        let decoded_ok = (self.bin.decode)(payload, &mut records).is_some();
-        self.stash.drain(..frame);
-        if !decoded_ok {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("block payload fails to decode ({len} bytes)").as_bytes(),
-            );
-            self.dirty = true;
-            return Ok(Some(empty(quarantine)));
-        }
-        self.decoded += records.len() as u64;
-        Ok(Some(IngestChunk {
+            records.clear();
+            Err(format!(
+                "block payload fails to decode ({} bytes)",
+                payload.len()
+            ))
+        })?;
+        Ok(quarantine.map(|quarantine| IngestChunk {
             records,
             quarantine,
         }))
     }
 }
 
-/// Drain a binary reader under an ingest policy: the binary peer of
-/// [`crate::io::parse_stream_chunked`]. Strict mode aborts on the first
-/// quarantined unit; lenient mode checks the `max_bad_frac` budget at
-/// EOF (each damaged header/block is one quarantined unit against the
-/// decoded records). Returns the parsed log, the quarantine report, and
-/// the bytes/blocks consumed.
-pub fn parse_binary_stream<R, T>(
-    reader: R,
-    bin: BinFormat<T>,
-    opts: &IngestOptions,
-) -> Result<(ParsedLog<T>, Quarantine, usize, u64), IngestError>
-where
-    R: Read,
-{
-    let mut chunked = BinReader::new(reader, bin).with_retry(opts.retry);
-    let mut records: Vec<T> = Vec::new();
-    let mut quarantine = Quarantine::default();
-    let mut presized = false;
-    while let Some(chunk) = chunked.next_chunk()? {
-        if !presized && chunked.declared() > 0 {
-            // The header's record count makes the read single-allocation.
-            records.reserve_exact(chunked.declared().min(1 << 28) as usize);
-            presized = true;
-        }
-        records.extend(chunk.records);
-        quarantine.merge(&chunk.quarantine);
-        if opts.is_strict() && !quarantine.is_empty() {
-            return Err(IngestError::Corrupt {
-                quarantine,
-                lines_ok: records.len() as u64,
-            });
-        }
-    }
-    let total = records.len() as u64 + quarantine.total();
-    if total > 0 && quarantine.total() as f64 / total as f64 > opts.max_bad_frac() {
-        return Err(IngestError::Corrupt {
-            quarantine,
-            lines_ok: records.len() as u64,
-        });
-    }
-    let (bytes, blocks) = (chunked.bytes_consumed(), chunked.blocks_read());
-    Ok((ParsedLog { records }, quarantine, bytes, blocks))
-}
-
-/// Parse a log file in whichever format it is stored: sniffs the magic
-/// bytes and dispatches to the binary block reader or the text
-/// [`parse_file_streaming`] path. Both publish the same `parse.<stage>.*`
-/// metrics and `ingest.quarantined.*` counters, so downstream
-/// accounting is format-blind.
+/// Parse a log file in whichever format it is stored: one
+/// [`LogReader`] (a sniff of the magic bytes, then the text or the block
+/// reader) drained by [`read_to_end`]. Both formats publish the same
+/// `parse.<stage>.*` metrics (`chunks` of text, `blocks` of a binlog) and
+/// `ingest.quarantined.*` counters, so downstream accounting is
+/// format-blind.
 pub fn parse_file_auto<T>(
     path: &Path,
     line: LineFormat<T>,
@@ -1124,132 +1001,47 @@ pub fn parse_file_auto<T>(
 where
     T: Send,
 {
-    if !file_is_binlog(path)? {
-        return parse_file_streaming(path, line, opts, stage);
-    }
     let mut span = astra_obs::span(&format!("parse.{stage}"));
     let file = std::fs::File::open(path)?;
-    let (parsed, quarantine, bytes, blocks) = parse_binary_stream(file, bin, opts)?;
+    let start = ReadPoint::default();
+    let mut reader = LogReader::open(file, line, bin, opts.retry, false, start)?;
+    let (records, quarantine) = read_to_end(opts, || reader.next_chunk())?;
+    let parsed = ParsedLog { records };
+    let bytes = reader.bytes_consumed();
     span.attach("lines_ok", parsed.records.len() as i64);
     span.attach("lines_quarantined", quarantine.total() as i64);
     span.attach("bytes", bytes as i64);
     parsed.publish(stage, &quarantine, bytes);
+    let (unit, read) = reader.units_read();
     astra_obs::global()
-        .counter(&format!("parse.{stage}.blocks"))
-        .add(blocks);
+        .counter(&format!("parse.{stage}.{unit}"))
+        .add(read);
     publish_quarantine(&quarantine);
     Ok((parsed, quarantine))
 }
 
-/// CRC-sweep a binary log file without decoding its columns: header
-/// validation, per-block CRC verification, and a one-varint peek at each
-/// payload's record count, cross-checked against the header's declared
-/// total. This is what makes `fsck` of binary logs cheap — no column
-/// decode, no record construction.
+/// CRC-sweep a binary log file without decoding its columns: the block
+/// reader's frame walk, with a one-varint peek at each intact payload's
+/// record count in place of its decode, cross-checked against the
+/// header's declared total. This is what makes `fsck` of binary logs
+/// cheap — no column decode, no record construction.
 pub fn fsck_scan(path: &Path, expected_kind: u8) -> io::Result<Quarantine> {
-    let mut file = std::fs::File::open(path)?;
-    let mut quarantine = Quarantine::default();
-    let mut hdr = [0u8; HEADER_LEN];
-    let n = read_fill_plain(&mut file, &mut hdr)?;
-    let declared = match validate_header(&hdr[..n], expected_kind) {
-        Ok(count) => count,
-        Err((reason, msg)) => {
-            quarantine.note(0, reason, msg.as_bytes());
-            return Ok(quarantine);
-        }
-    };
-    let mut offset = n as u64;
-    let mut counted = 0u64;
-    let mut payload = Vec::new();
-    loop {
-        let block_off = offset;
-        let mut lenb = [0u8; 4];
-        let n = read_fill_plain(&mut file, &mut lenb)?;
-        offset += n as u64;
-        if n == 0 {
-            if quarantine.is_empty() && counted != declared {
-                quarantine.note(
-                    block_off,
-                    QuarantineReason::TruncatedBlock,
-                    format!("file ends after {counted} of {declared} declared records").as_bytes(),
-                );
-            }
-            return Ok(quarantine);
-        }
-        if n < 4 {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block length cut short at EOF ({n} of 4 bytes)").as_bytes(),
-            );
-            return Ok(quarantine);
-        }
-        let len = u32::from_le_bytes(lenb) as usize;
-        if len > MAX_BLOCK_BYTES {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("implausible block length {len}").as_bytes(),
-            );
-            return Ok(quarantine);
-        }
-        payload.clear();
-        payload.resize(len, 0);
-        let n = read_fill_plain(&mut file, &mut payload)?;
-        offset += n as u64;
-        if n < len {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block payload cut short at EOF ({n} of {len} bytes)").as_bytes(),
-            );
-            return Ok(quarantine);
-        }
-        let mut crcb = [0u8; 4];
-        let n = read_fill_plain(&mut file, &mut crcb)?;
-        offset += n as u64;
-        if n < 4 {
-            quarantine.note(
-                block_off,
-                QuarantineReason::TruncatedBlock,
-                format!("block crc trailer cut short at EOF ({n} of 4 bytes)").as_bytes(),
-            );
-            return Ok(quarantine);
-        }
-        let stored = u32::from_le_bytes(crcb);
-        let actual = crc32(&payload);
-        if actual != stored {
-            quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                format!("block crc mismatch: stored {stored:08x}, computed {actual:08x}")
-                    .as_bytes(),
-            );
-            continue; // framing intact: sweep the rest
-        }
-        let mut pos = 0usize;
-        match read_count(&payload, &mut pos) {
-            Some(c) => counted += c as u64,
-            None => quarantine.note(
-                block_off,
-                QuarantineReason::BlockCrc,
-                "block payload fails to decode (bad record count)".as_bytes(),
-            ),
-        }
-    }
+    sweep(std::fs::File::open(path)?, expected_kind)
 }
 
-fn read_fill_plain<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+/// [`fsck_scan`] over any reader.
+fn sweep<R: Read>(reader: R, kind: u8) -> io::Result<Quarantine> {
+    let mut frames = Frames::new(reader, kind);
+    let mut quarantine = Quarantine::default();
+    let peek = |payload: &[u8]| {
+        read_count(payload, &mut 0)
+            .map(|n| n as u64)
+            .ok_or_else(|| "block payload fails to decode (bad record count)".to_string())
+    };
+    while let Some(q) = frames.next(peek)? {
+        quarantine.merge(&q);
     }
-    Ok(filled)
+    Ok(quarantine)
 }
 
 /// Slice-based block walk for small files held in memory: validates the
@@ -1262,24 +1054,12 @@ pub fn read_blocks(data: &[u8], expected_kind: u8) -> Result<(u64, Vec<&[u8]>), 
     let mut payloads = Vec::new();
     let mut pos = HEADER_LEN;
     while pos < data.len() {
-        let mut cursor = pos;
-        let len = read_u32_le(data, &mut cursor)
-            .ok_or_else(|| format!("truncated-block: block length cut short at offset {pos:#x}"))?
-            as usize;
-        let payload = data.get(cursor..cursor + len).ok_or_else(|| {
-            format!("truncated-block: block payload cut short at offset {pos:#x}")
+        let len = frame(&data[pos..]).map_err(|fault| {
+            let (reason, msg) = fault.describe(data.len() - pos);
+            format!("{reason}: {msg}, block at offset {pos:#x}")
         })?;
-        cursor += len;
-        let stored = read_u32_le(data, &mut cursor)
-            .ok_or_else(|| format!("truncated-block: block crc cut short at offset {pos:#x}"))?;
-        let actual = crc32(payload);
-        if actual != stored {
-            return Err(format!(
-                "block-crc: mismatch at offset {pos:#x}: stored {stored:08x}, computed {actual:08x}"
-            ));
-        }
-        payloads.push(payload);
-        pos = cursor;
+        payloads.push(&data[pos + 4..pos + 4 + len]);
+        pos += len + 8;
     }
     Ok((count, payloads))
 }
@@ -1342,6 +1122,19 @@ mod tests {
         IngestOptions::lenient(Some(1.0))
     }
 
+    /// Drain a binlog held in memory under `opts`: the records, the
+    /// quarantine, and the bytes and blocks read.
+    fn drain<T>(
+        data: &[u8],
+        bin: BinFormat<T>,
+        opts: &IngestOptions,
+    ) -> Result<(ParsedLog<T>, Quarantine, usize, u64), IngestError> {
+        let mut reader = BinReader::new(data, bin);
+        let (records, quarantine) = read_to_end(opts, || reader.next_chunk())?;
+        let (bytes, blocks) = (reader.bytes_consumed(), reader.blocks_read());
+        Ok((ParsedLog { records }, quarantine, bytes, blocks))
+    }
+
     #[test]
     fn tail_mode_holds_back_truncated_final_block() {
         // Simulate an append in progress: everything but the last few
@@ -1376,36 +1169,6 @@ mod tests {
         assert!(chunk.quarantine.is_empty());
         assert!(r.next_chunk().unwrap().is_none(), "dry at the new EOF");
 
-        // Once tailing ends, the clean EOF passes the declared-count
-        // cross-check (everything promised by the header decoded).
-        r.set_tail(false);
-        assert!(r.next_chunk().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tail_end_surfaces_real_truncation() {
-        // If tailing stops while a frame is still incomplete, the file
-        // really is truncated and the next non-tail read must say so.
-        let records: Vec<CeRecord> = (0..50).map(|i| ce(i, i as u32)).collect();
-        let data = write_to_vec(CE, &records);
-        let dir = std::env::temp_dir().join(format!(
-            "astra-bin-tailend-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ce.log");
-        std::fs::write(&path, &data[..data.len() - 9]).unwrap();
-
-        let f = std::fs::File::open(&path).unwrap();
-        let mut r = BinReader::new(f, CE).with_tail(true);
-        assert!(r.next_chunk().unwrap().is_none(), "held back while tailing");
-        r.set_tail(false);
-        let chunk = r.next_chunk().unwrap().expect("truncation surfaces");
-        assert!(chunk.records.is_empty());
-        assert_eq!(chunk.quarantine.count(QuarantineReason::TruncatedBlock), 1);
-        assert!(r.next_chunk().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1414,7 +1177,7 @@ mod tests {
         let records: Vec<CeRecord> = (0..500).map(|i| ce(i, (i as u32 * 7) % 2592)).collect();
         let data = write_to_vec(CE, &records);
         let (parsed, quarantine, bytes, blocks) =
-            parse_binary_stream(data.as_slice(), CE, &IngestOptions::default()).unwrap();
+            drain(data.as_slice(), CE, &IngestOptions::default()).unwrap();
         assert_eq!(parsed.records, records);
         assert!(quarantine.is_empty());
         assert_eq!(bytes, data.len());
@@ -1426,7 +1189,7 @@ mod tests {
         let data = write_to_vec(CE, &[]);
         assert_eq!(data.len(), HEADER_LEN);
         let (parsed, quarantine, ..) =
-            parse_binary_stream(data.as_slice(), CE, &IngestOptions::default()).unwrap();
+            drain(data.as_slice(), CE, &IngestOptions::default()).unwrap();
         assert!(parsed.records.is_empty());
         assert!(quarantine.is_empty());
     }
@@ -1437,8 +1200,7 @@ mod tests {
             .map(|i| ce(i % 10_000, 3))
             .collect();
         let data = write_to_vec(CE, &records);
-        let (parsed, _, _, blocks) =
-            parse_binary_stream(data.as_slice(), CE, &IngestOptions::default()).unwrap();
+        let (parsed, _, _, blocks) = drain(data.as_slice(), CE, &IngestOptions::default()).unwrap();
         assert_eq!(parsed.records, records);
         assert_eq!(blocks, 2);
     }
@@ -1456,9 +1218,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn het_inventory_sensor_roundtrip() {
-        let hets: Vec<HetRecord> = (0..100)
+    fn hets(n: i64) -> Vec<HetRecord> {
+        (0..n)
             .map(|i| HetRecord {
                 time: CalDate::new(2019, 8, 23).midnight().plus(i),
                 node: NodeId(i as u32),
@@ -1466,13 +1227,11 @@ mod tests {
                 severity: HetKind::ALL[(i as usize) % 8].severity(),
                 slot: (i % 3 == 0).then(|| DimmSlot::from_index((i % 16) as u8).unwrap()),
             })
-            .collect();
-        let data = write_to_vec(HET, &hets);
-        let (parsed, ..) =
-            parse_binary_stream(data.as_slice(), HET, &IngestOptions::default()).unwrap();
-        assert_eq!(parsed.records, hets);
+            .collect()
+    }
 
-        let invs: Vec<ReplacementRecord> = (0..50)
+    fn replacements(n: i64) -> Vec<ReplacementRecord> {
+        (0..n)
             .map(|i| ReplacementRecord {
                 date: CalDate::new(2019, 2, 18).plus_days(i),
                 node: NodeId(5 + i as u32),
@@ -1482,24 +1241,149 @@ mod tests {
                     _ => Component::Dimm(DimmSlot::from_index((i % 16) as u8).unwrap()),
                 },
             })
-            .collect();
-        let data = write_to_vec(INVENTORY, &invs);
-        let (parsed, ..) =
-            parse_binary_stream(data.as_slice(), INVENTORY, &IngestOptions::default()).unwrap();
-        assert_eq!(parsed.records, invs);
+            .collect()
+    }
 
-        let sensors: Vec<SensorRecord> = (0..200)
+    fn sensors(n: i64) -> Vec<SensorRecord> {
+        (0..n)
             .map(|i| SensorRecord {
                 time: CalDate::new(2019, 5, 20).midnight().plus(i),
                 node: NodeId((i % 8) as u32 * 8),
                 sensor: SensorId::from_index((i % 7) as u8).unwrap(),
                 value: (i % 5 != 0).then(|| 40.0 + (i % 60) as f64 / 2.0),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn het_inventory_sensor_roundtrip() {
+        let hets = hets(100);
+        let data = write_to_vec(HET, &hets);
+        let (parsed, ..) = drain(data.as_slice(), HET, &IngestOptions::default()).unwrap();
+        assert_eq!(parsed.records, hets);
+
+        let invs = replacements(50);
+        let data = write_to_vec(INVENTORY, &invs);
+        let (parsed, ..) = drain(data.as_slice(), INVENTORY, &IngestOptions::default()).unwrap();
+        assert_eq!(parsed.records, invs);
+
+        let sensors = sensors(200);
         let data = write_to_vec(SENSOR, &sensors);
-        let (parsed, ..) =
-            parse_binary_stream(data.as_slice(), SENSOR, &IngestOptions::default()).unwrap();
+        let (parsed, ..) = drain(data.as_slice(), SENSOR, &IngestOptions::default()).unwrap();
         assert_eq!(parsed.records, sensors);
+    }
+
+    /// A binlog of `records` in blocks of three: several small blocks,
+    /// so damage can land in any part of any frame.
+    fn small_binlog<T>(bin: BinFormat<T>, records: &[T]) -> Vec<u8> {
+        let mut data = Vec::from(header_bytes(bin.kind, records.len() as u64));
+        for block in records.chunks(3) {
+            let mut payload = Vec::new();
+            (bin.encode)(block, &mut payload);
+            append_block(&mut data, &payload);
+        }
+        data
+    }
+
+    /// Read `data` with the frame walker and with the readers it
+    /// replaced, step by step, in one mode: the same chunks (records,
+    /// quarantine counts and samples) and, after every step, the same
+    /// `point()` and `bytes_consumed()`. Off tail mode, `fsck`'s sweep
+    /// must also quarantine what the old sweep did.
+    fn agrees_with_the_oracle<T: PartialEq + std::fmt::Debug>(
+        bin: BinFormat<T>,
+        data: &[u8],
+        tail: bool,
+        case: &str,
+    ) {
+        let mut new = BinReader::new(data, bin).with_tail(tail);
+        let mut old = crate::frame_oracle::OldBinReader::new(data, bin, tail);
+        loop {
+            match (new.next_chunk().unwrap(), old.next_chunk().unwrap()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.records, b.records, "{case}");
+                    assert_eq!(a.quarantine, b.quarantine, "{case}");
+                }
+                (a, b) => panic!("{case}: one reader ended: {:?} vs {:?}", a.is_some(), b),
+            }
+            assert_eq!(new.point(), old.point(), "{case}");
+            assert_eq!(new.bytes_consumed(), old.bytes_consumed(), "{case}");
+        }
+        if !tail {
+            let want = crate::frame_oracle::old_fsck_scan(data, bin.kind).unwrap();
+            assert_eq!(sweep(data, bin.kind).unwrap(), want, "{case}");
+        }
+    }
+
+    /// Cut `data` at every offset and flip one bit at every offset
+    /// (header, length words, payloads and trailers alike).
+    fn damage_everywhere<T: PartialEq + std::fmt::Debug>(bin: BinFormat<T>, data: &[u8]) {
+        for cut in 0..=data.len() {
+            agrees_with_the_oracle(bin, &data[..cut], false, &format!("cut at {cut}"));
+        }
+        for at in 0..data.len() {
+            let mut flipped = data.to_vec();
+            flipped[at] ^= 1 << (at % 8);
+            agrees_with_the_oracle(bin, &flipped, false, &format!("bit flip at {at}"));
+        }
+    }
+
+    #[test]
+    fn the_frame_walker_reads_every_damaged_file_as_the_old_readers_did() {
+        let ces: Vec<CeRecord> = (0..8).map(|i| ce(i, (i as u32 * 7) % 2592)).collect();
+        damage_everywhere(CE, &small_binlog(CE, &ces));
+        damage_everywhere(HET, &small_binlog(HET, &hets(8)));
+        damage_everywhere(INVENTORY, &small_binlog(INVENTORY, &replacements(8)));
+        damage_everywhere(SENSOR, &small_binlog(SENSOR, &sensors(8)));
+    }
+
+    /// A log a writer appends to while it is read: reads see the bytes
+    /// written so far.
+    struct Growing {
+        data: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+        pos: usize,
+    }
+
+    impl Read for Growing {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let data = self.data.borrow();
+            let n = buf.len().min(data.len() - self.pos);
+            buf[..n].copy_from_slice(&data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_tailing_reader_given_a_binlog_in_two_writes_reads_it_whole() {
+        let ces: Vec<CeRecord> = (0..8).map(|i| ce(i, (i as u32 * 7) % 2592)).collect();
+        let data = small_binlog(CE, &ces);
+        for cut in 0..=data.len() {
+            let written = std::rc::Rc::new(std::cell::RefCell::new(data[..cut].to_vec()));
+            let grow = || Growing {
+                data: written.clone(),
+                pos: 0,
+            };
+            let mut new = BinReader::new(grow(), CE).with_tail(true);
+            let mut old = crate::frame_oracle::OldBinReader::new(grow(), CE, true);
+            let mut got = Vec::new();
+            for write in [&data[cut..], &[][..]] {
+                loop {
+                    let (a, b) = (new.next_chunk().unwrap(), old.next_chunk().unwrap());
+                    let (Some(a), Some(b)) = (a, b) else {
+                        break;
+                    };
+                    assert!(a.quarantine.is_empty(), "cut at {cut}");
+                    assert_eq!(a.records, b.records, "cut at {cut}");
+                    got.extend(a.records);
+                }
+                assert_eq!(new.point(), old.point(), "cut at {cut}");
+                written.borrow_mut().extend_from_slice(write);
+            }
+            assert_eq!(got, ces, "cut at {cut}");
+            assert_eq!(new.bytes_consumed(), data.len(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1510,8 +1394,7 @@ mod tests {
         let mut data = write_to_vec(CE, &records);
         // Flip one payload bit inside the first block.
         data[HEADER_LEN + 4 + 100] ^= 0x40;
-        let (parsed, quarantine, ..) =
-            parse_binary_stream(data.as_slice(), CE, &tolerant()).unwrap();
+        let (parsed, quarantine, ..) = drain(data.as_slice(), CE, &tolerant()).unwrap();
         assert_eq!(quarantine.count(QuarantineReason::BlockCrc), 1);
         assert_eq!(
             parsed.records,
@@ -1527,7 +1410,7 @@ mod tests {
         let mut data = write_to_vec(CE, &records);
         let n = data.len();
         data[n - 20] ^= 0x01;
-        let err = parse_binary_stream(data.as_slice(), CE, &IngestOptions::default()).unwrap_err();
+        let err = drain(data.as_slice(), CE, &IngestOptions::default()).unwrap_err();
         match err {
             IngestError::Corrupt { quarantine, .. } => {
                 assert_eq!(quarantine.count(QuarantineReason::BlockCrc), 1);
@@ -1541,7 +1424,7 @@ mod tests {
         let records: Vec<CeRecord> = (0..100).map(|i| ce(i, 9)).collect();
         let data = write_to_vec(CE, &records);
         let cut = &data[..data.len() - 7];
-        let (parsed, quarantine, ..) = parse_binary_stream(cut, CE, &tolerant()).unwrap();
+        let (parsed, quarantine, ..) = drain(cut, CE, &tolerant()).unwrap();
         assert!(parsed.records.is_empty());
         assert_eq!(quarantine.count(QuarantineReason::TruncatedBlock), 1);
     }
@@ -1549,19 +1432,19 @@ mod tests {
     #[test]
     fn truncated_header_and_wrong_magic() {
         let data = write_to_vec(CE, &[ce(1, 1)]);
-        let (_, quarantine, ..) = parse_binary_stream(&data[..10], CE, &tolerant()).unwrap();
+        let (_, quarantine, ..) = drain(&data[..10], CE, &tolerant()).unwrap();
         assert_eq!(quarantine.count(QuarantineReason::BadVersion), 1);
 
         let mut wrong = data.clone();
         wrong[0] = b'X';
-        let (_, quarantine, ..) = parse_binary_stream(wrong.as_slice(), CE, &tolerant()).unwrap();
+        let (_, quarantine, ..) = drain(wrong.as_slice(), CE, &tolerant()).unwrap();
         assert_eq!(quarantine.count(QuarantineReason::BadMagic), 1);
     }
 
     #[test]
     fn wrong_kind_is_bad_version() {
         let data = write_to_vec(CE, &[ce(1, 1)]);
-        match parse_binary_stream(data.as_slice(), HET, &IngestOptions::default()) {
+        match drain(data.as_slice(), HET, &IngestOptions::default()) {
             Err(IngestError::Corrupt { quarantine, .. }) => {
                 assert_eq!(quarantine.count(QuarantineReason::BadVersion), 1);
             }
@@ -1573,7 +1456,7 @@ mod tests {
     fn header_crc_detects_count_tamper() {
         let mut data = write_to_vec(CE, &[ce(1, 1), ce(2, 1)]);
         data[12] ^= 0xFF; // count field
-        let (_, quarantine, ..) = parse_binary_stream(data.as_slice(), CE, &tolerant()).unwrap();
+        let (_, quarantine, ..) = drain(data.as_slice(), CE, &tolerant()).unwrap();
         assert_eq!(quarantine.count(QuarantineReason::BadVersion), 1);
     }
 
@@ -1652,7 +1535,7 @@ mod tests {
         let mut cur = pos;
         let len = read_u32_le(&data, &mut cur).unwrap() as usize;
         pos = cur + len + 4;
-        let (parsed, quarantine, ..) = parse_binary_stream(&data[..pos], CE, &tolerant()).unwrap();
+        let (parsed, quarantine, ..) = drain(&data[..pos], CE, &tolerant()).unwrap();
         assert_eq!(parsed.records.len(), BLOCK_RECORDS);
         assert_eq!(quarantine.count(QuarantineReason::TruncatedBlock), 1);
     }
@@ -1674,7 +1557,7 @@ mod tests {
         data[HEADER_LEN + 4 + 1000] ^= 0x10;
         std::fs::write(&path, &data).unwrap();
         let sweep = fsck_scan(&path, KIND_CE).unwrap();
-        let (_, full, ..) = parse_binary_stream(data.as_slice(), CE, &tolerant()).unwrap();
+        let (_, full, ..) = drain(data.as_slice(), CE, &tolerant()).unwrap();
         assert_eq!(sweep.counts, full.counts);
         assert_eq!(sweep.count(QuarantineReason::BlockCrc), 1);
 

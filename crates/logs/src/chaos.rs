@@ -21,9 +21,11 @@
 //!
 //! The manifest's expected quarantine counts are not book-kept by hand:
 //! after corrupting, the file is re-ingested through the very same
-//! engine (`io::parse_stream_chunked`) the pipeline uses, and the
-//! manifest records what *it* quarantined — plus a self-check that the
-//! surviving records equal the clean records minus the damaged ones.
+//! readers and drain (`io::read_to_end`) the pipeline uses, and the
+//! manifest records what *they* quarantined — plus a self-check that the
+//! surviving records equal the clean records minus the damaged ones. The
+//! binary block map comes from the block reader's own walk of a clean
+//! file (`BinReader::point` after each block).
 //! `fsck` therefore matches the manifest by construction, and any drift
 //! between injector and reader is a hard error here, not a silent test
 //! gap.
@@ -34,8 +36,8 @@ use std::path::Path;
 
 use astra_util::{DetRng, StreamKey};
 
-use crate::binfmt::{self, BinFormat, HEADER_LEN};
-use crate::io::{parse_stream_chunked, STREAM_CHUNK_BYTES};
+use crate::binfmt::{self, BinFormat, BinReader, HEADER_LEN};
+use crate::io::{read_to_end, ChunkReader, STREAM_CHUNK_BYTES};
 use crate::quarantine::{IngestMode, IngestOptions, LineFormat, Quarantine, RetryPolicy};
 
 /// How much of each kind of corruption to inject, per file.
@@ -453,22 +455,18 @@ where
 
     // Measure the expected quarantine with the real reader, and
     // self-check that it recovers exactly the undamaged records.
-    let (parsed, expected, ..) = parse_stream_chunked(
-        out.as_slice(),
-        format,
-        &measuring_opts(),
-        STREAM_CHUNK_BYTES,
-    )
-    .map_err(|e| io::Error::other(format!("chaos self-check ingest failed: {e}")))?;
+    let mut reader = ChunkReader::new(out.as_slice(), format, STREAM_CHUNK_BYTES);
+    let (parsed, expected) = read_to_end(&measuring_opts(), || reader.next_chunk())
+        .map_err(|e| io::Error::other(format!("chaos self-check ingest failed: {e}")))?;
     let surviving: Vec<T> = (0..n)
         .filter(|i| !damaged.contains(i))
         .map(|i| records[i].clone())
         .collect();
-    if parsed.records != surviving {
+    if parsed != surviving {
         return Err(io::Error::other(format!(
             "chaos self-check failed for {name}: reader recovered {} records, \
              expected {} (clean {} minus {} damaged)",
-            parsed.records.len(),
+            parsed.len(),
             surviving.len(),
             n,
             damaged.len(),
@@ -510,40 +508,31 @@ where
         .unwrap_or_else(|| path.display().to_string());
     let mut data = std::fs::read(path)?;
 
-    // Baseline: the whole container must verify and decode cleanly.
-    let (clean, q, ..) = binfmt::parse_binary_stream(data.as_slice(), bin, &measuring_opts())
-        .map_err(|e| io::Error::other(format!("chaos needs a clean dataset: {name}: {e}")))?;
-    if !q.is_empty() {
-        return Err(io::Error::other(format!(
-            "chaos needs a clean dataset: {name}: pre-damaged blocks {}",
-            q.summary()
-        )));
-    }
-
-    // Map the block layout: each block's payload byte range and the
-    // clean-record index range it carries (payloads are self-contained,
-    // so a per-block decode recovers the split).
+    // Baseline: the whole container must verify and decode cleanly. The
+    // walk also maps the block layout: each block's payload byte range
+    // (its frame, less the length word and the CRC trailer) and the
+    // clean-record index range it carries.
     struct Block {
         payload: std::ops::Range<usize>,
         records: std::ops::Range<usize>,
     }
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut pos = HEADER_LEN;
-    let mut seen = 0usize;
-    let mut scratch: Vec<T> = Vec::new();
-    while pos < data.len() {
-        let len =
-            u32::from_le_bytes(data[pos..pos + 4].try_into().expect("clean framing")) as usize;
-        let payload = pos + 4..pos + 4 + len;
-        scratch.clear();
-        (bin.decode)(&data[payload.clone()], &mut scratch)
-            .ok_or_else(|| io::Error::other(format!("{name}: undecodable clean block")))?;
+    let mut reader = BinReader::new(data.as_slice(), bin);
+    let (mut clean, mut blocks, mut start) = (Vec::new(), Vec::new(), HEADER_LEN);
+    while let Some(chunk) = reader.next_chunk()? {
+        if !chunk.quarantine.is_empty() {
+            return Err(io::Error::other(format!(
+                "chaos needs a clean dataset: {name}: {}",
+                chunk.quarantine.report_line("damaged")
+            )));
+        }
+        let end = reader.point().offset as usize;
+        let records = clean.len()..clean.len() + chunk.records.len();
         blocks.push(Block {
-            payload: payload.clone(),
-            records: seen..seen + scratch.len(),
+            payload: start + 4..end - 4,
+            records,
         });
-        seen += scratch.len();
-        pos = payload.end + 4;
+        clean.extend(chunk.records);
+        start = end;
     }
 
     let mut rng = DetRng::for_stream(
@@ -578,25 +567,25 @@ where
 
     // Measure the expected quarantine with the real reader, and
     // self-check that it recovers exactly the undamaged blocks' records.
-    let (parsed, expected, ..) =
-        binfmt::parse_binary_stream(data.as_slice(), bin, &measuring_opts())
-            .map_err(|e| io::Error::other(format!("chaos self-check ingest failed: {e}")))?;
+    let mut reader = BinReader::new(data.as_slice(), bin);
+    let (parsed, expected) = read_to_end(&measuring_opts(), || reader.next_chunk())
+        .map_err(|e| io::Error::other(format!("chaos self-check ingest failed: {e}")))?;
     let mut damaged_records: Vec<usize> = Vec::new();
     let mut surviving: Vec<T> = Vec::new();
     for (b, block) in blocks.iter().enumerate() {
         if damaged_blocks.contains(&b) {
             damaged_records.extend(block.records.clone());
         } else {
-            surviving.extend_from_slice(&clean.records[block.records.clone()]);
+            surviving.extend_from_slice(&clean[block.records.clone()]);
         }
     }
-    if parsed.records != surviving {
+    if parsed != surviving {
         return Err(io::Error::other(format!(
             "chaos self-check failed for {name}: reader recovered {} records, \
              expected {} (clean {} minus {} in damaged blocks)",
-            parsed.records.len(),
+            parsed.len(),
             surviving.len(),
-            clean.records.len(),
+            clean.len(),
             damaged_records.len(),
         )));
     }
@@ -870,6 +859,19 @@ mod tests {
         }
     }
 
+    /// Drain a text CE log from `reader` in chunks of about `chunk_bytes`
+    /// under `opts`: the records, the quarantine and the bytes read.
+    fn drain<R: Read>(
+        reader: R,
+        opts: &IngestOptions,
+        chunk_bytes: usize,
+    ) -> Result<(Vec<CeRecord>, Quarantine, usize), crate::io::IngestError> {
+        let mut reader =
+            ChunkReader::new(reader, crate::ce::FORMAT, chunk_bytes).with_retry(opts.retry);
+        let (records, quarantine) = read_to_end(opts, || reader.next_chunk())?;
+        Ok((records, quarantine, reader.bytes_consumed()))
+    }
+
     fn write_ce_log(dir: &Path, lines: usize) -> PathBuf {
         let mut text = String::new();
         for i in 0..lines {
@@ -929,13 +931,7 @@ mod tests {
         // Self-check already ran inside corrupt_file; double-check the
         // lenient reader sees exactly the manifest's quarantine.
         let bytes = std::fs::read(&path).unwrap();
-        let (_, q, ..) = parse_stream_chunked(
-            bytes.as_slice(),
-            crate::ce::FORMAT,
-            &measuring_opts(),
-            STREAM_CHUNK_BYTES,
-        )
-        .unwrap();
+        let (_, q, _) = drain(bytes.as_slice(), &measuring_opts(), STREAM_CHUNK_BYTES).unwrap();
         assert_eq!(q.counts, chaos.expected.counts);
     }
 
@@ -1043,9 +1039,8 @@ mod tests {
             },
             ..IngestOptions::default()
         };
-        let (parsed, q, bytes, _) =
-            parse_stream_chunked(flaky, crate::ce::FORMAT, &opts, 4096).unwrap();
-        assert_eq!(parsed.records.len(), 500);
+        let (parsed, q, bytes) = drain(flaky, &opts, 4096).unwrap();
+        assert_eq!(parsed.len(), 500);
         assert!(q.is_empty());
         assert_eq!(bytes, text.len());
     }
@@ -1063,7 +1058,7 @@ mod tests {
             },
             ..IngestOptions::default()
         };
-        let err = parse_stream_chunked(flaky, crate::ce::FORMAT, &opts, 4096).unwrap_err();
+        let err = drain(flaky, &opts, 4096).unwrap_err();
         assert!(matches!(err, crate::io::IngestError::Io(_)));
     }
 

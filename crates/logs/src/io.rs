@@ -1,15 +1,22 @@
-//! Line-oriented log writers and fault-tolerant readers.
+//! Line-oriented log writers, the fault-tolerant chunk readers, and the
+//! one reader every command opens a log through.
 //!
 //! Real syslogs contain lines from many producers plus occasional
-//! corruption; the readers here skip anything that does not parse and count
-//! the skips, mirroring how a site's extraction scripts behave. Writers are
-//! plain `io::Write` adapters so logs stream to files, pipes, or an
-//! in-memory `Vec<u8>` in tests without buffering whole datasets.
+//! corruption; the readers here quarantine anything that does not parse
+//! and count it, mirroring how a site's extraction scripts behave.
+//! [`LogReader`] sniffs a log's format once and yields [`IngestChunk`]s
+//! from the line parser ([`ChunkReader`]) or the binlog block reader
+//! ([`crate::binfmt::BinReader`]); [`read_to_end`] drains any of them
+//! under an ingest policy, whose strict/lenient decision is
+//! [`IngestOptions::refuses`]. Writers are plain `io::Write` adapters so
+//! logs stream to files, pipes, or an in-memory `Vec<u8>` in tests
+//! without buffering whole datasets.
 
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
+use crate::binfmt::{sniff_is_binlog, BinFormat, BinPoint, BinReader, HEADER_LEN, MAGIC};
 use crate::quarantine::{IngestOptions, LineFormat, Quarantine, QuarantineReason, RetryPolicy};
 
 /// Write an iterator of records as lines through one reused buffer.
@@ -140,40 +147,6 @@ impl From<io::Error> for IngestError {
     }
 }
 
-/// Stream-parse a log file in fixed-size line-aligned chunks under an
-/// ingest policy, with `parse.<stage>.*` metrics and a
-/// `time.parse.<stage>` span.
-///
-/// Only one chunk of text is resident at a time, and each chunk is fed
-/// to the shard parser so parsing stays parallel within chunks. Lines
-/// that fail to parse are quarantined under the [`QuarantineReason`]
-/// taxonomy; `opts` decides whether that aborts
-/// ([`IngestError::Corrupt`]) or is tolerated. On success the per-reason
-/// totals are folded into the `ingest.quarantined.*` counters.
-pub fn parse_file_streaming<T>(
-    path: &Path,
-    format: LineFormat<T>,
-    opts: &IngestOptions,
-    stage: &str,
-) -> Result<(ParsedLog<T>, Quarantine), IngestError>
-where
-    T: Send,
-{
-    let mut span = astra_obs::span(&format!("parse.{stage}"));
-    let file = std::fs::File::open(path)?;
-    let (parsed, quarantine, bytes, chunks) =
-        parse_stream_chunked(file, format, opts, STREAM_CHUNK_BYTES)?;
-    span.attach("lines_ok", parsed.records.len() as i64);
-    span.attach("lines_quarantined", quarantine.total() as i64);
-    span.attach("bytes", bytes as i64);
-    parsed.publish(stage, &quarantine, bytes);
-    astra_obs::global()
-        .counter(&format!("parse.{stage}.chunks"))
-        .add(chunks);
-    publish_quarantine(&quarantine);
-    Ok((parsed, quarantine))
-}
-
 /// Fold per-reason quarantine counts into the global
 /// `ingest.quarantined.<reason>` counters.
 pub fn publish_quarantine(q: &Quarantine) {
@@ -187,53 +160,82 @@ pub fn publish_quarantine(q: &Quarantine) {
     }
 }
 
-/// Chunked streaming parse over any reader: the engine behind
-/// [`parse_file_streaming`], with the chunk size exposed so tests can
-/// force record and corrupt-line boundaries to straddle chunks.
+/// Read a log's chunks to its end under `opts`: the one batch drain,
+/// for a reader of either format (`next` is its `next_chunk`).
 ///
-/// Returns the parsed log, the quarantine report, and the bytes/chunks
-/// consumed. Strict mode aborts on the first chunk containing a
-/// quarantined line; lenient mode checks the error budget once the
-/// reader is exhausted (the quarantined fraction is
-/// `quarantined / (parsed + quarantined)` non-blank lines).
-pub fn parse_stream_chunked<R, T>(
-    reader: R,
-    format: LineFormat<T>,
+/// Returns the records and the quarantine report. The first chunk's
+/// records move in whole, so a log that fits one chunk is never copied.
+/// Strict mode aborts on the first chunk holding a quarantined unit;
+/// lenient mode checks the error budget once the reader is exhausted
+/// ([`IngestOptions::refuses`] decides both).
+pub fn read_to_end<T>(
     opts: &IngestOptions,
-    chunk_bytes: usize,
-) -> Result<(ParsedLog<T>, Quarantine, usize, u64), IngestError>
-where
-    R: Read,
-    T: Send,
-{
-    let mut chunked = ChunkReader::new(reader, format, chunk_bytes).with_retry(opts.retry);
+    mut next: impl FnMut() -> io::Result<Option<IngestChunk<T>>>,
+) -> Result<(Vec<T>, Quarantine), IngestError> {
     let mut records: Vec<T> = Vec::new();
     let mut quarantine = Quarantine::default();
-    while let Some(chunk) = chunked.next_chunk()? {
-        // The first chunk's records move in whole, so a log that fits one
-        // chunk is never copied.
-        if records.is_empty() {
-            records = chunk.records;
-        } else {
-            records.extend(chunk.records);
+    loop {
+        let chunk = next()?;
+        let at_end = chunk.is_none();
+        if let Some(chunk) = chunk {
+            if records.is_empty() {
+                records = chunk.records;
+            } else {
+                records.extend(chunk.records);
+            }
+            quarantine.merge(&chunk.quarantine);
         }
-        quarantine.merge(&chunk.quarantine);
-        if opts.is_strict() && !quarantine.is_empty() {
+        if opts.refuses(records.len() as u64, &quarantine, at_end) {
             return Err(IngestError::Corrupt {
                 quarantine,
                 lines_ok: records.len() as u64,
             });
         }
+        if at_end {
+            return Ok((records, quarantine));
+        }
     }
-    let total = records.len() as u64 + quarantine.total();
-    if total > 0 && quarantine.total() as f64 / total as f64 > opts.max_bad_frac() {
-        return Err(IngestError::Corrupt {
-            quarantine,
-            lines_ok: records.len() as u64,
-        });
+}
+
+/// One `read` with `retry` applied: `Interrupted` is always retried;
+/// other errors get bounded exponential backoff and an
+/// `ingest.io_retries` count, then surface.
+fn read_retry<R: Read>(reader: &mut R, buf: &mut [u8], retry: RetryPolicy) -> io::Result<usize> {
+    let mut attempt = 0u32;
+    loop {
+        match reader.read(buf) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                if attempt >= retry.max_retries {
+                    return Err(e);
+                }
+                let backoff_ms = retry.backoff_base_ms << attempt;
+                attempt += 1;
+                astra_obs::global().counter("ingest.io_retries").add(1);
+                if backoff_ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
+                }
+            }
+        }
     }
-    let (bytes, chunks) = (chunked.bytes_consumed(), chunked.chunks_read());
-    Ok((ParsedLog { records }, quarantine, bytes, chunks))
+}
+
+/// Fill as much of `buf` as `reader` holds (short only at its end),
+/// each read under `retry`.
+pub(crate) fn read_fill<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8],
+    retry: RetryPolicy,
+) -> io::Result<usize> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        match read_retry(reader, &mut buf[filled..], retry)? {
+            0 => break,
+            n => filled += n,
+        }
+    }
+    Ok(filled)
 }
 
 /// One parsed chunk from a [`ChunkReader`]: the records that survived,
@@ -265,11 +267,11 @@ pub struct TextPoint {
 /// Each [`ChunkReader::next_chunk`] call yields one parsed chunk of
 /// roughly `chunk_bytes` input, cut at a line boundary, until the reader
 /// is exhausted. Pulling chunks one at a time (instead of draining the
-/// whole reader as [`parse_stream_chunked`] does) lets a caller fold each
-/// chunk before it reads the next, and stop, checkpoint or tail a
-/// growing file in between: the incremental analysis engine (and with it
-/// the shard workers and the serve daemon) reads `ce.log` this way,
-/// keeping at most one chunk of text resident.
+/// whole reader as [`read_to_end`] does) lets a caller fold each chunk
+/// before it reads the next, and stop, checkpoint or tail a growing file
+/// in between: the incremental analysis engine (and with it the shard
+/// workers and the serve daemon) reads a text `ce.log` this way, through
+/// [`LogReader`], keeping at most one chunk of text resident.
 ///
 /// Corruption handling:
 /// * a chunk that is entirely valid UTF-8 takes the fast path — shard
@@ -354,45 +356,14 @@ where
         self
     }
 
-    /// Enable or disable tail (growing-file) mode.
+    /// Set tail (growing-file) mode, for the reader's whole life: EOF is
+    /// then "dry for now", and a newline-less final line is an append in
+    /// progress, held back until its `\n` lands. A line is never parsed
+    /// torn, so a writer caught mid-line at shutdown has that line
+    /// ingested in the next process, after a checkpoint and restart.
     pub fn with_tail(mut self, tail: bool) -> Self {
-        self.set_tail(tail);
-        self
-    }
-
-    /// Switch tail mode at runtime. Switching it off makes the next EOF
-    /// final, so a held-back newline-less last line is then parsed as-is.
-    /// The serve daemon never does this, not even at shutdown: a writer
-    /// caught mid-line would have its torn line parsed. A tailed line is
-    /// ingested once its `\n` lands, in this process or, after a
-    /// checkpoint and restart, the next.
-    pub fn set_tail(&mut self, tail: bool) {
         self.tail = tail;
-        if tail {
-            self.eof = false;
-        }
-    }
-
-    /// One `read` with the retry policy applied.
-    fn read_some(&mut self) -> io::Result<usize> {
-        let mut attempt = 0u32;
-        loop {
-            match self.reader.read(&mut self.read_buf) {
-                Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    if attempt >= self.retry.max_retries {
-                        return Err(e);
-                    }
-                    let backoff_ms = self.retry.backoff_base_ms << attempt;
-                    attempt += 1;
-                    astra_obs::global().counter("ingest.io_retries").add(1);
-                    if backoff_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                    }
-                }
-            }
-        }
+        self
     }
 
     /// Parses and returns the next line-aligned chunk, or `None` once the
@@ -400,7 +371,7 @@ where
     pub fn next_chunk(&mut self) -> io::Result<Option<IngestChunk<T>>> {
         loop {
             while !self.eof && self.pending.len() < self.target {
-                let n = self.read_some()?;
+                let n = read_retry(&mut self.reader, &mut self.read_buf, self.retry)?;
                 if n == 0 {
                     self.eof = true;
                 } else {
@@ -476,10 +447,191 @@ where
     pub fn chunks_read(&self) -> u64 {
         self.chunks
     }
+}
 
-    /// Total lines consumed so far (blank lines included).
-    pub fn lines_seen(&self) -> u64 {
-        self.lines
+/// A reader's saved place in its log, by format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadPoint {
+    /// A text log's [`ChunkReader::point`].
+    Text(TextPoint),
+    /// An `astra-binlog` file's [`BinReader::point`].
+    Bin(BinPoint),
+}
+
+impl Default for ReadPoint {
+    /// Byte 0, which is the start of a log in either format.
+    fn default() -> Self {
+        ReadPoint::Text(TextPoint::default())
+    }
+}
+
+impl ReadPoint {
+    /// File offset of the next chunk or block.
+    pub fn offset(&self) -> u64 {
+        match self {
+            ReadPoint::Text(p) => p.offset,
+            ReadPoint::Bin(p) => p.offset,
+        }
+    }
+
+    /// Whether this is a fresh start, whatever the log's format.
+    pub fn is_start(&self) -> bool {
+        match self {
+            ReadPoint::Text(p) => p.offset == 0,
+            ReadPoint::Bin(p) => p.offset == 0 && !p.ended,
+        }
+    }
+}
+
+/// The one reader of a log file, in either format.
+///
+/// It sniffs the format once, from the magic bytes, and then yields the
+/// [`IngestChunk`]s of the chunked line parser ([`ChunkReader`]) or of the
+/// CRC-framed block reader ([`BinReader`]), so everything downstream is
+/// format-blind. Tail mode is fixed at open. A tailing reader at byte 0
+/// of a log that holds fewer bytes than the binlog magic chooses the
+/// format once that many are there; until then it yields nothing and
+/// stands at byte 0, so a checkpoint taken meanwhile makes a restart
+/// sniff again. A reader that does not tail takes such a log as text.
+pub struct LogReader<T> {
+    spec: Spec<T>,
+    format: Format<T>,
+}
+
+/// What a [`LogReader`] builds its format's reader from.
+struct Spec<T> {
+    line: LineFormat<T>,
+    bin: BinFormat<T>,
+    retry: RetryPolicy,
+    tail: bool,
+}
+
+enum Format<T> {
+    /// Not sniffed yet: the file, at byte 0.
+    Unknown(File),
+    Text(ChunkReader<File, T>),
+    Bin(BinReader<File, T>),
+}
+
+impl<T: Send> Spec<T> {
+    /// The reader of `file` in the format its first bytes `head` show,
+    /// from byte 0.
+    fn reader(&self, file: File, head: &[u8]) -> Format<T> {
+        if sniff_is_binlog(head) {
+            let r = BinReader::new(file, self.bin);
+            Format::Bin(r.with_retry(self.retry).with_tail(self.tail))
+        } else {
+            let r = ChunkReader::new(file, self.line, STREAM_CHUNK_BYTES);
+            Format::Text(r.with_retry(self.retry).with_tail(self.tail))
+        }
+    }
+}
+
+/// Up to the first [`HEADER_LEN`] bytes of `file`, leaving it at byte 0.
+fn read_head(file: &mut File, retry: RetryPolicy) -> io::Result<Vec<u8>> {
+    let mut head = vec![0u8; HEADER_LEN];
+    file.rewind()?;
+    let n = read_fill(file, &mut head, retry)?;
+    head.truncate(n);
+    file.rewind()?;
+    Ok(head)
+}
+
+impl<T: Send> LogReader<T> {
+    /// Read the log `file` holds, parsing lines per `line` or blocks per
+    /// `bin`, whichever its first bytes say it is, from `at`: byte 0
+    /// (`ReadPoint::default()`), or a place an earlier reader of the same
+    /// log gave ([`LogReader::point`]). Past byte 0 the log must still be
+    /// in the point's format and a binlog's header must still validate,
+    /// else the error is [`io::ErrorKind::InvalidData`] saying why; the
+    /// reader then carries on as if it had read the log from byte 0.
+    pub fn open(
+        mut file: File,
+        line: LineFormat<T>,
+        bin: BinFormat<T>,
+        retry: RetryPolicy,
+        tail: bool,
+        at: ReadPoint,
+    ) -> io::Result<Self> {
+        let spec = Spec {
+            line,
+            bin,
+            retry,
+            tail,
+        };
+        let head = read_head(&mut file, retry)?;
+        if at.is_start() {
+            let format = if tail && head.len() < MAGIC.len() {
+                Format::Unknown(file)
+            } else {
+                spec.reader(file, &head)
+            };
+            return Ok(LogReader { spec, format });
+        }
+        file.seek(SeekFrom::Start(at.offset()))?;
+        let changed = |what: String| Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        let format = match (spec.reader(file, &head), at) {
+            (Format::Text(r), ReadPoint::Text(p)) => Format::Text(r.starting_at(p)),
+            (Format::Bin(r), ReadPoint::Bin(p)) => match r.starting_at(p, &head) {
+                Ok(r) => Format::Bin(r),
+                Err(e) => return changed(format!("header no longer valid: {e}")),
+            },
+            (_, ReadPoint::Text(_)) => {
+                return changed("was text at the checkpoint, is astra-binlog now".into())
+            }
+            (_, ReadPoint::Bin(_)) => {
+                return changed("was astra-binlog at the checkpoint, is text now".into())
+            }
+        };
+        Ok(LogReader { spec, format })
+    }
+
+    /// The next chunk (text) or block (binary), or `None` at the end of
+    /// the log; in tail mode, at the end of what is there so far.
+    pub fn next_chunk(&mut self) -> io::Result<Option<IngestChunk<T>>> {
+        if let Format::Unknown(file) = &mut self.format {
+            let head = read_head(file, self.spec.retry)?;
+            if head.len() < MAGIC.len() {
+                return Ok(None);
+            }
+            // A second handle: the first goes with the unsniffed state.
+            let file = file.try_clone()?;
+            self.format = self.spec.reader(file, &head);
+        }
+        match &mut self.format {
+            Format::Unknown(_) => Ok(None),
+            Format::Text(r) => r.next_chunk(),
+            Format::Bin(r) => r.next_chunk(),
+        }
+    }
+
+    /// Where the next chunk or block starts, with the reader's state
+    /// there.
+    pub fn point(&self) -> ReadPoint {
+        match &self.format {
+            Format::Unknown(_) => ReadPoint::default(),
+            Format::Text(r) => ReadPoint::Text(r.point()),
+            Format::Bin(r) => ReadPoint::Bin(r.point()),
+        }
+    }
+
+    /// Log bytes consumed into chunks or blocks so far.
+    pub fn bytes_consumed(&self) -> usize {
+        match &self.format {
+            Format::Unknown(_) => 0,
+            Format::Text(r) => r.bytes_consumed(),
+            Format::Bin(r) => r.bytes_consumed(),
+        }
+    }
+
+    /// The units read so far, named as the `parse.<stage>.*` metrics
+    /// name them: `chunks` of text or `blocks` of a binlog.
+    pub fn units_read(&self) -> (&'static str, u64) {
+        match &self.format {
+            Format::Unknown(_) => ("chunks", 0),
+            Format::Text(r) => ("chunks", r.chunks_read()),
+            Format::Bin(r) => ("blocks", r.blocks_read()),
+        }
     }
 }
 
@@ -584,21 +736,10 @@ where
                     records.extend(out.records);
                 } else {
                     for (i, rec) in out.records.into_iter().enumerate() {
-                        let k = keyf(&rec);
-                        if let Some(m) = *max_key {
-                            if k < m {
-                                let line_no = base + out.record_lines[i] + 1;
-                                quarantine.note(
-                                    line_no,
-                                    QuarantineReason::OutOfOrder,
-                                    format!("record key {k} precedes running maximum {m}")
-                                        .as_bytes(),
-                                );
-                                continue;
-                            }
+                        let line_no = base + out.record_lines[i] + 1;
+                        if in_order(keyf(&rec), max_key, line_no, &mut quarantine) {
+                            records.push(rec);
                         }
-                        *max_key = Some(k);
-                        records.push(rec);
                     }
                 }
             }
@@ -609,6 +750,24 @@ where
         base += shard_lines;
     }
     (records, quarantine, base - line_base)
+}
+
+/// The ordering check of a time-sorted log, for one record: whether its
+/// key `k` keeps order against the running maximum, which it then
+/// raises. A record below the maximum is quarantined
+/// [`QuarantineReason::OutOfOrder`] at `line_no`.
+fn in_order(k: i64, max_key: &mut Option<i64>, line_no: u64, quarantine: &mut Quarantine) -> bool {
+    match *max_key {
+        Some(m) if k < m => {
+            let msg = format!("record key {k} precedes running maximum {m}");
+            quarantine.note(line_no, QuarantineReason::OutOfOrder, msg.as_bytes());
+            false
+        }
+        _ => {
+            *max_key = Some(k);
+            true
+        }
+    }
 }
 
 /// Sequential fallback for a chunk containing invalid UTF-8: every line
@@ -646,22 +805,11 @@ fn ingest_bytes<T>(
                 }
                 match (format.parse)(line) {
                     Some(rec) => {
-                        if let Some(keyf) = format.order_key {
-                            let k = keyf(&rec);
-                            if let Some(m) = *max_key {
-                                if k < m {
-                                    quarantine.note(
-                                        line_no,
-                                        QuarantineReason::OutOfOrder,
-                                        format!("record key {k} precedes running maximum {m}")
-                                            .as_bytes(),
-                                    );
-                                    continue;
-                                }
-                            }
-                            *max_key = Some(k);
+                        if format.order_key.is_none_or(|key| {
+                            in_order(key(&rec), max_key, line_no, &mut quarantine)
+                        }) {
+                            records.push(rec);
                         }
-                        records.push(rec);
                     }
                     None => quarantine.note(line_no, (format.classify)(line), line.as_bytes()),
                 }
@@ -818,28 +966,126 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A log a writer appends to while it is read: reads see the bytes
+    /// written so far.
+    struct Growing {
+        data: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+        pos: usize,
+    }
+
+    impl Read for Growing {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let data = self.data.borrow();
+            let n = buf.len().min(data.len() - self.pos);
+            buf[..n].copy_from_slice(&data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
     #[test]
-    fn tail_flush_parses_newline_less_final_line() {
-        let dir = std::env::temp_dir().join(format!(
-            "astra-io-tailflush-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+    fn a_tailing_reader_given_a_text_log_in_two_writes_reads_it_whole() {
+        // Chunks of about 100 bytes, so the log is many chunks and the
+        // split falls in every part of one: mid-line, on a newline, on a
+        // chunk cut.
+        let mut text = String::new();
+        for i in 0..12 {
+            text.push_str(&ce(i).to_line());
+            text.push('\n');
+        }
+        let (want, ..) = drain(
+            text.as_bytes(),
+            crate::ce::FORMAT,
+            &IngestOptions::default(),
+            100,
+        )
+        .unwrap();
+        for cut in 0..=text.len() {
+            let written =
+                std::rc::Rc::new(std::cell::RefCell::new(text.as_bytes()[..cut].to_vec()));
+            let grow = Growing {
+                data: written.clone(),
+                pos: 0,
+            };
+            let mut reader = ChunkReader::new(grow, crate::ce::FORMAT, 100).with_tail(true);
+            let mut got = Vec::new();
+            for write in [&text.as_bytes()[cut..], &[][..]] {
+                while let Some(chunk) = reader.next_chunk().unwrap() {
+                    assert!(chunk.quarantine.is_empty(), "cut at {cut}");
+                    got.extend(chunk.records);
+                }
+                written.borrow_mut().extend_from_slice(write);
+            }
+            assert_eq!(got, want.records, "cut at {cut}");
+            assert_eq!(reader.bytes_consumed(), text.len(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_tailing_log_reader_chooses_the_format_once_the_magic_is_there() {
+        // A site's ce.log may be empty, or hold part of the binlog magic,
+        // when its tailing reader opens. Split each format's log in two
+        // writes at every offset of its first 40 bytes (inside the magic,
+        // the header and the first line or block): the reader stands at
+        // byte 0 until it can tell, then reads the log whole.
+        let records: Vec<CeRecord> = (0..40).map(ce).collect();
+        let mut binary = Vec::new();
+        crate::binfmt::write_records(&mut binary, crate::binfmt::CE, &records).unwrap();
+        let mut text = Vec::new();
+        write_lines_with(&mut text, records.iter(), |r, buf| r.to_line_into(buf)).unwrap();
+        let dir = std::env::temp_dir().join(format!("astra-io-sniff-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ce.log");
-        std::fs::write(&path, format!("{}\n{}", ce(0).to_line(), ce(1).to_line())).unwrap();
-        let f = std::fs::File::open(&path).unwrap();
-        let mut r = ChunkReader::new(f, crate::ce::FORMAT, 1 << 20).with_tail(true);
-        let chunk = r.next_chunk().unwrap().expect("complete first line");
+        for (log, is_bin) in [(&binary, true), (&text, false)] {
+            for cut in 0..40 {
+                std::fs::write(&path, &log[..cut]).unwrap();
+                let file = File::open(&path).unwrap();
+                let (line, bin) = (crate::ce::FORMAT, crate::binfmt::CE);
+                let retry = RetryPolicy::default();
+                let mut reader =
+                    LogReader::open(file, line, bin, retry, true, ReadPoint::default()).unwrap();
+                let mut got = Vec::new();
+                while let Some(chunk) = reader.next_chunk().unwrap() {
+                    assert!(chunk.quarantine.is_empty(), "cut at {cut}");
+                    got.extend(chunk.records);
+                }
+                if cut < MAGIC.len() {
+                    assert_eq!(reader.point(), ReadPoint::default(), "cut at {cut}");
+                }
+                std::fs::write(&path, log).unwrap();
+                while let Some(chunk) = reader.next_chunk().unwrap() {
+                    assert!(chunk.quarantine.is_empty(), "cut at {cut}");
+                    got.extend(chunk.records);
+                }
+                assert_eq!(got, records, "binary {is_bin}, cut at {cut}");
+                assert_eq!(matches!(reader.point(), ReadPoint::Bin(_)), is_bin);
+                assert_eq!(reader.bytes_consumed(), log.len(), "cut at {cut}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_tailing_reader_resumed_inside_the_magic_length_reads_text() {
+        // Two blank lines: a one-shot reader's point after them is byte 2
+        // of a text log. Resuming there in tail mode must read text, not
+        // wait to sniff a log whose format the point already gives.
+        let dir = std::env::temp_dir().join(format!("astra-io-short-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ce.log");
+        std::fs::write(&path, "\n\n").unwrap();
+        let (line, bin, retry) = (crate::ce::FORMAT, crate::binfmt::CE, RetryPolicy::default());
+        let open =
+            |tail, at| LogReader::open(File::open(&path).unwrap(), line, bin, retry, tail, at);
+        let mut first = open(false, ReadPoint::default()).unwrap();
+        while first.next_chunk().unwrap().is_some() {}
+        let at = first.point();
+        assert_eq!(at.offset(), 2);
+        let mut resumed = open(true, at).unwrap();
+        assert_eq!(resumed.point(), at);
+        std::fs::write(&path, format!("\n\n{}\n", ce(0).to_line())).unwrap();
+        let chunk = resumed.next_chunk().unwrap().expect("the appended line");
         assert_eq!(chunk.records, vec![ce(0)]);
-        assert!(r.next_chunk().unwrap().is_none(), "final line held back");
-        r.set_tail(false);
-        let chunk = r
-            .next_chunk()
-            .unwrap()
-            .expect("EOF is final once tailing is off");
-        assert_eq!(chunk.records, vec![ce(1)]);
-        assert!(r.next_chunk().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -946,6 +1192,20 @@ mod tests {
         IngestOptions::lenient(Some(1.0))
     }
 
+    /// Drain `reader` in chunks of about `chunk_bytes` under `opts`: the
+    /// records, the quarantine, and the bytes and chunks read.
+    fn drain<R: Read, T: Send>(
+        reader: R,
+        format: LineFormat<T>,
+        opts: &IngestOptions,
+        chunk_bytes: usize,
+    ) -> Result<(ParsedLog<T>, Quarantine, usize, u64), IngestError> {
+        let mut reader = ChunkReader::new(reader, format, chunk_bytes).with_retry(opts.retry);
+        let (records, quarantine) = read_to_end(opts, || reader.next_chunk())?;
+        let (bytes, chunks) = (reader.bytes_consumed(), reader.chunks_read());
+        Ok((ParsedLog { records }, quarantine, bytes, chunks))
+    }
+
     #[test]
     fn streaming_matches_whole_text_across_chunk_sizes() {
         // Corrupt lines and records must land on chunk boundaries for at
@@ -966,8 +1226,7 @@ mod tests {
         let (whole, skipped) = read_lines(text.as_bytes(), CeRecord::parse_line).unwrap();
         for chunk_bytes in [1, 7, 64, 1000, 1 << 20] {
             let (streamed, quarantine, bytes, chunks) =
-                parse_stream_chunked(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes)
-                    .unwrap();
+                drain(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes).unwrap();
             assert_eq!(streamed.records, whole, "chunk={chunk_bytes}");
             assert_eq!(quarantine.total(), skipped, "chunk={chunk_bytes}");
             assert_eq!(
@@ -983,8 +1242,7 @@ mod tests {
     #[test]
     fn streaming_empty_input() {
         let (parsed, quarantine, bytes, chunks) =
-            parse_stream_chunked(&b""[..], crate::ce::FORMAT, &IngestOptions::default(), 1024)
-                .unwrap();
+            drain(&b""[..], crate::ce::FORMAT, &IngestOptions::default(), 1024).unwrap();
         assert!(parsed.records.is_empty());
         assert!(quarantine.is_empty());
         assert_eq!((bytes, chunks), (0, 0));
@@ -995,7 +1253,7 @@ mod tests {
         let mut bytes = ce(1).to_line().into_bytes();
         bytes.push(b'\n');
         bytes.extend_from_slice(&[0xFF, 0xFE, b'\n']);
-        let err = parse_stream_chunked(
+        let err = drain(
             bytes.as_slice(),
             crate::ce::FORMAT,
             &IngestOptions::default(),
@@ -1026,7 +1284,7 @@ mod tests {
         bytes.extend_from_slice(ce(2).to_line().as_bytes());
         bytes.push(b'\n');
         for chunk_bytes in [1, 2, 3, 5, 16, 1 << 20] {
-            let (parsed, quarantine, ..) = parse_stream_chunked(
+            let (parsed, quarantine, ..) = drain(
                 bytes.as_slice(),
                 crate::ce::FORMAT,
                 &tolerant(),
@@ -1057,8 +1315,7 @@ mod tests {
         text.push('\n');
         for chunk_bytes in [1, 2, 3, 4, 7, 1 << 20] {
             let (parsed, quarantine, bytes, _) =
-                parse_stream_chunked(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes)
-                    .unwrap();
+                drain(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes).unwrap();
             assert_eq!(parsed.records.len(), 2, "chunk={chunk_bytes}");
             assert_eq!(
                 quarantine.count(QuarantineReason::UnknownFormat),
@@ -1081,8 +1338,7 @@ mod tests {
         }
         for chunk_bytes in [1, 40, 200, 1 << 20] {
             let (parsed, quarantine, ..) =
-                parse_stream_chunked(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes)
-                    .unwrap();
+                drain(text.as_bytes(), crate::ce::FORMAT, &tolerant(), chunk_bytes).unwrap();
             assert_eq!(parsed.records.len(), 5, "chunk={chunk_bytes}");
             assert_eq!(
                 quarantine.count(QuarantineReason::OutOfOrder),
@@ -1106,7 +1362,7 @@ mod tests {
             .to_line()
         };
         let text = format!("{}\n{}\n{}\n", s(5, 1), s(6, 1), s(0, 2));
-        let (parsed, quarantine, ..) = parse_stream_chunked(
+        let (parsed, quarantine, ..) = drain(
             text.as_bytes(),
             crate::sensor::FORMAT,
             &IngestOptions::default(),
@@ -1123,7 +1379,7 @@ mod tests {
         text.push('\n');
         text.push_str("junk\n");
         // 50 % bad against a 5 % budget.
-        let err = parse_stream_chunked(
+        let err = drain(
             text.as_bytes(),
             crate::ce::FORMAT,
             &IngestOptions::lenient(Some(0.05)),
@@ -1132,7 +1388,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, IngestError::Corrupt { .. }), "{err:?}");
         // The same input inside budget parses fine.
-        let (parsed, quarantine, ..) = parse_stream_chunked(
+        let (parsed, quarantine, ..) = drain(
             text.as_bytes(),
             crate::ce::FORMAT,
             &IngestOptions::lenient(Some(0.5)),
@@ -1176,7 +1432,7 @@ mod tests {
             },
             ..IngestOptions::default()
         };
-        let (parsed, ..) = parse_stream_chunked(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap();
+        let (parsed, ..) = drain(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap();
         assert_eq!(parsed.records.len(), 1);
     }
 
@@ -1195,7 +1451,7 @@ mod tests {
             },
             ..IngestOptions::default()
         };
-        let err = parse_stream_chunked(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap_err();
+        let err = drain(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap_err();
         assert!(matches!(err, IngestError::Io(_)), "{err:?}");
     }
 
@@ -1214,7 +1470,7 @@ mod tests {
             },
             ..IngestOptions::default()
         };
-        let (parsed, ..) = parse_stream_chunked(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap();
+        let (parsed, ..) = drain(flaky, crate::ce::FORMAT, &opts, 1 << 20).unwrap();
         assert_eq!(parsed.records.len(), 1);
     }
 

@@ -20,16 +20,17 @@
 //!   between polls; uncorrectable errors are never lost. This asymmetry is
 //!   one reason the paper insists on analyzing faults rather than raw error
 //!   counts.
-//! * [`io`] — line-oriented writers and fault-tolerant readers for the
-//!   above, so the analyzer consumes exactly what a site would have on
-//!   disk.
+//! * [`io`] — line-oriented writers, the fault-tolerant chunk readers,
+//!   and [`io::LogReader`], the one reader every command opens a log
+//!   through (in either format), so the analyzer consumes exactly what a
+//!   site would have on disk.
 //! * [`manifest`] — the `manifest.txt` provenance record (platform
 //!   profile, seed, rack count, log format, tool version) that makes a
 //!   dataset directory self-describing; consumers use it instead of
 //!   assuming the Astra profile.
 //! * [`binfmt`] — the `astra-binlog` binary columnar format, a compact
-//!   peer of the four text formats with per-block CRC framing, plus the
-//!   magic-byte auto-detection used on every read path.
+//!   peer of the four text formats with per-block CRC framing, and the
+//!   one walk over that framing.
 //! * [`quarantine`] — the typed bad-line taxonomy and strict/lenient
 //!   ingest policy the readers apply to dirty production logs.
 //! * [`chaos`] — deterministic fault injection (truncation, bit flips,
@@ -47,6 +48,8 @@ pub mod binfmt;
 pub mod buffer;
 pub mod ce;
 pub mod chaos;
+#[cfg(test)]
+mod frame_oracle;
 pub mod het;
 pub mod inventory;
 pub mod io;

@@ -348,6 +348,17 @@ impl IngestOptions {
             IngestMode::Lenient { max_bad_frac } => max_bad_frac,
         }
     }
+
+    /// The one strict/lenient decision: whether a read that has parsed
+    /// `parsed` records and quarantined `quarantine` must stop. Strict
+    /// refuses any quarantined unit at once; lenient refuses only at
+    /// `end` of the log (in tail mode, the end as currently visible),
+    /// when the quarantined share of all units exceeds the budget.
+    pub fn refuses(&self, parsed: u64, quarantine: &Quarantine, end: bool) -> bool {
+        let bad = quarantine.total();
+        bad > 0
+            && (self.is_strict() || end && bad as f64 / (parsed + bad) as f64 > self.max_bad_frac())
+    }
 }
 
 /// Everything the generic reader needs to ingest one record type: the

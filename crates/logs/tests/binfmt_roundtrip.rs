@@ -10,7 +10,10 @@
 //! precision, which the binary encoder quantizes to as well).
 
 use astra_logs::binfmt::{self, BinFormat};
-use astra_logs::{ce, het, inventory, sensor, IngestOptions, LineFormat, QuarantineReason};
+use astra_logs::io::{read_to_end, IngestError};
+use astra_logs::{
+    ce, het, inventory, sensor, IngestOptions, LineFormat, Quarantine, QuarantineReason,
+};
 use astra_logs::{
     CeRecord, Component, HetKind, HetRecord, HetSeverity, ReplacementRecord, SensorRecord,
 };
@@ -37,12 +40,22 @@ fn container<T>(bin: BinFormat<T>, records: &[T]) -> Vec<u8> {
     out
 }
 
+/// Drain a container held in memory under `opts`.
+fn drain<T>(
+    data: &[u8],
+    bin: BinFormat<T>,
+    opts: &IngestOptions,
+) -> Result<(Vec<T>, Quarantine), IngestError> {
+    let mut reader = binfmt::BinReader::new(data, bin);
+    read_to_end(opts, || reader.next_chunk())
+}
+
 /// Strict full decode of a container; panics on any quarantine.
 fn decode_all<T: Send>(bin: BinFormat<T>, data: &[u8]) -> Vec<T> {
-    let (parsed, q, ..) = binfmt::parse_binary_stream(data, bin, &IngestOptions::default())
-        .expect("clean container must decode strictly");
+    let (records, q) =
+        drain(data, bin, &IngestOptions::default()).expect("clean container must decode strictly");
     assert!(q.is_empty());
-    parsed.records
+    records
 }
 
 /// The two identities, checked from both starting points:
@@ -249,13 +262,12 @@ proptest! {
         };
 
         // Strict: abort, exactly like a corrupt text log.
-        let strict = binfmt::parse_binary_stream(
-            damaged.as_slice(), binfmt::CE, &IngestOptions::default());
+        let strict = drain(damaged.as_slice(), binfmt::CE, &IngestOptions::default());
         prop_assert!(strict.is_err(), "strict ingest must abort on corruption");
 
         // Lenient: quarantined under a binary reason, never dropped
         // silently, and survivors are a prefix-union of clean blocks.
-        let (parsed, q, ..) = binfmt::parse_binary_stream(
+        let (parsed, q) = drain(
             damaged.as_slice(), binfmt::CE, &IngestOptions::lenient(Some(1.0)))
             .expect("unbounded lenient ingest must not abort");
         prop_assert!(!q.is_empty(), "corruption must be quarantined");
@@ -264,8 +276,8 @@ proptest! {
                 prop_assert!(reason.is_binary(), "binary file, binary reason: {reason}");
             }
         }
-        prop_assert!(parsed.records.len() <= n);
-        prop_assert!(parsed.records.iter().all(|r| records.contains(r)),
+        prop_assert!(parsed.len() <= n);
+        prop_assert!(parsed.iter().all(|r| records.contains(r)),
             "lenient ingest must never invent records");
     }
 }

@@ -48,7 +48,7 @@ fn nonblank_lines(buf: &[u8]) -> u64 {
 }
 
 /// Drain a reader through `ChunkReader`, returning
-/// `(records, quarantined, lines_seen)`.
+/// `(records, quarantined, lines)` (lines consumed, blank ones included).
 fn drain<R: std::io::Read, T: Send>(
     reader: R,
     format: LineFormat<T>,
@@ -68,7 +68,7 @@ fn drain<R: std::io::Read, T: Send>(
             Err(e) => panic!("in-memory ingest must not fail: {e}"),
         }
     }
-    (records, quarantined, reader.lines_seen())
+    (records, quarantined, reader.point().lines)
 }
 
 /// The core property: parse-or-quarantine, nothing lost, nothing extra.
@@ -90,7 +90,7 @@ fn assert_accounted<T: Send>(buf: &[u8], format: LineFormat<T>, chunk_bytes: usi
     assert_eq!(
         lines,
         buf.split(|&b| b == b'\n').count() as u64 - u64::from(buf.last() == Some(&b'\n')),
-        "lines_seen must count every physical line"
+        "the reader's line count must count every physical line"
     );
 }
 

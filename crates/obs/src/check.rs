@@ -13,8 +13,9 @@
 //! ```
 //!
 //! Unknown rules and malformed lines are hard errors — a gate that
-//! silently skips rules gates nothing. For the same reason a stage rule
-//! whose stage recorded no timing reports `no data` and fails.
+//! silently skips rules gates nothing. For the same reason a latency
+//! rule that saw no timing (a stage that did not run, a daemon that
+//! answered no request) reports `no data` and fails.
 
 use crate::export::{Frozen, Snapshot};
 use crate::metrics::{Histogram, HistogramSnapshot};
@@ -51,8 +52,8 @@ pub enum Rule {
         max: f64,
     },
     /// p99 of the serve daemon's per-request latency (the `serve.request`
-    /// timing histogram), in milliseconds. Zero when the daemon never
-    /// served a request, so the rule is inert outside serve runs.
+    /// timing histogram), in milliseconds. Fails with no data when no
+    /// request was served.
     ServeP99Ms {
         /// Upper bound in milliseconds.
         max: f64,
@@ -175,7 +176,7 @@ impl CheckReport {
                     fmt_value(v),
                     if r.ok { "<=" } else { ">" }
                 ),
-                None => "no data, the stage did not run;".to_string(),
+                None => "no data, nothing was timed;".to_string(),
             };
             out.push_str(&format!(
                 "  {}  {:<width$}  {observed} max {}\n",
@@ -248,10 +249,12 @@ fn observe(rule: &Rule, snap: &Snapshot) -> Option<f64> {
             peak / (1024.0 * 1024.0)
         }
         Rule::CounterMax { name, .. } => snap.counter(name) as f64,
-        Rule::ServeP99Ms { .. } => match snap.get("serve.request") {
-            Some(Frozen::Timing(s)) => s.p99() as f64 / 1e6,
-            _ => 0.0,
-        },
+        Rule::ServeP99Ms { .. } => {
+            return match snap.get("serve.request") {
+                Some(Frozen::Timing(s)) if s.count > 0 => Some(s.p99() as f64 / 1e6),
+                _ => None,
+            }
+        }
     };
     Some(value)
 }
@@ -383,12 +386,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_rule_reads_request_p99_and_is_inert_without_traffic() {
-        // No serve.request timing recorded: observed is 0, any max passes.
-        let t = Thresholds::parse("{\"rule\":\"serve_p99_ms\",\"max\":0}").unwrap();
+    fn serve_rule_reads_request_p99_and_fails_without_traffic() {
+        // No serve.request timing recorded, or one that timed nothing:
+        // no data, and the rule fails whatever its max.
+        let t = Thresholds::parse("{\"rule\":\"serve_p99_ms\",\"max\":1000}").unwrap();
         let report = check(&t, &snapshot_with_stages());
-        assert!(report.ok());
-        assert_eq!(report.results[0].observed, Some(0.0));
+        assert!(!report.ok());
+        assert_eq!(report.results[0].observed, None);
+        assert!(report.render().contains("FAIL  serve_p99_ms  no data"));
+        let idle = Registry::new();
+        idle.timing("serve.request");
+        assert_eq!(check(&t, &idle.snapshot()).results[0].observed, None);
+        let t = Thresholds::parse("{\"rule\":\"serve_p99_ms\",\"max\":0}").unwrap();
 
         // With traffic, the rule reads the timing's p99 in milliseconds.
         let r = Registry::new();

@@ -20,14 +20,8 @@ mod oracle;
 /// whatever does not parse.
 fn parse<T: Send>(text: &str, format: LineFormat<T>) -> (Vec<T>, Quarantine) {
     let tolerant = IngestOptions::lenient(Some(1.0));
-    let (parsed, quarantine, ..) = logio::parse_stream_chunked(
-        text.as_bytes(),
-        format,
-        &tolerant,
-        logio::STREAM_CHUNK_BYTES,
-    )
-    .unwrap();
-    (parsed.records, quarantine)
+    let mut reader = logio::ChunkReader::new(text.as_bytes(), format, logio::STREAM_CHUNK_BYTES);
+    logio::read_to_end(&tolerant, || reader.next_chunk()).unwrap()
 }
 
 #[test]

@@ -63,6 +63,47 @@ fn generate(dir: &Path) {
     ]);
 }
 
+/// Run `serve DIR` until it has answered a few requests, exporting its
+/// metrics into `DIR/metrics.jsonl` (generation's folded in), as CI's
+/// trace-smoke does before `stats --check`: the `serve_p99_ms` rule
+/// needs a daemon's request timings.
+fn serve_some_requests(dir: &Path) {
+    use astra_serve::http;
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let metrics = dir.join("metrics.jsonl");
+    let mut child = Command::new(bin())
+        .args(["serve", dir.to_str().unwrap(), "--racks", "1"])
+        .args(["--listen", "127.0.0.1:0", "--metrics-out"])
+        .arg(&metrics)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn astra-mem serve");
+    let mut banner = String::new();
+    std::io::BufReader::new(child.stdout.as_mut().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on http://")
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !http::get(addr, "/health").is_ok_and(|r| r.body.contains("\"ready\":true")) {
+        assert!(Instant::now() < deadline, "serve never became ready");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for path in ["/sites", "/metrics"] {
+        http::get(addr, path).unwrap();
+    }
+    drop(child.stdin.take()); // EOF: the daemon winds down and exports
+    assert!(child.wait().unwrap().success());
+}
+
 /// Pull one `"field":value` number out of the JSONL line for `name`.
 fn metric_value(jsonl: &str, name: &str) -> Option<f64> {
     let line = jsonl
@@ -744,6 +785,7 @@ fn trace_subcommand_prints_flame_table() {
 fn stats_check_gates_on_thresholds() {
     let dir = TempDir::new("check");
     generate(dir.path());
+    serve_some_requests(dir.path());
     // The checked-in thresholds must pass on a clean dataset.
     let checked_in = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../thresholds.json");
     let out = Command::new(bin())

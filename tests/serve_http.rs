@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use astra_core::stream::StreamOptions;
+use astra_logs::io::read_to_end;
 use astra_logs::{binfmt, CeRecord, IngestOptions};
 use astra_serve::{http, ServeOptions};
 use astra_topology::SystemConfig;
@@ -177,9 +178,8 @@ fn split_ce_log(dir: &Path) -> Vec<u8> {
         return all[cut..].to_vec();
     }
     let file = std::fs::File::open(&path).unwrap();
-    let (parsed, ..) =
-        binfmt::parse_binary_stream(file, binfmt::CE, &IngestOptions::default()).unwrap();
-    let ces = parsed.records;
+    let mut reader = binfmt::BinReader::new(file, binfmt::CE);
+    let (ces, _) = read_to_end(&IngestOptions::default(), || reader.next_chunk()).unwrap();
     let blocks = |recs: &[CeRecord]| {
         let mut out = Vec::new();
         binfmt::write_records(&mut out, binfmt::CE, recs).unwrap();

@@ -338,3 +338,92 @@ fn a_failed_worker_keeps_its_reason_and_a_clean_one_stays_quiet() {
         );
     }
 }
+
+/// `(state, parent)` of process `pid` from `/proc/<pid>/stat`, or `None`
+/// once it is gone.
+#[cfg(target_os = "linux")]
+fn proc_stat(pid: u32) -> Option<(char, u32)> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name is parenthesised and may hold spaces.
+    let mut rest = stat[stat.rfind(')')? + 2..].split(' ');
+    let state = rest.next()?.chars().next()?;
+    Some((state, rest.next()?.parse().ok()?))
+}
+
+/// The processes whose parent is `pid`.
+#[cfg(target_os = "linux")]
+fn children_of(pid: u32) -> Vec<u32> {
+    std::fs::read_dir("/proc")
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|&p| proc_stat(p).is_some_and(|(_, parent)| parent == pid))
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_do_not_outlive_a_killed_supervisor() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let tmp = TempDir::new("orphans");
+    let logs = tmp.join("logs");
+    generate(&logs, "2");
+    for signal in ["KILL", "TERM"] {
+        // Worker 0 hangs after 10 records; the deadline is far off, so
+        // only the supervisor's death can end it.
+        let mut supervisor = Command::new(bin())
+            .args(["shard-analyze", logs.to_str().unwrap(), "--shards", "2"])
+            .args(["--timeout", "600"])
+            .env("ASTRA_SHARD_CHAOS", "hang:0:10")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn astra-mem");
+        let pid = supervisor.id();
+        let mut workers: Vec<u32> = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut first_seen = None;
+        while Instant::now() < deadline {
+            for w in children_of(pid) {
+                if !workers.contains(&w) {
+                    workers.push(w);
+                }
+            }
+            // Give the workers half a second past the first sighting to
+            // reach the hang.
+            if let Some(at) = first_seen {
+                if Instant::now() >= at + Duration::from_millis(500) {
+                    break;
+                }
+            } else if !workers.is_empty() {
+                first_seen = Some(Instant::now());
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(!workers.is_empty(), "SIG{signal}: no worker ever started");
+        let sent = Command::new("kill")
+            .args([format!("-{signal}"), pid.to_string()])
+            .status()
+            .expect("run kill");
+        assert!(sent.success());
+        supervisor.wait().unwrap();
+        std::thread::sleep(Duration::from_secs(1));
+        let alive: Vec<u32> = workers
+            .iter()
+            .copied()
+            .filter(|&w| proc_stat(w).is_some_and(|(state, _)| state != 'Z'))
+            .collect();
+        // Leave nothing running whatever the verdict.
+        for w in &alive {
+            let _ = Command::new("kill")
+                .args(["-KILL", &w.to_string()])
+                .status();
+        }
+        assert!(
+            alive.is_empty(),
+            "SIG{signal} to the supervisor left workers {alive:?} of {workers:?} running"
+        );
+    }
+}

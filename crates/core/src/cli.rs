@@ -42,7 +42,7 @@ use crate::mitigation::{self, ProactivePolicy, RetirementPolicy};
 use crate::pipeline::{load_manifest, Analysis, AnalysisInput, Dataset, LoadError, Log};
 use crate::reliability;
 use crate::stream::{self, Analyzer as _, StreamError, StreamOptions};
-use crate::tempcorr::TempCorrConfig;
+use crate::tempcorr::{MonthlyTable, TempCorrConfig};
 
 const USAGE: &str = "\
 astra-mem — memory-failure analysis toolkit (HPDC'22 Astra reproduction)
@@ -1118,14 +1118,15 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     println!("{}", exp::fig10_12::compute(&analysis).render());
     match &telemetry {
         Some(telemetry) => {
-            println!(
-                "{}",
-                exp::fig13_14::compute_fig13(&analysis, telemetry, sensor_span(), &config).render()
+            let table = MonthlyTable::sweep(
+                &analysis.records,
+                telemetry,
+                &system,
+                sensor_span(),
+                &config,
             );
-            println!(
-                "{}",
-                exp::fig13_14::compute_fig14(&analysis, telemetry, sensor_span(), &config).render()
-            );
+            println!("{}", exp::fig13_14::fig13_from(&table).render());
+            println!("{}", exp::fig13_14::fig14_from(&table).render());
         }
         None => {
             skip("Fig 13", "temperatures");
@@ -1340,16 +1341,22 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         );
     }
 
-    // Only `report` joins CEs to telemetry (Fig 9), so these counters come
-    // from a metrics.jsonl that a report run exported.
+    // Only `report` joins CEs to telemetry (Figs 9, 13 and 14), so these
+    // counters come from a metrics.jsonl that a report run exported.
     let summed = snap.counter("telemetry.window_readings_summed");
+    let monthly = snap.counter("telemetry.monthly_readings");
+    if summed > 0 || monthly > 0 {
+        println!("\ntelemetry joins (from metrics.jsonl):");
+    }
     if summed > 0 {
         let drawn = snap.counter("telemetry.window_readings");
-        println!("\ntelemetry joins (from metrics.jsonl):");
         println!(
             "  window samples summed {summed} | drawn {drawn} ({:.1}% of summed)",
             percent(drawn, summed),
         );
+    }
+    if monthly > 0 {
+        println!("  monthly readings drawn {monthly} (Figs 13-14, all sensors)");
     }
 
     let records_in = snap.counter("coalesce.records_in");

@@ -18,7 +18,7 @@ use astra_util::time::TimeSpan;
 
 use crate::pipeline::Analysis;
 use crate::tempcorr::{
-    monthly_samples, power_hot_cold, temperature_deciles, DecileSeries, TempCorrConfig,
+    power_hot_cold, temperature_deciles, DecileSeries, MonthlyTable, TempCorrConfig,
 };
 
 /// The data behind Fig 13.
@@ -38,46 +38,49 @@ pub struct Fig14 {
     pub panels: Vec<(String, Vec<DecileSeries>)>,
 }
 
-/// Compute Fig 13.
+/// Compute Fig 13: [`fig13_from`] over a fresh [`MonthlyTable`].
 pub fn compute_fig13(
     analysis: &Analysis,
     telemetry: &TelemetryModel,
     span: TimeSpan,
     config: &TempCorrConfig,
 ) -> Fig13 {
-    let _span = super::figure_span("fig13");
-    let (cpu, dimm) =
-        temperature_deciles(&analysis.records, telemetry, &analysis.system, span, config);
-    Fig13 { cpu, dimm }
+    fig13_from(&MonthlyTable::sweep(
+        &analysis.records,
+        telemetry,
+        &analysis.system,
+        span,
+        config,
+    ))
 }
 
-/// Compute Fig 14.
+/// Compute Fig 14: [`fig14_from`] over a fresh [`MonthlyTable`].
 pub fn compute_fig14(
     analysis: &Analysis,
     telemetry: &TelemetryModel,
     span: TimeSpan,
     config: &TempCorrConfig,
 ) -> Fig14 {
-    let _span = super::figure_span("fig14");
-    let power_samples = monthly_samples(
+    fig14_from(&MonthlyTable::sweep(
         &analysis.records,
         telemetry,
         &analysis.system,
         span,
-        SensorId::dc_power(),
         config,
-    );
-    let panel = |sensor| {
-        power_hot_cold(
-            &analysis.records,
-            telemetry,
-            &analysis.system,
-            span,
-            sensor,
-            &power_samples,
-            config,
-        )
-    };
+    ))
+}
+
+/// Fig 13 from the monthly table (which Fig 14 can share).
+pub fn fig13_from(table: &MonthlyTable) -> Fig13 {
+    let _span = super::figure_span("fig13");
+    let (cpu, dimm) = temperature_deciles(table);
+    Fig13 { cpu, dimm }
+}
+
+/// Fig 14 from the monthly table (which Fig 13 can share).
+pub fn fig14_from(table: &MonthlyTable) -> Fig14 {
+    let _span = super::figure_span("fig14");
+    let panel = |sensor| power_hot_cold(table, sensor);
     let mut panels = Vec::new();
     for socket in SocketId::ALL {
         panels.push((socket.cpu_label().to_string(), panel(SensorId::cpu(socket))));

@@ -1,9 +1,10 @@
 //! Fig 2: distributions of sensor values (CPU temperature, DIMM
 //! temperature, node DC power) over the sensor-data interval.
 
+use astra_logs::SensorRecord;
 use astra_stats::Histogram;
 use astra_telemetry::TelemetryModel;
-use astra_topology::{DimmGroup, NodeId, SensorId, SocketId};
+use astra_topology::{DimmGroup, NodeId, SensorKind};
 use astra_util::time::TimeSpan;
 
 use super::render::spark;
@@ -35,52 +36,16 @@ pub fn compute(
 ) -> Fig2 {
     let _span = super::figure_span("fig2");
     assert!(node_stride > 0 && minute_stride > 0);
-    let system = *telemetry.system();
-    let mut fig = Fig2 {
-        cpu: [
-            Histogram::new(40.0, 90.0, 50),
-            Histogram::new(40.0, 90.0, 50),
-        ],
-        dimm: [
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-        ],
-        power: Histogram::new(100.0, 500.0, 80),
-        excluded: 0,
-        total: 0,
-    };
-    let mut node = 0u32;
-    while node < system.node_count() {
-        let n = NodeId(node);
+    let mut fig = Fig2::empty();
+    for node in (0..telemetry.system().node_count()).step_by(node_stride as usize) {
+        let mut sampler = telemetry.sampler(NodeId(node));
         let mut t = span.start;
         while t < span.end {
-            for socket in SocketId::ALL {
-                fig.total += 1;
-                match telemetry.reading(n, SensorId::cpu(socket), t).valid_value() {
-                    Some(v) => fig.cpu[usize::from(socket.0)].push(v),
-                    None => fig.excluded += 1,
-                }
-            }
-            for group in DimmGroup::ALL {
-                fig.total += 1;
-                match telemetry
-                    .reading(n, SensorId::dimm_group(group), t)
-                    .valid_value()
-                {
-                    Some(v) => fig.dimm[group.index()].push(v),
-                    None => fig.excluded += 1,
-                }
-            }
-            fig.total += 1;
-            match telemetry.reading(n, SensorId::dc_power(), t).valid_value() {
-                Some(v) => fig.power.push(v),
-                None => fig.excluded += 1,
+            for rec in &sampler.readings(t) {
+                fig.add(rec);
             }
             t = t.plus(minute_stride as i64);
         }
-        node += node_stride;
     }
     fig
 }
@@ -88,39 +53,48 @@ pub fn compute(
 /// Build Fig 2 from parsed sensor records (a `sensors.log` excerpt)
 /// instead of querying the telemetry model — the path a site with real
 /// BMC logs would take.
-pub fn compute_from_records(records: &[astra_logs::SensorRecord]) -> Fig2 {
+pub fn compute_from_records(records: &[SensorRecord]) -> Fig2 {
     let _span = super::figure_span("fig2");
-    let mut fig = Fig2 {
-        cpu: [
-            Histogram::new(40.0, 90.0, 50),
-            Histogram::new(40.0, 90.0, 50),
-        ],
-        dimm: [
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-            Histogram::new(25.0, 60.0, 70),
-        ],
-        power: Histogram::new(100.0, 500.0, 80),
-        excluded: 0,
-        total: 0,
-    };
+    let mut fig = Fig2::empty();
     for rec in records {
-        fig.total += 1;
-        let Some(v) = rec.valid_value() else {
-            fig.excluded += 1;
-            continue;
-        };
-        match rec.sensor.kind() {
-            astra_topology::SensorKind::CpuTemp(socket) => fig.cpu[usize::from(socket.0)].push(v),
-            astra_topology::SensorKind::DimmTemp(group) => fig.dimm[group.index()].push(v),
-            astra_topology::SensorKind::DcPower => fig.power.push(v),
-        }
+        fig.add(rec);
     }
     fig
 }
 
 impl Fig2 {
+    fn empty() -> Fig2 {
+        Fig2 {
+            cpu: [
+                Histogram::new(40.0, 90.0, 50),
+                Histogram::new(40.0, 90.0, 50),
+            ],
+            dimm: [
+                Histogram::new(25.0, 60.0, 70),
+                Histogram::new(25.0, 60.0, 70),
+                Histogram::new(25.0, 60.0, 70),
+                Histogram::new(25.0, 60.0, 70),
+            ],
+            power: Histogram::new(100.0, 500.0, 80),
+            excluded: 0,
+            total: 0,
+        }
+    }
+
+    /// Count one reading into its sensor's panel, or as excluded.
+    fn add(&mut self, rec: &SensorRecord) {
+        self.total += 1;
+        let Some(v) = rec.valid_value() else {
+            self.excluded += 1;
+            return;
+        };
+        match rec.sensor.kind() {
+            SensorKind::CpuTemp(socket) => self.cpu[usize::from(socket.0)].push(v),
+            SensorKind::DimmTemp(group) => self.dimm[group.index()].push(v),
+            SensorKind::DcPower => self.power.push(v),
+        }
+    }
+
     /// Fraction of samples excluded (the paper: "significantly less than
     /// 1%").
     pub fn excluded_fraction(&self) -> f64 {

@@ -12,7 +12,7 @@ use astra_util::CalDate;
 use super::{fig10_12, fig13_14, fig15, fig4, fig5, fig6, fig7, fig9};
 use crate::classify::ObservedMode;
 use crate::pipeline::{Analysis, Dataset};
-use crate::tempcorr::TempCorrConfig;
+use crate::tempcorr::{MonthlyTable, TempCorrConfig};
 
 /// One checked claim.
 #[derive(Debug, Clone)]
@@ -227,7 +227,15 @@ pub fn evaluate(ds: &Dataset, analysis: &Analysis, tc: &TempCorrConfig) -> Vec<V
     });
 
     // ---- Fig 13/14 ----
-    let f13 = fig13_14::compute_fig13(analysis, &ds.telemetry, sensor_span(), tc);
+    // One monthly table feeds both figures.
+    let monthly = MonthlyTable::sweep(
+        &analysis.records,
+        &ds.telemetry,
+        &analysis.system,
+        sensor_span(),
+        tc,
+    );
+    let f13 = fig13_14::fig13_from(&monthly);
     out.push(Verdict {
         exhibit: "Fig 13",
         claim: "no discernible CE trend with temperature deciles",
@@ -247,7 +255,7 @@ pub fn evaluate(ds: &Dataset, analysis: &Analysis, tc: &TempCorrConfig) -> Vec<V
         measured: format!("every decile hotter: {cpu1_hotter}"),
         pass: cpu1_hotter,
     });
-    let f14 = fig13_14::compute_fig14(analysis, &ds.telemetry, sensor_span(), tc);
+    let f14 = fig13_14::fig14_from(&monthly);
     out.push(Verdict {
         exhibit: "Fig 14",
         claim: "power (utilization proxy) not strongly correlated with CEs",

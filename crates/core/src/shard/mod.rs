@@ -18,7 +18,8 @@
 //!   with the checkpoint container (per-section CRCs, atomic `.tmp` +
 //!   rename). Its stdin is a pipe whose write end only the supervisor
 //!   holds, and the worker exits when it closes, so a supervisor that
-//!   dies, by any signal, takes its workers with it;
+//!   dies, by any signal, takes its workers with it, and the next run
+//!   removes the scratch directory it left;
 //! * the supervisor ([`supervise`]) drives every shard through a small
 //!   state machine — spawn → deadline → retry/backoff → degrade — and
 //!   merges the surviving snapshots left-to-right.
@@ -38,6 +39,7 @@
 //! prints an explicit `DEGRADED: missing racks R..R'` banner per hole,
 //! and exits with the distinct "partial" code 3.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -290,6 +292,8 @@ const BACKOFF_CAP_MS: u64 = 2_000;
 struct ShardSet {
     slots: Vec<ShardSlot>,
     workdir: PathBuf,
+    /// Held until the scratch tree is gone: see [`scratch_dir`].
+    _lock: File,
 }
 
 impl Drop for ShardSet {
@@ -313,7 +317,7 @@ impl Drop for ShardSet {
 pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
     let exe = std::env::current_exe().map_err(|e| format!("locating own executable: {e}"))?;
     let ranges = partition_racks(cfg.system.racks, cfg.shards);
-    let workdir = scratch_dir()?;
+    let (workdir, lock) = scratch_dir()?;
     let obs = astra_obs::global();
 
     let mut set = ShardSet {
@@ -332,6 +336,7 @@ pub fn supervise(cfg: &SupervisorConfig) -> Result<Supervised, String> {
             })
             .collect(),
         workdir,
+        _lock: lock,
     };
 
     loop {
@@ -527,17 +532,70 @@ fn spawn_worker(
         .map_err(|e| format!("spawning shard worker {index}: {e}"))
 }
 
-/// A unique scratch directory for this run's snapshots.
-fn scratch_dir() -> Result<PathBuf, String> {
+/// The lock file in a run's scratch directory.
+const SCRATCH_LOCK: &str = "lock";
+
+/// A unique scratch directory for this run's snapshots, and the held
+/// lock on its [`SCRATCH_LOCK`] file.
+///
+/// A supervisor killed by a signal never unwinds, so its [`ShardSet`]
+/// cannot remove its directory; but the lock dies with the process. So
+/// each run first removes every `astra-shard-<pid>-<n>` directory whose
+/// lock it can take. The directory is set up under a name that scan
+/// skips and renamed into place with its lock already held, so the scan
+/// never meets a live run's directory unlocked.
+fn scratch_dir() -> Result<(PathBuf, File), String> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "astra-shard-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    Ok(dir)
+    let tmp = std::env::temp_dir();
+    remove_stale_scratch(&tmp);
+    let pid = std::process::id();
+    let mut n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let setup = tmp.join(format!("astra-shard-{pid}-{n}.setup"));
+    std::fs::create_dir_all(&setup).map_err(|e| format!("creating {}: {e}", setup.display()))?;
+    let lock_path = setup.join(SCRATCH_LOCK);
+    let lock = File::create(&lock_path)
+        .and_then(|f| f.lock().map(|()| f))
+        .map_err(|e| format!("locking {}: {e}", lock_path.display()))?;
+    loop {
+        let dir = tmp.join(format!("astra-shard-{pid}-{n}"));
+        match std::fs::rename(&setup, &dir) {
+            Ok(()) => return Ok((dir, lock)),
+            // A directory under this name that the scan left: try the next.
+            Err(_) if dir.exists() => n = NEXT.fetch_add(1, Ordering::Relaxed),
+            Err(e) => {
+                let _ = std::fs::remove_dir_all(&setup);
+                return Err(format!("creating {}: {e}", dir.display()));
+            }
+        }
+    }
+}
+
+/// Remove each run's scratch directory under `tmp` whose supervisor is
+/// gone: an `astra-shard-<pid>-<n>` directory whose [`SCRATCH_LOCK`]
+/// this process can lock. One without a lock file is left alone.
+fn remove_stale_scratch(tmp: &Path) {
+    let Ok(entries) = std::fs::read_dir(tmp) else {
+        return;
+    };
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let is_run = name
+            .to_str()
+            .and_then(|name| name.strip_prefix("astra-shard-")?.split_once('-'))
+            .is_some_and(|(pid, n)| digits(pid) && digits(n));
+        if !is_run {
+            continue;
+        }
+        let dir = entry.path();
+        let Ok(lock) = File::open(dir.join(SCRATCH_LOCK)) else {
+            continue;
+        };
+        if lock.try_lock().is_ok() {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 /// Order-preserving dense renumbering of the coalesce footprint

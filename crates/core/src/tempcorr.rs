@@ -15,6 +15,10 @@
 //!   median temperature — Schroeder et al.'s method for separating the
 //!   temperature effect from the utilization effect.
 //!
+//! Figs 13 and 14 both read one [`MonthlyTable`]: every sensor's monthly
+//! means, from a single sweep of the telemetry model that draws the
+//! seven sensors of a node's sample minute together.
+//!
 //! All three operate on the *sensor assigned to the errored component*:
 //! CE records carry the DIMM slot, and §2.2 defines which of the four
 //! DIMM sensors covers each slot.
@@ -22,7 +26,7 @@
 use astra_logs::CeRecord;
 use astra_stats::{deciles, linear_fit, median, LinearFit};
 use astra_telemetry::TelemetryModel;
-use astra_topology::{DimmGroup, NodeId, SensorId, SystemConfig};
+use astra_topology::{DimmGroup, NodeId, SensorId, SocketId, SystemConfig};
 use astra_util::time::TimeSpan;
 use astra_util::Minute;
 
@@ -224,64 +228,114 @@ fn months_in(span: TimeSpan) -> Vec<i64> {
     (first..=last).collect()
 }
 
-/// Collect `(node, month)` samples for one sensor: its monthly mean value
-/// and the CE count on its associated components.
-pub fn monthly_samples(
-    records: &[CeRecord],
-    telemetry: &TelemetryModel,
-    system: &SystemConfig,
-    span: TimeSpan,
-    sensor: SensorId,
-    config: &TempCorrConfig,
-) -> Vec<MonthlySample> {
-    // Pre-tally CE counts per (node, month) for this sensor's components.
-    let relevant = |rec: &CeRecord| match sensor.kind() {
-        astra_topology::SensorKind::CpuTemp(socket) => rec.socket == socket,
-        astra_topology::SensorKind::DimmTemp(group) => DimmGroup::of_slot(rec.slot) == group,
-        astra_topology::SensorKind::DcPower => true,
-    };
-    let mut ce: std::collections::HashMap<(u32, i64), u64> = std::collections::HashMap::new();
-    for rec in records {
-        if span.contains(rec.time) && relevant(rec) {
-            *ce.entry((rec.node.0, rec.time.month_index())).or_insert(0) += 1;
+/// Every sensor's `(node, month)` samples over a span: the seven sensors'
+/// monthly means and the CEs on each sensor's components, from one sweep
+/// of the telemetry model. Figs 13 and 14 both read it.
+#[derive(Debug)]
+pub struct MonthlyTable {
+    /// One per `(node, month)` of the span, node-major, months ascending.
+    cells: Vec<MonthlyCell>,
+}
+
+#[derive(Debug)]
+struct MonthlyCell {
+    node: NodeId,
+    month: i64,
+    /// Mean of each sensor's valid readings in the month (clipped to the
+    /// span); `None` when it had none.
+    means: [Option<f64>; SensorId::COUNT],
+    /// CEs in the month on each sensor's components.
+    ces: [u64; SensorId::COUNT],
+}
+
+impl MonthlyTable {
+    /// Sweep every node's sample minutes month by month, drawing all seven
+    /// sensors of a minute at once, and tally the CEs in the span in one
+    /// pass. Each sensor's valid readings are added in ascending minute
+    /// order, so each mean is the one a per-sensor sweep would compute, bit
+    /// for bit. A CE on a node past the machine has no cell and is not
+    /// counted.
+    ///
+    /// Adds the readings drawn to `telemetry.monthly_readings`.
+    pub fn sweep(
+        records: &[CeRecord],
+        telemetry: &TelemetryModel,
+        system: &SystemConfig,
+        span: TimeSpan,
+        config: &TempCorrConfig,
+    ) -> MonthlyTable {
+        let _span = astra_obs::span("tempcorr.monthly_sweep");
+        let months = months_in(span);
+        let mut cells: Vec<MonthlyCell> = system
+            .nodes()
+            .flat_map(|node| {
+                months.iter().map(move |&month| MonthlyCell {
+                    node,
+                    month,
+                    means: [None; SensorId::COUNT],
+                    ces: [0; SensorId::COUNT],
+                })
+            })
+            .collect();
+
+        for rec in records {
+            if !span.contains(rec.time) || rec.node.0 >= system.node_count() {
+                continue;
+            }
+            let month = (rec.time.month_index() - months[0]) as usize;
+            let cell = &mut cells[rec.node.0 as usize * months.len() + month];
+            if SocketId::ALL.contains(&rec.socket) {
+                cell.ces[SensorId::cpu(rec.socket).index()] += 1;
+            }
+            cell.ces[SensorId::for_slot(rec.slot).index()] += 1;
+            cell.ces[SensorId::dc_power().index()] += 1;
         }
+
+        let mut drawn = 0u64;
+        for (node, node_cells) in system.nodes().zip(cells.chunks_mut(months.len().max(1))) {
+            let mut sampler = telemetry.sampler(node);
+            for cell in node_cells {
+                // Month window clipped to the span.
+                let m_start = month_start(cell.month).max(span.start.value());
+                let m_end = month_start(cell.month + 1).min(span.end.value());
+                let mut sum = [0.0; SensorId::COUNT];
+                let mut n = [0u64; SensorId::COUNT];
+                let mut t = m_start;
+                while t < m_end {
+                    for (s, reading) in sampler.readings(Minute::from_i64(t)).iter().enumerate() {
+                        if let Some(v) = reading.valid_value() {
+                            sum[s] += v;
+                            n[s] += 1;
+                        }
+                    }
+                    drawn += SensorId::COUNT as u64;
+                    t += config.monthly_stride as i64;
+                }
+                cell.means = std::array::from_fn(|s| (n[s] > 0).then(|| sum[s] / n[s] as f64));
+            }
+        }
+        astra_obs::global()
+            .counter("telemetry.monthly_readings")
+            .add(drawn);
+        MonthlyTable { cells }
     }
 
-    let months = months_in(span);
-    let mut out = Vec::new();
-    for node in system.nodes() {
-        for &month in &months {
-            // Month window clipped to the span.
-            let m_start = month_start(month).max(span.start.value());
-            let m_end = month_start(month + 1).min(span.end.value());
-            if m_end <= m_start {
-                continue;
-            }
-            let mut sum = 0.0;
-            let mut n = 0u64;
-            let mut t = m_start;
-            while t < m_end {
-                if let Some(v) = telemetry
-                    .reading(node, sensor, astra_util::Minute::from_i64(t))
-                    .valid_value()
-                {
-                    sum += v;
-                    n += 1;
-                }
-                t += config.monthly_stride as i64;
-            }
-            if n == 0 {
-                continue;
-            }
-            out.push(MonthlySample {
-                node,
-                month,
-                mean_value: sum / n as f64,
-                ce_count: ce.get(&(node.0, month)).copied().unwrap_or(0),
-            });
-        }
+    /// One sensor's samples: each `(node, month)` with a valid reading,
+    /// node-major, months ascending.
+    pub fn samples(&self, sensor: SensorId) -> Vec<MonthlySample> {
+        let s = sensor.index();
+        self.cells
+            .iter()
+            .filter_map(|cell| {
+                cell.means[s].map(|mean_value| MonthlySample {
+                    node: cell.node,
+                    month: cell.month,
+                    mean_value,
+                    ce_count: cell.ces[s],
+                })
+            })
+            .collect()
     }
-    out
 }
 
 /// First minute of a month index (Jan 2019 = 0).
@@ -317,23 +371,15 @@ pub fn decile_series(label: &str, samples: &[MonthlySample]) -> DecileSeries {
 ///
 /// Returns `(cpu_series, dimm_series)`: two CPU lines and four DIMM-group
 /// lines.
-pub fn temperature_deciles(
-    records: &[CeRecord],
-    telemetry: &TelemetryModel,
-    system: &SystemConfig,
-    span: TimeSpan,
-    config: &TempCorrConfig,
-) -> (Vec<DecileSeries>, Vec<DecileSeries>) {
+pub fn temperature_deciles(table: &MonthlyTable) -> (Vec<DecileSeries>, Vec<DecileSeries>) {
     let mut cpu = Vec::new();
-    for socket in astra_topology::SocketId::ALL {
-        let sensor = SensorId::cpu(socket);
-        let samples = monthly_samples(records, telemetry, system, span, sensor, config);
+    for socket in SocketId::ALL {
+        let samples = table.samples(SensorId::cpu(socket));
         cpu.push(decile_series(socket.cpu_label(), &samples));
     }
     let mut dimm = Vec::new();
     for group in DimmGroup::ALL {
-        let sensor = SensorId::dimm_group(group);
-        let samples = monthly_samples(records, telemetry, system, span, sensor, config);
+        let samples = table.samples(SensorId::dimm_group(group));
         dimm.push(decile_series(&group.panel_label(), &samples));
     }
     (cpu, dimm)
@@ -341,25 +387,16 @@ pub fn temperature_deciles(
 
 /// Fig 14: for one temperature sensor, split `(node, month)` samples into
 /// hot/cold halves by the sensor's median monthly temperature, then decile
-/// each half by monthly mean node power. `power_samples` are the DC-power
-/// [`monthly_samples`] over the same span, which every panel shares.
-pub fn power_hot_cold(
-    records: &[CeRecord],
-    telemetry: &TelemetryModel,
-    system: &SystemConfig,
-    span: TimeSpan,
-    temp_sensor: SensorId,
-    power_samples: &[MonthlySample],
-    config: &TempCorrConfig,
-) -> Vec<DecileSeries> {
-    let temp_samples = monthly_samples(records, telemetry, system, span, temp_sensor, config);
-    // Index power means by (node, month).
-    let mut power: std::collections::HashMap<(u32, i64), f64> = std::collections::HashMap::new();
-    for s in power_samples {
-        power.insert((s.node.0, s.month), s.mean_value);
-    }
-
-    let temps: Vec<f64> = temp_samples.iter().map(|s| s.mean_value).collect();
+/// each half by monthly mean node power.
+pub fn power_hot_cold(table: &MonthlyTable, temp_sensor: SensorId) -> Vec<DecileSeries> {
+    let temp = temp_sensor.index();
+    let power = SensorId::dc_power().index();
+    let rows: Vec<(&MonthlyCell, f64)> = table
+        .cells
+        .iter()
+        .filter_map(|cell| Some((cell, cell.means[temp]?)))
+        .collect();
+    let temps: Vec<f64> = rows.iter().map(|&(_, t)| t).collect();
     let Some(med) = median(&temps) else {
         return Vec::new();
     };
@@ -375,15 +412,15 @@ pub fn power_hot_cold(
 
     let mut series = Vec::new();
     for hot in [true, false] {
-        let half: Vec<MonthlySample> = temp_samples
+        let half: Vec<MonthlySample> = rows
             .iter()
-            .filter(|s| (s.mean_value > med) == hot)
-            .filter_map(|s| {
-                power.get(&(s.node.0, s.month)).map(|&p| MonthlySample {
-                    node: s.node,
-                    month: s.month,
+            .filter(|&&(_, t)| (t > med) == hot)
+            .filter_map(|&(cell, _)| {
+                cell.means[power].map(|p| MonthlySample {
+                    node: cell.node,
+                    month: cell.month,
                     mean_value: p,
-                    ce_count: s.ce_count,
+                    ce_count: cell.ces[temp],
                 })
             })
             .collect();
@@ -573,27 +610,119 @@ mod tests {
         }
     }
 
+    /// One sensor's `(node, month)` samples the way they were computed
+    /// before the table: a sweep of that sensor alone, and its own CE
+    /// tally in a map.
+    fn monthly_samples(
+        records: &[CeRecord],
+        telemetry: &TelemetryModel,
+        system: &SystemConfig,
+        span: TimeSpan,
+        sensor: SensorId,
+        config: &TempCorrConfig,
+    ) -> Vec<MonthlySample> {
+        let relevant = |rec: &CeRecord| match sensor.kind() {
+            astra_topology::SensorKind::CpuTemp(socket) => rec.socket == socket,
+            astra_topology::SensorKind::DimmTemp(group) => DimmGroup::of_slot(rec.slot) == group,
+            astra_topology::SensorKind::DcPower => true,
+        };
+        let mut ce: std::collections::HashMap<(u32, i64), u64> = std::collections::HashMap::new();
+        for rec in records {
+            if span.contains(rec.time) && relevant(rec) {
+                *ce.entry((rec.node.0, rec.time.month_index())).or_insert(0) += 1;
+            }
+        }
+
+        let months = months_in(span);
+        let mut out = Vec::new();
+        for node in system.nodes() {
+            for &month in &months {
+                let m_start = month_start(month).max(span.start.value());
+                let m_end = month_start(month + 1).min(span.end.value());
+                if m_end <= m_start {
+                    continue;
+                }
+                let mut sum = 0.0;
+                let mut n = 0u64;
+                let mut t = m_start;
+                while t < m_end {
+                    if let Some(v) = telemetry
+                        .reading(node, sensor, Minute::from_i64(t))
+                        .valid_value()
+                    {
+                        sum += v;
+                        n += 1;
+                    }
+                    t += config.monthly_stride as i64;
+                }
+                if n == 0 {
+                    continue;
+                }
+                out.push(MonthlySample {
+                    node,
+                    month,
+                    mean_value: sum / n as f64,
+                    ce_count: ce.get(&(node.0, month)).copied().unwrap_or(0),
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_monthly_table_equals_the_per_sensor_sweeps() {
+        let ds = crate::pipeline::Dataset::generate(1, 42);
+        let sensor_span = astra_util::time::sensor_span();
+        let bits = |samples: &[MonthlySample]| -> Vec<(u32, i64, u64, u64)> {
+            samples
+                .iter()
+                .map(|s| (s.node.0, s.month, s.mean_value.to_bits(), s.ce_count))
+                .collect()
+        };
+        let check = |records: &[CeRecord], span: TimeSpan, config: &TempCorrConfig| {
+            let table = MonthlyTable::sweep(records, &ds.telemetry, &ds.system, span, config);
+            for sensor in SensorId::all() {
+                let want =
+                    monthly_samples(records, &ds.telemetry, &ds.system, span, sensor, config);
+                assert!(want.iter().any(|s| s.ce_count > 0), "{sensor:?}");
+                assert_eq!(bits(&table.samples(sensor)), bits(&want), "{sensor:?}");
+            }
+        };
+        let records = &ds.sim.ce_log;
+
+        check(records, sensor_span, &TempCorrConfig::default());
+        let seven_hours = TempCorrConfig {
+            monthly_stride: 7 * 60,
+            ..TempCorrConfig::default()
+        };
+        check(records, sensor_span, &seven_hours);
+        // Starts and ends mid-month, off the stride grid.
+        let mid_month = TimeSpan::new(
+            CalDate::new(2019, 6, 10).midnight().plus(7 * 60 + 13),
+            CalDate::new(2019, 8, 20).midnight().plus(13 * 60),
+        );
+        check(records, mid_month, &seven_hours);
+
+        // CEs before and after the span, on every slot of two nodes, and on
+        // a node past the machine.
+        let mut extra = records.clone();
+        let past = ds.system.node_count();
+        for (letter, slot) in ('A'..='P').zip(0u32..) {
+            for (node, day, month) in [(0, 1, 5), (0, 20, 5), (5, 2, 7), (5, 25, 9), (past, 3, 7)] {
+                extra.push(ce(node, letter, day + slot % 3, month));
+            }
+        }
+        check(&extra, sensor_span, &TempCorrConfig::default());
+    }
+
     #[test]
     fn monthly_samples_attribute_ces_to_right_sensor() {
         // Slot E is in group ACEG (sensor dimmg0); slot B is in BDFH
         // (dimmg1). CEs on E must count for dimmg0 only.
         let records = vec![ce(3, 'E', 10, 6), ce(3, 'E', 11, 6), ce(3, 'B', 12, 6)];
-        let s0 = monthly_samples(
-            &records,
-            &telemetry(),
-            &system(),
-            span(),
-            SensorId::for_slot(DimmSlot::from_letter('E').unwrap()),
-            &quick_config(),
-        );
-        let s1 = monthly_samples(
-            &records,
-            &telemetry(),
-            &system(),
-            span(),
-            SensorId::for_slot(DimmSlot::from_letter('B').unwrap()),
-            &quick_config(),
-        );
+        let table = MonthlyTable::sweep(&records, &telemetry(), &system(), span(), &quick_config());
+        let s0 = table.samples(SensorId::for_slot(DimmSlot::from_letter('E').unwrap()));
+        let s1 = table.samples(SensorId::for_slot(DimmSlot::from_letter('B').unwrap()));
         let june = 5;
         let node3_june_g0 = s0
             .iter()
@@ -628,8 +757,13 @@ mod tests {
     #[test]
     fn temperature_deciles_produce_six_series() {
         let records = vec![ce(1, 'A', 5, 6), ce(2, 'K', 6, 7)];
-        let (cpu, dimm) =
-            temperature_deciles(&records, &telemetry(), &system(), span(), &quick_config());
+        let (cpu, dimm) = temperature_deciles(&MonthlyTable::sweep(
+            &records,
+            &telemetry(),
+            &system(),
+            span(),
+            &quick_config(),
+        ));
         assert_eq!(cpu.len(), 2);
         assert_eq!(dimm.len(), 4);
         assert_eq!(cpu[0].label, "CPU1");
@@ -642,23 +776,8 @@ mod tests {
     #[test]
     fn power_hot_cold_splits_in_two() {
         let records = vec![ce(1, 'A', 5, 6)];
-        let power = monthly_samples(
-            &records,
-            &telemetry(),
-            &system(),
-            span(),
-            SensorId::dc_power(),
-            &quick_config(),
-        );
-        let series = power_hot_cold(
-            &records,
-            &telemetry(),
-            &system(),
-            span(),
-            SensorId::cpu(astra_topology::SocketId(0)),
-            &power,
-            &quick_config(),
-        );
+        let table = MonthlyTable::sweep(&records, &telemetry(), &system(), span(), &quick_config());
+        let series = power_hot_cold(&table, SensorId::cpu(astra_topology::SocketId(0)));
         assert_eq!(series.len(), 2);
         assert!(series[0].label.contains("hot"));
         assert!(series[1].label.contains("cold"));

@@ -28,7 +28,8 @@
 //! on demand in O(1) from `(seed, node, sensor, minute)`, so analyses can
 //! query windows without materializing the dataset, and
 //! [`TelemetryModel::records`] materializes configurable-stride excerpts
-//! for the text-log pipeline.
+//! for the text-log pipeline. Every reading is drawn by a [`NodeSampler`],
+//! which computes the terms a node's seven sensors share once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +37,5 @@
 pub mod model;
 pub mod profile;
 
-pub use model::TelemetryModel;
+pub use model::{NodeSampler, TelemetryModel};
 pub use profile::ThermalProfile;

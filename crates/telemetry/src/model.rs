@@ -18,7 +18,7 @@
 use astra_logs::SensorRecord;
 use astra_topology::{NodeId, RackRegion, SensorId, SensorKind, SystemConfig};
 use astra_util::rng::splitmix64;
-use astra_util::time::TimeSpan;
+use astra_util::time::{TimeSpan, MINUTES_PER_DAY};
 use astra_util::{Minute, StreamKey};
 
 use crate::profile::ThermalProfile;
@@ -30,6 +30,8 @@ pub struct TelemetryModel {
     profile: ThermalProfile,
     seed: u64,
     key: StreamKey,
+    /// The diurnal utilization term at each minute of the day.
+    diurnal: Vec<f64>,
 }
 
 /// Map a 64-bit hash to a uniform in [0, 1).
@@ -40,11 +42,19 @@ fn unit(h: u64) -> f64 {
 impl TelemetryModel {
     /// Create a model for `system` under `profile`.
     pub fn new(system: SystemConfig, profile: ThermalProfile, seed: u64) -> Self {
+        // Diurnal modulation: the machine room is busier in working hours.
+        let diurnal = (0..MINUTES_PER_DAY as u32)
+            .map(|minute| {
+                let phase = f64::from(minute) / 1440.0 * std::f64::consts::TAU;
+                profile.diurnal_amplitude * (phase - std::f64::consts::PI * 0.75).sin()
+            })
+            .collect();
         TelemetryModel {
             system,
             profile,
             seed,
             key: StreamKey::root("telemetry"),
+            diurnal,
         }
     }
 
@@ -72,22 +82,34 @@ impl TelemetryModel {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
+    /// A node's sampler: the one way to draw its readings.
+    pub fn sampler(&self, node: NodeId) -> NodeSampler<'_> {
+        NodeSampler {
+            model: self,
+            node,
+            inlet: self.inlet(node),
+            block: None,
+            base: 0.0,
+        }
+    }
+
     /// Node utilization in [0, 1] at a given minute.
     pub fn utilization(&self, node: NodeId, t: Minute) -> f64 {
+        self.sampler(node).utilization(t)
+    }
+
+    /// Utilization of a node's job block before the diurnal term:
+    /// piecewise-constant, since jobs on HPC machines run for hours.
+    fn block_base(&self, node: NodeId, block: u64) -> f64 {
         let p = &self.profile;
-        let block = t.value().div_euclid(p.job_block_minutes as i64) as u64;
         let h = self.hash(1, u64::from(node.0), block);
         let busy = unit(h) < p.busy_prob;
-        let base = if busy {
+        if busy {
             // Per-block level jitter so busy blocks aren't identical.
             p.busy_util + 0.1 * (unit(self.hash(2, u64::from(node.0), block)) - 0.5)
         } else {
             p.idle_util
-        };
-        // Diurnal modulation: the machine room is busier in working hours.
-        let phase = f64::from(t.minute_of_day()) / 1440.0 * std::f64::consts::TAU;
-        let diurnal = p.diurnal_amplitude * (phase - std::f64::consts::PI * 0.75).sin();
-        (base + diurnal).clamp(0.0, 1.0)
+        }
     }
 
     /// Inlet air temperature for a node: room base + rack offset + region
@@ -107,29 +129,9 @@ impl TelemetryModel {
 
     /// The true (pre-corruption) value of a sensor at a minute.
     pub fn true_value(&self, node: NodeId, sensor: SensorId, t: Minute) -> f64 {
-        let p = &self.profile;
-        let util = self.utilization(node, t);
-        let inlet = self.inlet(node);
-        let noise = self.noise(
-            4 + sensor.index() as u64,
-            u64::from(node.0),
-            t.value() as u64,
-        );
-        match sensor.kind() {
-            SensorKind::CpuTemp(socket) => {
-                inlet
-                    + p.cpu_idle_rise[usize::from(socket.0)]
-                    + p.cpu_util_rise * util
-                    + p.cpu_noise_sd * noise
-            }
-            SensorKind::DimmTemp(group) => {
-                inlet
-                    + p.dimm_idle_rise[group.index()]
-                    + p.dimm_util_rise * util
-                    + p.dimm_noise_sd * noise
-            }
-            SensorKind::DcPower => p.idle_power + p.dynamic_power * util + p.power_noise_sd * noise,
-        }
+        let mut sampler = self.sampler(node);
+        let util = sampler.utilization(t);
+        sampler.value(sensor, t, util)
     }
 
     /// A BMC reading: the true value possibly replaced by an unreadable
@@ -137,31 +139,7 @@ impl TelemetryModel {
     /// [`SensorRecord::valid_value`] filters, as the paper's analysis
     /// does).
     pub fn reading(&self, node: NodeId, sensor: SensorId, t: Minute) -> SensorRecord {
-        let p = &self.profile;
-        let h = self.hash(
-            99,
-            u64::from(node.0) << 3 | sensor.index() as u64,
-            t.value() as u64,
-        );
-        let u = unit(h);
-        let value = if u < p.unreadable_prob {
-            None
-        } else if u < p.unreadable_prob + p.invalid_prob {
-            // A stuck/garbage reading far outside plausibility.
-            Some(if sensor.kind() == SensorKind::DcPower {
-                4000.0
-            } else {
-                255.0
-            })
-        } else {
-            Some(self.true_value(node, sensor, t))
-        };
-        SensorRecord {
-            time: t,
-            node,
-            sensor,
-            value,
-        }
+        self.sampler(node).reading(sensor, t)
     }
 
     /// Materialize records for every sensor of the given nodes over a
@@ -176,11 +154,10 @@ impl TelemetryModel {
         let _span = astra_obs::span("telemetry.records");
         let mut out = Vec::new();
         for node in nodes {
+            let mut sampler = self.sampler(node);
             let mut t = span.start;
             while t < span.end {
-                for sensor in SensorId::all() {
-                    out.push(self.reading(node, sensor, t));
-                }
+                out.extend(sampler.readings(t));
                 t = t.plus(stride_minutes as i64);
             }
         }
@@ -253,6 +230,7 @@ impl TelemetryModel {
             .collect();
         order.sort_unstable();
 
+        let mut sampler = self.sampler(node);
         let mut means = vec![None; queries.len()];
         let mut run: Vec<f64> = Vec::new();
         let mut run_grid = None;
@@ -271,7 +249,7 @@ impl TelemetryModel {
             let last = first + queries[i].1.div_ceil(stride) as usize;
             while run.len() < last {
                 let t = Minute::from_i64(run_start + run.len() as i64 * step);
-                let value = self.reading(node, sensor, t).valid_value();
+                let value = sampler.reading(sensor, t).valid_value();
                 run.push(value.unwrap_or(f64::NAN));
                 drawn += 1;
             }
@@ -292,6 +270,116 @@ impl TelemetryModel {
         means
     }
 }
+
+/// Draws one node's readings, minute by minute: the sampling kernel every
+/// reading of the model goes through.
+///
+/// The seven sensors of a node share its inlet temperature and, at each
+/// minute, its utilization. The sampler computes the inlet once, the
+/// utilization's job-block level once per block it enters, and takes the
+/// diurnal term from the model's per-minute-of-day table; each sensor
+/// then adds only its own noise and validity draws. Every value is the
+/// same pure function of `(seed, node, sensor, minute)` whatever order
+/// the minutes are asked in.
+#[derive(Debug)]
+pub struct NodeSampler<'m> {
+    model: &'m TelemetryModel,
+    node: NodeId,
+    inlet: f64,
+    /// The job block whose level `base` holds, once one has been drawn.
+    block: Option<i64>,
+    base: f64,
+}
+
+impl NodeSampler<'_> {
+    /// Node utilization in [0, 1] at a given minute.
+    fn utilization(&mut self, t: Minute) -> f64 {
+        let block = t
+            .value()
+            .div_euclid(self.model.profile.job_block_minutes as i64);
+        if self.block != Some(block) {
+            self.block = Some(block);
+            self.base = self.model.block_base(self.node, block as u64);
+        }
+        (self.base + self.model.diurnal[t.minute_of_day() as usize]).clamp(0.0, 1.0)
+    }
+
+    /// The reading of one sensor at `t`.
+    fn reading(&mut self, sensor: SensorId, t: Minute) -> SensorRecord {
+        let util = self.utilization(t);
+        self.draw(sensor, t, util)
+    }
+
+    /// The readings of all seven sensors at `t`, in sensor-index order.
+    pub fn readings(&mut self, t: Minute) -> [SensorRecord; SensorId::COUNT] {
+        let util = self.utilization(t);
+        std::array::from_fn(|i| {
+            let sensor = SensorId::from_index(i as u8).expect("i < SensorId::COUNT");
+            self.draw(sensor, t, util)
+        })
+    }
+
+    /// A BMC reading at `t` given the node's utilization then: the true
+    /// value, or in its place an unreadable marker or a clearly-invalid
+    /// outlier.
+    fn draw(&self, sensor: SensorId, t: Minute, util: f64) -> SensorRecord {
+        let p = &self.model.profile;
+        let h = self.model.hash(
+            99,
+            u64::from(self.node.0) << 3 | sensor.index() as u64,
+            t.value() as u64,
+        );
+        let u = unit(h);
+        let value = if u < p.unreadable_prob {
+            None
+        } else if u < p.unreadable_prob + p.invalid_prob {
+            // A stuck/garbage reading far outside plausibility.
+            Some(if sensor.kind() == SensorKind::DcPower {
+                4000.0
+            } else {
+                255.0
+            })
+        } else {
+            Some(self.value(sensor, t, util))
+        };
+        SensorRecord {
+            time: t,
+            node: self.node,
+            sensor,
+            value,
+        }
+    }
+
+    /// The true value of a sensor: inlet + position offsets +
+    /// utilization-driven rise + per-minute noise (power: idle +
+    /// utilization-proportional dynamic power + noise).
+    fn value(&self, sensor: SensorId, t: Minute, util: f64) -> f64 {
+        let p = &self.model.profile;
+        let noise = self.model.noise(
+            4 + sensor.index() as u64,
+            u64::from(self.node.0),
+            t.value() as u64,
+        );
+        match sensor.kind() {
+            SensorKind::CpuTemp(socket) => {
+                self.inlet
+                    + p.cpu_idle_rise[usize::from(socket.0)]
+                    + p.cpu_util_rise * util
+                    + p.cpu_noise_sd * noise
+            }
+            SensorKind::DimmTemp(group) => {
+                self.inlet
+                    + p.dimm_idle_rise[group.index()]
+                    + p.dimm_util_rise * util
+                    + p.dimm_noise_sd * noise
+            }
+            SensorKind::DcPower => p.idle_power + p.dynamic_power * util + p.power_noise_sd * noise,
+        }
+    }
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -541,6 +629,78 @@ mod tests {
             if unreadable_prob == 1.0 {
                 assert!(none.iter().all(Option::is_none));
             }
+        }
+    }
+
+    /// A reading's value as bits, so NaN-free values compare exactly.
+    fn bits(rec: &SensorRecord) -> (Minute, NodeId, SensorId, Option<u64>) {
+        (rec.time, rec.node, rec.sensor, rec.value.map(f64::to_bits))
+    }
+
+    #[test]
+    fn the_sampler_draws_what_the_per_sensor_formula_draws() {
+        let mut rng = DetRng::new(23);
+        let profiles = [
+            ThermalProfile::astra(),
+            ThermalProfile {
+                unreadable_prob: 0.8,
+                ..ThermalProfile::astra()
+            },
+            ThermalProfile {
+                unreadable_prob: 1.0,
+                ..ThermalProfile::astra()
+            },
+            ThermalProfile {
+                invalid_prob: 0.3,
+                ..ThermalProfile::astra()
+            },
+        ];
+        for profile in profiles {
+            let m = TelemetryModel::new(SystemConfig::scaled(4), profile, 42);
+            let nodes = u64::from(m.system().node_count());
+            for _ in 0..12 {
+                let node = NodeId(rng.below(nodes) as u32);
+                // One sampler over minutes in random order, some before
+                // 2019, so its job block moves back and forth.
+                let mut sampler = m.sampler(node);
+                for _ in 0..150 {
+                    let t = if rng.chance(0.5) {
+                        at(1, rng.below(21 * MINUTES_PER_DAY) as i64)
+                    } else {
+                        Minute::from_i64(rng.below(8 * MINUTES_PER_DAY) as i64 - 4 * 1440)
+                    };
+                    let all = sampler.readings(t);
+                    for sensor in SensorId::all() {
+                        let want = bits(&oracle::reading(&m, node, sensor, t));
+                        assert_eq!(
+                            bits(&all[sensor.index()]),
+                            want,
+                            "{node:?} {sensor:?} {t:?}"
+                        );
+                        assert_eq!(bits(&sampler.reading(sensor, t)), want);
+                        assert_eq!(bits(&m.reading(node, sensor, t)), want);
+                        assert_eq!(
+                            m.true_value(node, sensor, t).to_bits(),
+                            oracle::true_value(&m, node, sensor, t).to_bits()
+                        );
+                    }
+                }
+            }
+            // `generate`'s sensors.log excerpt.
+            let span = TimeSpan::new(at(2, 17), at(4, 0));
+            let nodes = [NodeId(0), NodeId(9), NodeId(200)];
+            let got: Vec<_> = m.records(nodes, span, 37).iter().map(bits).collect();
+            let mut want = Vec::new();
+            for node in nodes {
+                let mut t = span.start;
+                while t < span.end {
+                    for sensor in SensorId::all() {
+                        want.push(bits(&oracle::reading(&m, node, sensor, t)));
+                    }
+                    t = t.plus(37);
+                }
+            }
+            assert_eq!(got, want);
         }
     }
 

@@ -495,6 +495,45 @@ fn report_counts_telemetry_samples_drawn_and_summed() {
 }
 
 #[test]
+fn report_draws_figs_13_and_14_from_one_monthly_sweep() {
+    // The sweep draws each node's seven sensors once per sample minute:
+    // on 1 rack, 72 nodes x 244 half-day samples of May 20 - Sep 19 x 7
+    // sensors. One sweep per sensor and figure would draw 13 per minute.
+    let dir = TempDir::new("monthly");
+    let data = dir.path().to_str().unwrap();
+    run(&["generate", "--racks", "1", "--seed", "42", "--out", data]);
+    let metrics = dir.join("metrics.jsonl");
+    run(&["report", data, "--metrics-out", metrics.to_str().unwrap()]);
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    let drawn = 72 * 244 * 7;
+    assert_eq!(
+        metric_value(&jsonl, "telemetry.monthly_readings"),
+        Some(f64::from(drawn))
+    );
+    let sweep = jsonl
+        .lines()
+        .find(|l| l.contains("\"name\":\"time.tempcorr.monthly_sweep\""))
+        .expect("the sweep is timed");
+    assert!(sweep.contains("\"count\":1,"), "{sweep}");
+    for figure in ["fig13", "fig14"] {
+        let computed = format!("experiments.{figure}.computed");
+        assert_eq!(metric_value(&jsonl, &computed), Some(1.0), "{computed}");
+    }
+
+    // `report` exported into the directory, so `stats` shows the count.
+    let out = Command::new(bin())
+        .args(["stats", data])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains(&format!("monthly readings drawn {drawn} ")),
+        "{text}"
+    );
+}
+
+#[test]
 fn stats_prints_throughput_and_rates() {
     let dir = TempDir::new("stats");
     generate(dir.path());

@@ -427,3 +427,99 @@ fn workers_do_not_outlive_a_killed_supervisor() {
         );
     }
 }
+
+/// The run scratch directories (`astra-shard-<pid>-<n>`) under `tmp`.
+#[cfg(target_os = "linux")]
+fn scratch_dirs(tmp: &Path) -> Vec<String> {
+    let mut dirs: Vec<String> = std::fs::read_dir(tmp)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|name| {
+            name.strip_prefix("astra-shard-")
+                .and_then(|rest| rest.split_once('-'))
+                .is_some_and(|(pid, n)| {
+                    [pid, n]
+                        .iter()
+                        .all(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
+                })
+        })
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn the_next_run_removes_a_killed_supervisors_scratch_directory() {
+    use std::process::{Child, Stdio};
+    use std::time::{Duration, Instant};
+
+    let tmp = TempDir::new("stale");
+    let logs = tmp.join("logs");
+    generate(&logs, "2");
+    let logs = logs.to_str().unwrap();
+    let scratch = tmp.join("tmp");
+    std::fs::create_dir_all(&scratch).unwrap();
+    let tmpdir = scratch.to_str().unwrap();
+    let batch = stdout_of(&["analyze", logs], &[]);
+
+    let kill = |mut child: Child| {
+        let _ = child.kill();
+        child.wait().unwrap();
+        // Its workers exit at their stdin's EOF.
+        std::thread::sleep(Duration::from_secs(1));
+    };
+    // A supervisor whose worker 0 hangs after 10 records, once its
+    // directory holds worker 1's finished snapshot.
+    let hung = || -> (Child, String) {
+        let child = Command::new(bin())
+            .args(["shard-analyze", logs, "--shards", "2", "--timeout", "600"])
+            .env("TMPDIR", tmpdir)
+            .env("ASTRA_SHARD_CHAOS", "hang:0:10")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn astra-mem");
+        let dir = format!("astra-shard-{}-0", child.id());
+        let snapshot = scratch.join(&dir).join("shard-1.snap");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !snapshot.exists() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        if !snapshot.exists() {
+            kill(child);
+            panic!("no {}", snapshot.display());
+        }
+        (child, dir)
+    };
+    let shard_analyze = || {
+        run(
+            &["shard-analyze", logs, "--shards", "2"],
+            &[("TMPDIR", tmpdir)],
+        )
+    };
+
+    let (killed, stale) = hung();
+    kill(killed);
+    assert_eq!(scratch_dirs(&scratch), std::slice::from_ref(&stale));
+
+    // A live supervisor's directory survives a run started beside it;
+    // the dead one's does not. The live one is killed before any assert.
+    let (live, live_dir) = hung();
+    let beside = shard_analyze();
+    let left = scratch_dirs(&scratch);
+    kill(live);
+    assert!(
+        beside.status.success(),
+        "{}",
+        String::from_utf8_lossy(&beside.stderr)
+    );
+    assert_eq!(beside.stdout, batch, "shard-analyze differs from analyze");
+    assert_eq!(left, [live_dir], "{stale} should be gone");
+
+    // Once that supervisor is killed too, the next run removes its
+    // directory as well, and leaves none of its own.
+    assert_eq!(shard_analyze().stdout, batch);
+    assert_eq!(scratch_dirs(&scratch), Vec::<String>::new());
+}
